@@ -42,7 +42,7 @@ def run_once(command, workload, seed, seconds, trace):
     result = json.loads(done.stdout.strip().splitlines()[-1])
     if not result["correct"] or result["failed"]:
         sys.exit(f"{workload} seed {seed}: {result['failed']} failed\n{done.stderr[-2000:]}")
-    return result, elapsed
+    return result, elapsed, done.stderr
 
 
 def main():
@@ -65,13 +65,14 @@ def main():
         values = {name: [] for name in bounds}
         times = []
         for seed in parse_seeds(args.seeds):
-            result, elapsed = run_once(command, workload, seed, seconds, 0)
+            result, elapsed, stderr = run_once(command, workload, seed, seconds, 0)
             times.append(elapsed)
             for name in bounds:
                 values[name].append(result["metrics"][name]["value"])
             if args.verbose:
                 shown = " ".join(f"{n}={result['metrics'][n]['value']:.5g}" for n in bounds)
-                print(f"  seed {seed}: {shown}", flush=True)
+                calib = [line for line in stderr.splitlines() if line.startswith("calib.")]
+                print(f"  seed {seed}: {shown} {' '.join(calib)}", flush=True)
         print(f"{workload}: {len(times)} runs, {min(times):.1f}-{max(times):.1f} s each")
         for name, bound in bounds.items():
             series = values[name]

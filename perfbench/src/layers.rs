@@ -5,9 +5,8 @@
 //! layers saw into a [`Capture`]: convergence probes of its engine runs,
 //! agent states of its configurations, the request and response lines of
 //! its daemon traffic. After the rounds, every public primitive a layer is
-//! built from is timed on those inputs. A layer the workload bypasses gets
-//! inputs built the way the workload that loads it builds them, so every
-//! traced run reports every unit cost.
+//! built from is timed on those inputs. A layer the workload bypasses
+//! leaves no inputs, and its unit costs read 0 like its counts.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
@@ -15,10 +14,10 @@ use std::hash::{Hash, Hasher};
 use std::hint::black_box;
 use std::time::Instant;
 
-use ppsim::mcheck::{explore_reachable, MCheckOptions};
+use ppsim::mcheck::{expected_silence_time_probed, explore_reachable, MCheckOptions};
 use ppsim::sampling::{sample_hypergeometric, sample_negative_binomial};
-use ppsim::telemetry::Counter;
-use ppsim::{sample_null_run, Configuration, Protocol, Recorder, Simulation, StateInterner};
+use ppsim::telemetry::{Counter, TelemetrySink};
+use ppsim::{sample_null_run, Configuration, Protocol, Recorder, StateInterner};
 use ppsimd::cache::{content_hash, CacheConfig, ResultCache};
 use ppsimd::{Request, Response};
 use rand::Rng;
@@ -29,7 +28,6 @@ use ssle::{
     SublinearState, SublinearTimeSsr,
 };
 
-use crate::workloads::count::SSR_N;
 use crate::workloads::rng_for;
 
 /// Samples kept per input kind.
@@ -42,14 +40,17 @@ pub struct Capture {
     pub null_run: Vec<(u64, u64)>,
     /// `(population, infected)` at the probes of batch-count epidemic runs.
     pub epochs: Vec<(u64, u64)>,
-    /// Silent-n-state-SSR agent-state pairs.
+    /// Silent-n-state-SSR agent-state pairs, and their population.
     pub ssr: Vec<(SilentRank, SilentRank)>,
-    /// Optimal-Silent-SSR agent-state pairs, taken mid-run.
+    pub ssr_n: usize,
+    /// Optimal-Silent-SSR agent-state pairs taken mid-run, and their
+    /// population.
     pub optimal: Vec<(OptimalSilentState, OptimalSilentState)>,
-    /// Optimal-Silent-SSR runs `(n, seed)` whose mid-run states to sample.
-    pub optimal_runs: Vec<(usize, u64)>,
+    pub optimal_n: usize,
     /// Sublinear-Time-SSR agent states.
     pub sublinear: Vec<SublinearState>,
+    /// States an interned engine run started from (interned up front).
+    pub interned: Vec<SublinearState>,
     /// Sublinear-Time-SSR protocol parameters of the captured states.
     pub sublinear_params: Option<SublinearParams>,
     /// `ppsimd` request lines.
@@ -58,8 +59,10 @@ pub struct Capture {
     pub responses: Vec<String>,
     /// `ppsimd` cold `expect` request lines, for timing execution directly.
     pub expects: Vec<String>,
-    /// Reachable-closure proofs: the protocol and its seeds.
-    pub closures: Vec<(OptimalSilentSsr, Vec<Configuration<OptimalSilentState>>)>,
+    /// Starts of the cold `expect` solves (Optimal-Silent-SSR with the
+    /// mcheck timers), one per scenario, and their population.
+    pub checker_starts: Vec<(&'static str, Configuration<OptimalSilentState>)>,
+    pub checker_n: usize,
 }
 
 /// Appends items while fewer than [`KEEP`] are held.
@@ -86,6 +89,7 @@ fn state_pairs<S: Clone>(
 impl Capture {
     /// Silent-n-state-SSR pairs from a workload configuration.
     pub fn ssr_pairs(&mut self, config: &Configuration<SilentRank>) {
+        self.ssr_n = config.len();
         if self.ssr.len() < KEEP {
             let pairs = state_pairs(config, 64, &mut rng_for(0, self.ssr.len() as u64, 0x55));
             keep(&mut self.ssr, pairs);
@@ -115,9 +119,23 @@ impl Capture {
 
     /// Optimal-Silent-SSR pairs from a configuration taken mid-run.
     pub fn optimal_pairs(&mut self, config: &Configuration<OptimalSilentState>) {
+        self.optimal_n = config.len();
         if self.optimal.len() < KEEP {
             let pairs = state_pairs(config, 64, &mut rng_for(0, self.optimal.len() as u64, 0x05));
             keep(&mut self.optimal, pairs);
+        }
+    }
+
+    /// The start of a cold `expect` solve on `n` agents, once per scenario.
+    pub fn checker_start(&mut self, n: usize, scenario: &'static str) {
+        if self.checker_starts.iter().any(|(name, _)| *name == scenario) {
+            return;
+        }
+        let protocol = OptimalSilentSsr::new(OptimalSilentParams::mcheck(n));
+        let scenarios = OptimalSilentSsr::adversarial_scenarios();
+        if let Some(found) = scenarios.iter().find(|s| s.name() == scenario) {
+            self.checker_n = n;
+            self.checker_starts.push((scenario, found.configuration(&protocol, 0)));
         }
     }
 
@@ -133,75 +151,15 @@ impl Capture {
         self.sublinear_params = Some(params);
         keep(&mut self.sublinear, config.iter().take(64).cloned());
     }
-
-    /// Builds the inputs recorded as pending runs, and fills every input
-    /// kind the workload did not load the way the workload that loads it
-    /// would.
-    fn fill_missing(&mut self, seed: u64) {
-        let mut rng = rng_for(seed, 0, 0xF111);
-        if self.null_run.is_empty() {
-            let n = SSR_N as u64;
-            let total = n * (n - 1);
-            self.null_run = (0..KEEP).map(|_| (rng.gen_range(1..=total / 4), total)).collect();
-        }
-        if self.epochs.is_empty() {
-            let n = 100_000_000u64;
-            self.epochs =
-                (0..KEEP as u32).map(|i| (n, 1 + (n - 2) * u64::from(i) / KEEP as u64)).collect();
-        }
-        if self.ssr.is_empty() {
-            let protocol = SilentNStateSsr::new(SSR_N);
-            self.ssr_pairs(&protocol.random_configuration(&mut rng));
-        }
-        if self.optimal.is_empty() {
-            // 20 parallel time units into the run, as the workload starts it.
-            let (n, run_seed) = self.optimal_runs.first().copied().unwrap_or((2048, rng.gen()));
-            let protocol = OptimalSilentSsr::new(OptimalSilentParams::recommended(n));
-            let mut sim =
-                Simulation::new(protocol, protocol.adversarial_all_same_rank(1), run_seed);
-            sim.run_for(20 * n as u64);
-            self.optimal_pairs(sim.configuration());
-        }
-        if self.sublinear.is_empty() {
-            let params = SublinearParams::recommended(256, 1);
-            let protocol = SublinearTimeSsr::new(params);
-            let mut sim =
-                Simulation::new(protocol, protocol.colliding_configuration(&mut rng), rng.gen());
-            sim.run_for(4 * 256);
-            self.sublinear_states(params, sim.configuration());
-        }
-        if self.closures.is_empty() {
-            let protocol = OptimalSilentSsr::new(OptimalSilentParams::mcheck(4));
-            let seeds = vec![
-                protocol.adversarial_all_same_rank(2),
-                protocol.all_unsettled_configuration(),
-                protocol.ranked_configuration(),
-            ];
-            self.closures.push((protocol, seeds));
-        }
-        if self.requests.is_empty() || self.expects.is_empty() {
-            let (requests, expects) = crate::workloads::service::sample_lines(seed);
-            self.requests = requests;
-            self.expects = expects;
-        }
-        if self.responses.is_empty() {
-            // Responses of the captured requests, executed in-process.
-            self.responses = self
-                .requests
-                .iter()
-                .filter_map(|line| Request::parse_line(line).ok())
-                .filter(|r| matches!(r, Request::Run(_) | Request::Expect(_)))
-                .take(4)
-                .map(|r| ppsimd::exec::execute(&r).0.to_line())
-                .collect();
-        }
-    }
 }
 
 /// Nanoseconds per call of `f`, cycling through `inputs`: the median over
-/// five batches, each at least `batch_ms` long.
+/// five batches, each at least `batch_ms` long. 0 without inputs: the
+/// workload bypassed the layer.
 fn ns_per_call<I>(inputs: &[I], batch_ms: f64, mut f: impl FnMut(&I)) -> f64 {
-    assert!(!inputs.is_empty(), "unit cost timed on no inputs");
+    if inputs.is_empty() {
+        return 0.0;
+    }
     let mut calls = inputs.len();
     loop {
         let started = Instant::now();
@@ -244,16 +202,20 @@ pub struct UnitCosts {
     pub cache_insert_ns: f64,
     pub serialize_ns: f64,
     pub execute_expect_ms: f64,
-    /// Frontier pops of one captured reachable-closure exploration.
-    pub closure_pops: f64,
+    /// Per cold `expect` solve: the checker's frontier pops and
+    /// Gauss–Seidel sweeps, and the time of its `closure.explore` and
+    /// `solver.sweep` spans, ms.
+    pub frontier_pops: f64,
+    pub gs_sweeps: f64,
+    pub closure_explore_ms: f64,
+    pub solver_sweep_ms: f64,
     pub ns_per_frontier_pop: f64,
 }
 
-/// Times every unit cost on the captured inputs (filling the gaps first).
-pub fn unit_costs(capture: &mut Capture, seed: u64, batch_ms: f64) -> UnitCosts {
-    capture.fill_missing(seed);
+/// Times every unit cost on the captured inputs; a cost without inputs
+/// reads 0.
+pub fn unit_costs(c: &Capture, seed: u64, batch_ms: f64) -> UnitCosts {
     let mut rng: ChaCha8Rng = rng_for(seed, 0, 0x0C057);
-    let c = &*capture;
 
     let null_run_ns = ns_per_call(&c.null_run, batch_ms, |&(a, t)| {
         black_box(sample_null_run(a, t, &mut rng));
@@ -280,24 +242,23 @@ pub fn unit_costs(capture: &mut Capture, seed: u64, batch_ms: f64) -> UnitCosts 
     });
 
     let mut interner = StateInterner::new();
-    for state in &c.sublinear {
+    for state in &c.interned {
         interner.intern(state);
     }
-    let intern_hit_ns = ns_per_call(&c.sublinear, batch_ms, |s| {
+    let intern_hit_ns = ns_per_call(&c.interned, batch_ms, |s| {
         black_box(interner.intern(s));
     });
 
-    let ssr = SilentNStateSsr::new(SSR_N);
+    let ssr = SilentNStateSsr::new(c.ssr_n.max(2));
     let ssr_transition_ns = ns_per_call(&c.ssr, batch_ms, |(a, b)| {
         black_box(ssr.transition(a, b, &mut rng));
     });
-    let optimal_n = c.optimal_runs.first().map_or(2048, |&(n, _)| n);
-    let optimal = OptimalSilentSsr::new(OptimalSilentParams::recommended(optimal_n));
+    let optimal = OptimalSilentSsr::new(OptimalSilentParams::recommended(c.optimal_n.max(2)));
     let optimal_transition_ns = ns_per_call(&c.optimal, batch_ms, |(a, b)| {
         black_box(optimal.transition(a, b, &mut rng));
     });
 
-    let params = c.sublinear_params.expect("sublinear states come with their parameters");
+    let params = c.sublinear_params.unwrap_or_else(|| SublinearParams::recommended(2, 0));
     let sublinear = SublinearTimeSsr::new(params);
     let sub_pairs: Vec<(&SublinearState, &SublinearState)> =
         c.sublinear.iter().zip(c.sublinear.iter().rev()).collect();
@@ -355,15 +316,37 @@ pub fn unit_costs(capture: &mut Capture, seed: u64, batch_ms: f64) -> UnitCosts 
         .collect();
     let execute_expect_ms = crate::stats::median(&solves).unwrap_or(0.0);
 
-    // The closure proof's exploration, on its captured seeds: the frontier
-    // pops come from `ReachableSpace::counters`.
-    let (protocol, seeds) = &c.closures[0];
-    let started = Instant::now();
-    let space = explore_reachable(*protocol, seeds, &MCheckOptions::default());
-    let explore_ns = started.elapsed().as_nanos() as f64;
-    let closure_pops =
-        space.map_or(0.0, |space| space.counters().get(Counter::McheckFrontierPops) as f64);
-    let ns_per_frontier_pop = if closure_pops > 0.0 { explore_ns / closure_pops } else { 0.0 };
+    // The cold expects' solves, redone on their captured starts: the
+    // closure exploration alone (its frontier pops from
+    // `ReachableSpace::counters`), then the whole solve with a recorder.
+    let protocol = OptimalSilentSsr::new(OptimalSilentParams::mcheck(c.checker_n.max(2)));
+    let options = MCheckOptions::default();
+    let (mut explore_ns, mut explore_pops) = (0.0, 0.0);
+    let (mut frontier_pops, mut gs_sweeps, mut closure_explore_us, mut solver_sweep_us) =
+        (0.0, 0.0, 0.0, 0.0);
+    for (_, start) in &c.checker_starts {
+        let started = Instant::now();
+        let space = explore_reachable(protocol, std::slice::from_ref(start), &options);
+        explore_ns += started.elapsed().as_nanos() as f64;
+        explore_pops +=
+            space.map_or(0.0, |space| space.counters().get(Counter::McheckFrontierPops) as f64);
+        let mut sink = TelemetrySink::default();
+        sink.attach(Recorder::new());
+        if let Ok(est) = expected_silence_time_probed(protocol, start, &options, &mut sink) {
+            frontier_pops += est.counters.get(Counter::McheckFrontierPops) as f64;
+            gs_sweeps += est.counters.get(Counter::McheckGsSweeps) as f64;
+        }
+        for span in sink.take().map(|r| r.spans).unwrap_or_default() {
+            let us = span.end_us.saturating_sub(span.start_us) as f64;
+            match span.name {
+                "closure.explore" => closure_explore_us += us,
+                "solver.sweep" => solver_sweep_us += us,
+                _ => {}
+            }
+        }
+    }
+    let solves = c.checker_starts.len().max(1) as f64;
+    let ns_per_frontier_pop = if explore_pops > 0.0 { explore_ns / explore_pops } else { 0.0 };
 
     UnitCosts {
         null_run_ns,
@@ -382,7 +365,10 @@ pub fn unit_costs(capture: &mut Capture, seed: u64, batch_ms: f64) -> UnitCosts 
         cache_insert_ns,
         serialize_ns,
         execute_expect_ms,
-        closure_pops,
+        frontier_pops: frontier_pops / solves,
+        gs_sweeps: gs_sweeps / solves,
+        closure_explore_ms: closure_explore_us / 1e3 / solves,
+        solver_sweep_ms: solver_sweep_us / 1e3 / solves,
         ns_per_frontier_pop,
     }
 }
@@ -420,22 +406,11 @@ pub fn explained_ns(
         // states at the moment of detection, so they can overstate an
         // average interaction (the engine counts no clones or state sizes).
         "exact-protocols" => {
-            let pair = v["calib.chacha8_ns"];
+            let pair = v["calib.chacha8_ns.start"];
             per_round("exact.optimal_interactions") * (c.optimal_transition_ns + pair)
                 + per_round("exact.sublinear_interactions")
                     * (c.sublinear_transition_ns + 2.0 * c.sublinear_clone_ns + pair)
                 + v["exact.silence_check_ms"] * ms
-        }
-        // The closure proof's frontier pops at its exploration's cost per
-        // pop, plus the exact solves' exploration, sweeps and spill ordering
-        // as their spans time them. The quotient and dense proofs export no
-        // counter with a unit cost, and stay unexplained.
-        "mcheck-proofs" => {
-            per_round("mcheck.closure_proofs") * c.closure_pops * c.ns_per_frontier_pop
-                + (v["mcheck.closure_explore_ms"]
-                    + v["mcheck.solver_sweep_ms"]
-                    + v["mcheck.spill_order_ms"])
-                    * ms
         }
         // Every request is parsed, keyed and looked up; every miss is
         // inserted and serialized, waits in the queue and executes.

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! cargo run --release --manifest-path perfbench/Cargo.toml -- \
-//!     --workload <count-engines|exact-protocols|mcheck-proofs|ppsimd-mixed|all> \
+//!     --workload <count-engines|exact-protocols|ppsimd-mixed|all> \
 //!     --seed <n> --seconds <s> --trace <0|1> [--tiny] [--out-dir <dir>]
 //! ```
 //!
@@ -32,7 +32,7 @@ use metrics::{END_TO_END, PER_LAYER};
 use workloads::{drive, Opts, RunData, NAMES};
 
 fn usage() -> &'static str {
-    "usage: perfbench --workload <count-engines|exact-protocols|mcheck-proofs|ppsimd-mixed|all> \
+    "usage: perfbench --workload <count-engines|exact-protocols|ppsimd-mixed|all> \
      --seed <n> --seconds <s> --trace <0|1> [--tiny] [--out-dir <dir>]"
 }
 
@@ -94,19 +94,20 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
     let origin = Instant::now();
-    let calibration_start = sys::chacha8_ns();
+    // The calibration loop at the start and the end of the run shows a
+    // change of machine speed between runs; it rescales nothing.
+    let calib_start = sys::chacha8_ns();
     let data = match workload.as_str() {
         "count-engines" => drive::<workloads::count::CountEngines>(&opts, origin),
         "exact-protocols" => drive::<workloads::exact::ExactProtocols>(&opts, origin),
-        "mcheck-proofs" => drive::<workloads::mcheck::McheckProofs>(&opts, origin),
         "ppsimd-mixed" => drive::<workloads::service::PpsimdMixed>(&opts, origin),
         _ => unreachable!("parse_args admits only known workloads"),
     };
     let line = if opts.trace {
-        traced_result(&workload, &opts, data, calibration_start)
+        traced_result(&workload, &opts, data, calib_start)
     } else {
-        let calibration_end = sys::chacha8_ns();
-        eprintln!("calib.chacha8_ns: start {calibration_start:.3}, end {calibration_end:.3}");
+        let calib_end = sys::chacha8_ns();
+        eprintln!("calib.chacha8_ns.start {calib_start:.4}, calib.chacha8_ns.end {calib_end:.4}");
         end_to_end_result(&workload, data)
     };
     println!("{line}");
@@ -122,46 +123,52 @@ fn tally(workload: &str, ctx: &workloads::Ctx) -> (u64, u64) {
     (ctx.attempted.max(1), ctx.failed + u64::from(ctx.attempted == 0))
 }
 
-/// The end-to-end result line of an untraced run, from each slot's fastest
-/// execution (see the `workloads` module docs).
+/// The phases' metric names: `(rate, median, tail)`.
+const PHASE_METRICS: [(&str, &str, &str); 3] = [
+    ("phase_a_per_s", "phase_a_p50_ms", "phase_a_tail_ms"),
+    ("phase_b_per_s", "phase_b_p50_ms", "phase_b_tail_ms"),
+    ("phase_c_per_s", "phase_c_p50_ms", "phase_c_tail_ms"),
+];
+
+/// The end-to-end result line of an untraced run, from every execution of
+/// every untraced round.
 fn end_to_end_result(workload: &str, data: RunData) -> String {
-    let slots = &data.ctx.slots;
-    // Every time is rescaled to the reference machine speed.
-    let scale = data.speed_scale();
-    let best_round = data.rounds_s.iter().copied().fold(f64::INFINITY, f64::min) * scale;
+    let phases = &data.ctx.phases;
+    let executions: usize = phases.iter().map(Vec::len).sum();
     let mut values: BTreeMap<&'static str, f64> = BTreeMap::new();
-    values.insert("setup_s", stats::median(&data.setups_s).unwrap_or(0.0) * scale);
-    values.insert("wall_s", best_round);
-    values.insert("peak_rss_mb", sys::peak_rss_mb().unwrap_or(0.0));
-    values.insert("ops_per_s", slots.len() as f64 / best_round);
-    let names = [
-        ("phase_a_per_s", "phase_a_p50_ms"),
-        ("phase_b_per_s", "phase_b_p50_ms"),
-        ("phase_c_per_s", "phase_c_p50_ms"),
-    ];
-    for (phase, (rate, p50)) in names.into_iter().enumerate() {
-        let in_phase: Vec<&workloads::Slot> = slots.iter().filter(|s| s.phase == phase).collect();
-        let work: f64 = in_phase.iter().map(|s| s.work).sum();
-        let best: Vec<f64> = in_phase.iter().map(|s| s.best() * 1e3 * scale).collect();
-        let busy_ms: f64 = best.iter().sum();
-        values.insert(rate, if busy_ms > 0.0 { work / busy_ms * 1e3 } else { 0.0 });
-        values.insert(p50, stats::median(&best).unwrap_or(0.0));
+    values.insert("setup_s", stats::median(&data.setups_s).unwrap_or(0.0));
+    values.insert("wall_s", stats::median(&data.rounds_s).unwrap_or(0.0));
+    // The median of the rounds' peaks: the process's own peak is set by the
+    // run's single hungriest trajectory, so it follows the seed. Without a
+    // resettable peak, the process's.
+    let peak = stats::median(&data.round_peaks_mb).or_else(sys::peak_rss_mb);
+    values.insert("peak_rss_mb", peak.unwrap_or(0.0));
+    values.insert("ops_per_s", executions as f64 / data.rounds_s.iter().sum::<f64>());
+    let mut tails = Vec::new();
+    for (execs, (rate, p50, tail)) in phases.iter().zip(PHASE_METRICS) {
+        let work: f64 = execs.iter().map(|e| e.work).sum();
+        let busy: f64 = execs.iter().map(|e| e.seconds).sum();
+        values.insert(rate, if busy > 0.0 { work / busy } else { 0.0 });
+        let ms: Vec<f64> = execs.iter().map(|e| e.seconds * 1e3).collect();
+        values.insert(p50, stats::median(&ms).unwrap_or(0.0));
+        // Too few executions for the tail rule (only in smoke runs): the
+        // slowest.
+        let (percentile, value) =
+            stats::tail(&ms).unwrap_or_else(|| (100, ms.iter().copied().fold(0.0, f64::max)));
+        values.insert(tail, value);
+        let cv = stats::cv(&ms).unwrap_or(0.0);
+        tails.push(format!(
+            "{} of {} executions at p{percentile} (cv {cv:.2})",
+            &tail[..7],
+            ms.len()
+        ));
     }
-    let best: Vec<f64> = slots.iter().map(|s| s.best() * 1e3 * scale).collect();
-    let (percentile, tail) =
-        stats::tail(&best).unwrap_or_else(|| (100, best.iter().copied().fold(0.0, f64::max)));
-    values.insert("op_tail_ms", tail);
 
     eprintln!(
-        "{workload}: {} rounds of {} operations in {:.2} s; op_tail_ms is p{percentile}",
+        "{workload}: {} rounds in {:.2} s; {}",
         data.rounds_s.len(),
-        slots.len(),
-        data.measured_s,
-    );
-    eprintln!(
-        "  times rescaled by {scale:.4}: fastest calibration pass {:.4} ns/word, median {:.4}",
-        data.best_calibration(),
-        stats::median(&data.calibrations).unwrap_or(0.0)
+        data.rounds_s.iter().sum::<f64>(),
+        tails.join(", ")
     );
     for metric in END_TO_END {
         let (name, unit, better) = (metric.name, metric.unit, metric.better.label());
@@ -172,15 +179,12 @@ fn end_to_end_result(workload: &str, data: RunData) -> String {
 }
 
 /// The per-layer result line of a traced run; also writes the Chrome trace.
-fn traced_result(workload: &str, opts: &Opts, mut data: RunData, calibration_start: f64) -> String {
+fn traced_result(workload: &str, opts: &Opts, data: RunData, calib_start: f64) -> String {
     let unit_started = Instant::now();
     let costs =
-        layers::unit_costs(&mut data.ctx.capture, opts.seed, if opts.tiny { 2.0 } else { 10.0 });
-    let calibration_end = sys::chacha8_ns();
-    eprintln!(
-        "{workload}: unit costs timed in {:.2} s; calib.chacha8_ns start {calibration_start:.3}, end {calibration_end:.3}",
-        unit_started.elapsed().as_secs_f64()
-    );
+        layers::unit_costs(&data.ctx.capture, opts.seed, if opts.tiny { 2.0 } else { 10.0 });
+    let calib_end = sys::chacha8_ns();
+    eprintln!("{workload}: unit costs timed in {:.2} s", unit_started.elapsed().as_secs_f64());
 
     // Merge the lanes and write the trace.
     let RunData { mut ctx, rounds_s, traced_rounds_s, lanes, .. } = data;
@@ -205,18 +209,21 @@ fn traced_result(workload: &str, opts: &Opts, mut data: RunData, calibration_sta
     }
 
     let rounds = traced_rounds_s.len().max(1) as f64;
-    let overhead = match (stats::median(&traced_rounds_s), stats::median(&rounds_s)) {
-        (Some(traced), Some(plain)) if plain > 0.0 => traced / plain - 1.0,
-        _ => 0.0,
-    };
+    // Each round's traced pass over its untraced pass, on the same inputs.
+    let ratios: Vec<f64> = traced_rounds_s.iter().zip(&rounds_s).map(|(t, u)| t / u).collect();
+    let overhead = stats::median(&ratios).map_or(0.0, |ratio| ratio - 1.0);
     let mut values = per_layer(&ctx.counts, &self_us, &costs, rounds);
     values.insert("trace.overhead_frac", overhead);
-    values.insert("calib.chacha8_ns", (calibration_start + calibration_end) / 2.0);
+    values.insert("calib.chacha8_ns.start", calib_start);
+    values.insert("calib.chacha8_ns.end", calib_end);
     // Ledger: Σ counter × unit cost per round over the operations' own time
-    // per round, both from this run's untraced rounds' inputs.
-    let busy_per_round_ns = ctx.slots.iter().map(workloads::Slot::mean).sum::<f64>() * 1e9;
+    // per round, both from this run's rounds (each round's untraced and
+    // traced passes run the same inputs).
+    let untraced_rounds = rounds_s.len().max(1) as f64;
+    let busy_per_round_ns =
+        ctx.phases.iter().flatten().map(|e| e.seconds).sum::<f64>() * 1e9 / untraced_rounds;
     let ops_per_round: Vec<f64> =
-        (0..3).map(|phase| ctx.slots.iter().filter(|s| s.phase == phase).count() as f64).collect();
+        ctx.phases.iter().map(|execs| execs.len() as f64 / untraced_rounds).collect();
     let explained =
         layers::explained_ns(workload, &values, &ctx.counts, rounds, &costs, &ops_per_round);
     values.insert("ledger.explained_frac", explained / busy_per_round_ns);
@@ -252,8 +259,6 @@ fn per_layer(
         "batched.batch_draws",
         "interned.interner_growths",
         "exact.silence_checks",
-        "mcheck.gs_sweeps",
-        "mcheck.spill_bytes",
     ] {
         v.insert(name, per_round(name));
     }
@@ -287,17 +292,11 @@ fn per_layer(
     v.insert("ssle.sublinear.clone_ns", costs.sublinear_clone_ns);
     v.insert("ssle.sublinear.hash_ns", costs.sublinear_hash_ns);
     v.insert("ssle.sublinear.is_null_ns", costs.sublinear_is_null_ns);
-    // The closure proofs export no counters; their exploration's frontier
-    // pops are counted on the captured seeds.
-    let closure_pops = if count("mcheck.closure_proofs") > 0.0 { costs.closure_pops } else { 0.0 };
-    v.insert(
-        "mcheck.frontier_pops",
-        per_round("mcheck.frontier_pops") + closure_pops * per_round("mcheck.closure_proofs"),
-    );
+    v.insert("mcheck.frontier_pops", costs.frontier_pops);
+    v.insert("mcheck.gs_sweeps", costs.gs_sweeps);
     v.insert("mcheck.ns_per_frontier_pop", costs.ns_per_frontier_pop);
-    v.insert("mcheck.closure_explore_ms", span_ms("closure.explore"));
-    v.insert("mcheck.solver_sweep_ms", span_ms("solver.sweep"));
-    v.insert("mcheck.spill_order_ms", span_ms("spill.order"));
+    v.insert("mcheck.closure_explore_ms", costs.closure_explore_ms);
+    v.insert("mcheck.solver_sweep_ms", costs.solver_sweep_ms);
     v.insert("ppsimd.parse_ns", costs.parse_ns);
     v.insert("ppsimd.canonical_ns", costs.canonical_ns);
     v.insert("ppsimd.cache_get_ns", costs.cache_get_ns);
@@ -396,8 +395,8 @@ mod tests {
     #[test]
     fn parses_the_benchmark_command_line() {
         let (workload, opts) =
-            parse_args(&args("--workload mcheck-proofs --seed 7 --seconds 12 --trace 1")).unwrap();
-        assert_eq!(workload, "mcheck-proofs");
+            parse_args(&args("--workload ppsimd-mixed --seed 7 --seconds 12 --trace 1")).unwrap();
+        assert_eq!(workload, "ppsimd-mixed");
         assert_eq!((opts.seed, opts.seconds, opts.trace, opts.tiny), (7, 12.0, true, false));
     }
 

@@ -57,12 +57,14 @@ pub const END_TO_END: &[Metric] = &[
     m("phase_a_p50_ms", "ms", Lower),
     m("phase_b_p50_ms", "ms", Lower),
     m("phase_c_p50_ms", "ms", Lower),
-    m("op_tail_ms", "ms", Lower),
+    m("phase_a_tail_ms", "ms", Lower),
+    m("phase_b_tail_ms", "ms", Lower),
+    m("phase_c_tail_ms", "ms", Lower),
 ];
 
 /// Per-layer metrics, reported by every workload's traced run. Counts and
-/// span times are per traced round; a layer the workload bypasses reads 0
-/// in its counts and span times, while its unit costs are still timed.
+/// span times are per traced round; a layer the workload bypasses reads 0,
+/// its unit costs included.
 pub const PER_LAYER: &[Metric] = &[
     m("sampling.null_run_ns", "ns", Lower),
     m("sampling.hypergeometric_ns", "ns", Lower),
@@ -91,11 +93,9 @@ pub const PER_LAYER: &[Metric] = &[
     m("ssle.sublinear.is_null_ns", "ns", Lower),
     m("mcheck.frontier_pops", "count", Lower),
     m("mcheck.gs_sweeps", "count", Lower),
-    m("mcheck.spill_bytes", "bytes", Lower),
     m("mcheck.ns_per_frontier_pop", "ns", Lower),
     m("mcheck.closure_explore_ms", "ms", Lower),
     m("mcheck.solver_sweep_ms", "ms", Lower),
-    m("mcheck.spill_order_ms", "ms", Lower),
     m("ppsimd.parse_ns", "ns", Lower),
     m("ppsimd.canonical_ns", "ns", Lower),
     m("ppsimd.cache_get_ns", "ns", Lower),
@@ -109,7 +109,8 @@ pub const PER_LAYER: &[Metric] = &[
     m("ppsimd.queue_highwater", "count", Lower),
     m("ledger.explained_frac", "ratio", Higher),
     m("trace.overhead_frac", "ratio", Lower),
-    m("calib.chacha8_ns", "ns", Lower),
+    m("calib.chacha8_ns.start", "ns", Lower),
+    m("calib.chacha8_ns.end", "ns", Lower),
 ];
 
 /// The final line of a run: `{"correct", "attempted", "failed", "metrics"}`

@@ -1,20 +1,20 @@
-//! The four workloads and the round loop they share.
+//! The three workloads and the round loop they share.
 //!
-//! A workload is a list of operations in three phases, `a`, `b` and `c`,
-//! on inputs generated from the run seed during set-up. One *round* runs
-//! every operation of the list once; a run repeats the round on the same
-//! inputs until its measuring time is spent. Every operation's output is
+//! A workload is a list of operations in three phases, `a`, `b` and `c`.
+//! One *round* runs every operation of the list once; a run repeats rounds
+//! until its measuring time is spent. Round `r` draws its inputs from
+//! `(seed, r)`, so the same seed gives the same inputs, and a run averages
+//! over as many starts as its rounds hold. Every operation's output is
 //! checked, and a failed check counts against the run instead of aborting
 //! it.
 //!
-//! Operation `i` of every round fills *slot* `i`. Because each round does
-//! the same work, the spread of a slot's times is the machine's noise, and
-//! a slot's fastest time is its cost under the least contention: the
-//! end-to-end metrics are built from those.
+//! Every phase runs one kind of operation, so that the latencies of its
+//! executions form one distribution: where a phase covers several trials
+//! (an epidemic and a fratricide, a detection and a full stabilization),
+//! one operation runs them back to back.
 
 pub mod count;
 pub mod exact;
-pub mod mcheck;
 pub mod service;
 
 use std::collections::BTreeMap;
@@ -25,10 +25,11 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use crate::layers::Capture;
+use crate::sys::FastCpu;
 use crate::trace::Tracer;
 
 /// Workload names, in the order `BENCHMARK.json` lists them.
-pub const NAMES: [&str; 4] = ["count-engines", "exact-protocols", "mcheck-proofs", "ppsimd-mixed"];
+pub const NAMES: [&str; 3] = ["count-engines", "exact-protocols", "ppsimd-mixed"];
 
 /// How a run was invoked.
 #[derive(Clone, Debug)]
@@ -41,7 +42,7 @@ pub struct Opts {
     pub trace: bool,
     /// Smoke-test sizes: every operation shrunk to milliseconds.
     pub tiny: bool,
-    /// Directory for the trace file and spill files.
+    /// Directory for the trace file.
     pub out_dir: PathBuf,
 }
 
@@ -56,38 +57,22 @@ pub fn rng_for(seed: u64, round: u64, salt: u64) -> ChaCha8Rng {
     ChaCha8Rng::seed_from_u64(mixed)
 }
 
-/// One operation of the round, over every untraced round of the run.
-#[derive(Clone, Debug)]
-pub struct Slot {
-    /// Phase 0, 1 or 2 (`a`, `b`, `c`).
-    pub phase: usize,
-    /// Work units of one execution (the phase's own unit: trials,
-    /// interactions, configurations, requests).
+/// One timed execution of an operation.
+#[derive(Clone, Copy, Debug)]
+pub struct Exec {
+    /// Work units done (the phase's own unit: trials, interactions,
+    /// configurations, requests).
     pub work: f64,
-    /// Wall time of every execution, s.
-    pub seconds: Vec<f64>,
-}
-
-impl Slot {
-    /// The fastest execution, s.
-    pub fn best(&self) -> f64 {
-        self.seconds.iter().copied().fold(f64::INFINITY, f64::min)
-    }
-
-    /// The mean execution, s.
-    pub fn mean(&self) -> f64 {
-        self.seconds.iter().sum::<f64>() / self.seconds.len() as f64
-    }
+    /// Wall time, s.
+    pub seconds: f64,
 }
 
 /// Everything one run accumulates while its rounds execute.
 pub struct Ctx {
     /// The main thread's span recorder.
     pub tracer: Tracer,
-    /// The round's operations, in order.
-    pub slots: Vec<Slot>,
-    /// The next slot of the current round.
-    cursor: usize,
+    /// Every untraced execution, by phase.
+    pub phases: [Vec<Exec>; 3],
     /// Checked operations.
     pub attempted: u64,
     /// Operations whose check failed.
@@ -98,36 +83,46 @@ pub struct Ctx {
     pub counts: BTreeMap<&'static str, f64>,
     /// Inputs captured from the workload for the unit-cost timings.
     pub capture: Capture,
+    /// Picks the CPU for a single-threaded workload's operations; `None`
+    /// leaves the scheduler free.
+    cpu: Option<FastCpu>,
 }
 
 impl Ctx {
-    fn new(origin: Instant) -> Self {
+    fn new(origin: Instant, cpu: Option<FastCpu>) -> Self {
         Ctx {
             tracer: Tracer::new(origin, 1, false),
-            slots: Vec::new(),
-            cursor: 0,
+            phases: Default::default(),
             attempted: 0,
             failed: 0,
             failures: Vec::new(),
             counts: BTreeMap::new(),
             capture: Capture::default(),
+            cpu,
         }
     }
 
-    /// Records the round's next operation, of `phase` (0, 1 or 2). Traced
-    /// passes are left out: the end-to-end figures come from untraced work.
+    /// A context for a set-up's warm-up round: nothing it records is
+    /// reported, and it leaves the CPU where the set-up found it.
+    pub fn scratch() -> Self {
+        Ctx::new(Instant::now(), None)
+    }
+
+    /// Moves a single-threaded workload to the fastest CPU before its next
+    /// operation (see [`FastCpu`]); call it outside the timed interval.
+    pub fn pick_cpu(&mut self) {
+        if let Some(cpu) = &mut self.cpu {
+            cpu.pick_if_stale();
+        }
+    }
+
+    /// Records one execution of a phase-`phase` operation (0, 1 or 2).
+    /// Traced passes are left out: the end-to-end figures come from untraced
+    /// work.
     pub fn record(&mut self, phase: usize, work: f64, seconds: f64) {
-        if self.tracer.enabled() {
-            return;
+        if !self.tracer.enabled() {
+            self.phases[phase].push(Exec { work, seconds });
         }
-        match self.slots.get_mut(self.cursor) {
-            Some(slot) => {
-                debug_assert_eq!(slot.phase, phase, "round {} changed shape", self.cursor);
-                slot.seconds.push(seconds);
-            }
-            None => self.slots.push(Slot { phase, work, seconds: vec![seconds] }),
-        }
-        self.cursor += 1;
     }
 
     /// Counts one checked operation; `ok == false` counts a failure.
@@ -172,16 +167,21 @@ impl Ctx {
 
 /// What a workload does: build its inputs, then run rounds.
 pub trait Workload: Sized {
-    /// Builds the workload's fixed state (servers, warm caches, input
-    /// tables). Timed as `setup_s`.
+    /// Whether every operation runs on the calling thread alone, so that the
+    /// run may keep that thread on the fastest CPU. A workload that starts
+    /// threads says no: they would inherit the pinned thread's CPU.
+    const SINGLE_THREADED: bool;
+
+    /// Builds the workload's fixed state (servers, warm caches) and warms
+    /// its code paths on small inputs. Timed as `setup_s`.
     fn setup(opts: &Opts) -> Self;
 
-    /// Runs the round once, recording every operation into `ctx` in the
-    /// same order every time. `repeat` counts the rounds run so far (the
-    /// daemon workload draws fresh cache-miss seeds from it);
-    /// `ctx.tracer.enabled()` says whether this pass is traced, and a traced
-    /// pass attaches the program's own recorders too.
-    fn round(&mut self, repeat: u64, ctx: &mut Ctx);
+    /// Runs round `round` once, on inputs drawn from the run seed and
+    /// `round`, recording every operation into `ctx`. A traced run runs each
+    /// round twice on the same inputs; `ctx.tracer.enabled()` says whether
+    /// this pass is traced, and a traced pass attaches the program's own
+    /// recorders too.
+    fn round(&mut self, round: u64, ctx: &mut Ctx);
 
     /// Final checks after the last round (cache reconciliation).
     fn finish(&mut self, _ctx: &mut Ctx) {}
@@ -202,50 +202,33 @@ pub struct RunData {
     pub rounds_s: Vec<f64>,
     /// Wall time of each traced round, s (traced runs only).
     pub traced_rounds_s: Vec<f64>,
-    /// Time the rounds took together, s.
-    pub measured_s: f64,
+    /// Peak resident memory of each untraced round, MiB; empty where the
+    /// peak cannot be reset.
+    pub round_peaks_mb: Vec<f64>,
     /// Extra tracer lanes from the workload.
     pub lanes: Vec<Tracer>,
-    /// Calibration passes before the set-ups and around every round, ns
-    /// per word (see [`crate::sys::chacha8_pass`]).
-    pub calibrations: Vec<f64>,
 }
 
-impl RunData {
-    /// The fastest calibration pass of the run, ns per word.
-    pub fn best_calibration(&self) -> f64 {
-        self.calibrations.iter().copied().fold(f64::INFINITY, f64::min)
-    }
+/// Set-ups per run: at least `SETUPS.0`, and more, up to `SETUPS.1`, while
+/// they have taken less than a second in all. `setup_s` is their median, so
+/// a set-up of a few milliseconds is timed nine times and one of a second
+/// three times.
+const SETUPS: (usize, usize) = (3, 9);
 
-    /// The factor that rescales this run's times to the reference machine
-    /// speed, where the calibration loop takes [`REFERENCE_NS`] per word.
-    pub fn speed_scale(&self) -> f64 {
-        REFERENCE_NS / self.best_calibration()
-    }
-}
-
-/// The calibration loop's time per word on the reference machine: about its
-/// uncontended speed on the 2.1 GHz development host.
-pub const REFERENCE_NS: f64 = 6.0;
-
-/// Appends five short calibration passes (about a millisecond each).
-fn calibrate(into: &mut Vec<f64>) {
-    into.extend((0..5).map(|_| crate::sys::chacha8_pass(1 << 14)));
-}
-
-/// Set-ups per run; `setup_s` is their median.
-pub const SETUPS: usize = 3;
-
-/// Runs a workload: `SETUPS` timed set-ups (the last one is kept), then
-/// rounds until `opts.seconds` of rounds have run. A traced run runs each
-/// round twice, untraced then traced, on the same inputs. The calibration
-/// loop runs before the set-ups, before every round and at the end.
+/// Runs a workload: its timed set-ups (the last one is kept), then rounds
+/// until `opts.seconds` of rounds have run. A traced run runs each round
+/// twice, untraced then traced, on the same inputs. A single-threaded
+/// workload moves to the fastest CPU before each set-up and each operation.
 pub fn drive<W: Workload>(opts: &Opts, origin: Instant) -> RunData {
-    let mut calibrations = Vec::new();
-    calibrate(&mut calibrations);
-    let mut setups_s = Vec::new();
+    let mut cpu = W::SINGLE_THREADED.then(FastCpu::new);
+    let mut setups_s: Vec<f64> = Vec::new();
     let mut workload = None;
-    for _ in 0..SETUPS {
+    while setups_s.len() < SETUPS.0
+        || (setups_s.len() < SETUPS.1 && setups_s.iter().sum::<f64>() < 1.0)
+    {
+        if let Some(cpu) = &mut cpu {
+            cpu.pick();
+        }
         let started = Instant::now();
         let built = W::setup(opts);
         setups_s.push(started.elapsed().as_secs_f64());
@@ -253,9 +236,10 @@ pub fn drive<W: Workload>(opts: &Opts, origin: Instant) -> RunData {
         workload = Some(built);
     }
     let mut workload = workload.expect("at least one set-up");
-    let mut ctx = Ctx::new(origin);
+    let mut ctx = Ctx::new(origin, cpu);
     let mut rounds_s = Vec::new();
     let mut traced_rounds_s = Vec::new();
+    let mut round_peaks_mb = Vec::new();
     let started = Instant::now();
     for round in 0.. {
         let elapsed = started.elapsed().as_secs_f64();
@@ -266,11 +250,13 @@ pub fn drive<W: Workload>(opts: &Opts, origin: Instant) -> RunData {
             break;
         }
         ctx.tracer.set_enabled(false);
-        calibrate(&mut calibrations);
-        ctx.cursor = 0;
+        let peak_reset = crate::sys::reset_peak_rss();
         let round_started = Instant::now();
         workload.round(round, &mut ctx);
         rounds_s.push(round_started.elapsed().as_secs_f64());
+        if let (true, Some(peak)) = (peak_reset, crate::sys::peak_rss_mb()) {
+            round_peaks_mb.push(peak);
+        }
         if opts.trace {
             ctx.tracer.set_enabled(true);
             let round_started = Instant::now();
@@ -281,9 +267,7 @@ pub fn drive<W: Workload>(opts: &Opts, origin: Instant) -> RunData {
             ctx.tracer.set_enabled(false);
         }
     }
-    let measured_s = started.elapsed().as_secs_f64();
-    calibrate(&mut calibrations);
     workload.finish(&mut ctx);
     let lanes = workload.take_lanes();
-    RunData { ctx, setups_s, rounds_s, traced_rounds_s, measured_s, lanes, calibrations }
+    RunData { ctx, setups_s, rounds_s, traced_rounds_s, round_peaks_mb, lanes }
 }

@@ -4,11 +4,19 @@
 //! connections over loopback, one thread each; every client waits for each
 //! reply before sending the next request.
 //!
-//! | phase | requests per client per round | rate unit |
+//! | phase | requests per client per round | work unit |
 //! |---|---|---|
-//! | a | 46 warm `expect` cache hits, 2 replays of this round's cold `expect`s, 1 `stats`, 1 `metrics`: all answered on the connection thread | requests/s |
-//! | b | 4 `run` requests (batched, batchcount and exact engines; some with fault or churn plans), each pass under a fresh budget: cache misses, executed by a worker | requests/s |
-//! | c | 2 cold `expect` requests (Optimal-Silent-SSR, mcheck timers, n = 4, deterministic starts) on fresh seeds: cache misses, solved by a worker | requests/s |
+//! | a | 46 warm `expect` cache hits and 3 replays of this round's cold `expect`s, answered on the connection thread | requests |
+//! | b | 5 `run` requests, one per template (batched, batchcount and exact engines; a fault plan; a churn plan), on seeds drawn afresh every round: cache misses, executed by a worker | requests |
+//! | c | 3 cold `expect` requests (Optimal-Silent-SSR, mcheck timers, n = 4, all-leader start) on fresh seeds: cache misses, solved by a worker | requests |
+//!
+//! Each client also sends one `stats` and one `metrics` request per round;
+//! they are checked but belong to no phase. A phase's median and tail must
+//! not sit on a step between two kinds of request, or they jump between
+//! runs: every cold `expect` solves the same chain, and the `run` templates
+//! are sized to comparable execution times. Every round shuffles its
+//! requests afresh, so a run averages over how the two clients' requests
+//! overlap.
 //!
 //! Loads `ppsimd::{proto, cache, server, exec}`, and through the misses the
 //! count engines, the exact engine, the fault and churn drivers and the
@@ -46,7 +54,7 @@ struct Sizes {
     run_scale: usize,
 }
 
-const FULL: Sizes = Sizes { warm: 12, hits: 46, runs: 4, expects: 2, expect_n: 4, run_scale: 1 };
+const FULL: Sizes = Sizes { warm: 12, hits: 46, runs: 5, expects: 3, expect_n: 4, run_scale: 1 };
 const TINY: Sizes = Sizes { warm: 6, hits: 4, runs: 1, expects: 1, expect_n: 3, run_scale: 0 };
 
 /// One request as the client sees it.
@@ -66,9 +74,10 @@ enum Req {
         trials: usize,
         plan: Plan,
     },
-    /// A cold `expect` on a fresh seed.
+    /// A cold `expect` on a fresh seed, from a deterministic start.
     Expect {
         line: String,
+        scenario: &'static str,
     },
     Stats,
     Metrics,
@@ -100,10 +109,10 @@ fn warm_lines(count: usize) -> Vec<String> {
         .collect()
 }
 
-/// Scenarios of the cold `expect`s: deterministic starts, so a fresh seed
-/// changes the cache key but not the chain solved.
-const COLD_SCENARIOS: [&str; 4] =
-    ["all-leader", "zero-leader", "all-unsettled", "near-silent-wrong"];
+/// Scenario of the cold `expect`s: a deterministic start, so a fresh seed
+/// changes the cache key but not the chain solved, and every cold `expect`
+/// solves the same chain.
+const COLD_SCENARIO: &str = "all-leader";
 
 /// A cold `expect`: Optimal-Silent-SSR with the mcheck timers on a fresh
 /// seed.
@@ -116,6 +125,10 @@ fn expect_line(n: usize, scenario: &str, seed: u64) -> String {
 
 /// The `run` templates, cycled through: every engine, plus a fault plan
 /// and a churn plan. `scale` 0 shrinks every population for smoke tests.
+/// Four templates take 6–11 ms each on a 2-vCPU 2.1 GHz Xeon, so that
+/// phase b's latencies overlap instead of forming five steps. The fault
+/// plan stays at n = 40 (about 0.5 ms): at n = 100 the daemon reported
+/// fewer recovered trials than trials, which the check counts as failures.
 fn run_line(
     template: usize,
     scale: usize,
@@ -126,7 +139,7 @@ fn run_line(
     let big = |full: usize, tiny: usize| if scale == 0 { tiny } else { full };
     let (body, plan) = match template % 5 {
         0 => (
-            format!("\"protocol\":\"silent-n-state\",\"n\":{},\"engine\":\"batched\",\"scenario\":\"random\"", big(300, 16)),
+            format!("\"protocol\":\"silent-n-state\",\"n\":{},\"engine\":\"batched\",\"scenario\":\"random\"", big(800, 16)),
             Plan::None,
         ),
         1 => (
@@ -134,7 +147,7 @@ fn run_line(
             Plan::None,
         ),
         2 => (
-            format!("\"protocol\":\"fratricide\",\"n\":{},\"engine\":\"exact\",\"scenario\":\"all-leader\"", big(400, 16)),
+            format!("\"protocol\":\"fratricide\",\"n\":{},\"engine\":\"exact\",\"scenario\":\"all-leader\"", big(200, 16)),
             Plan::None,
         ),
         3 => (
@@ -150,7 +163,7 @@ fn run_line(
             format!(
                 "\"protocol\":\"epidemic\",\"n\":{},\"engine\":\"batched\",\"scenario\":\"single-source\",\
                  \"churn\":{{\"schedule\":\"one-shot\",\"at\":3000,\"action\":\"join\",\"count\":20,\"state\":0}}",
-                big(2_000, 40)
+                big(20_000, 40)
             ),
             Plan::Churn,
         ),
@@ -163,30 +176,8 @@ fn run_line(
     (line, trials, plan)
 }
 
-/// The seed of every `run` trajectory, whatever the run seed: a run's cost
-/// follows its trajectory's length, which varies too much between seeds for
-/// a handful of runs per round to average out.
-const PINNED_RUN_SEED: u64 = 0x5EED_0FAB;
-
-/// The interaction budget of a `run` request: far beyond any run's need, so
-/// adding the pass number to it gives every pass a fresh cache key for the
-/// same trajectory.
+/// The interaction budget of a `run` request: far beyond any run's need.
 const RUN_BUDGET: u64 = 1 << 50;
-
-/// Sample request lines and cold `expect` lines, built as a round builds
-/// them, for timing the daemon's unit costs on a workload that bypasses it.
-pub fn sample_lines(seed: u64) -> (Vec<String>, Vec<String>) {
-    let mut rng = rng_for(seed, 0, 0x5A3);
-    let mut requests = warm_lines(FULL.warm);
-    requests.extend((0..5).map(|t| run_line(t, 1, wire_seed(&mut rng), RUN_BUDGET, false).0));
-    let expects: Vec<String> = COLD_SCENARIOS
-        .iter()
-        .take(2)
-        .map(|s| expect_line(FULL.expect_n, s, wire_seed(&mut rng)))
-        .collect();
-    requests.extend(expects.iter().cloned());
-    (requests, expects)
-}
 
 /// One client connection.
 struct Conn {
@@ -233,8 +224,9 @@ fn result_num(doc: &Json, path: &[&str]) -> Option<f64> {
 /// What one client thread measured in one round.
 #[derive(Default)]
 struct ClientOut {
-    /// `(phase, latency s)` per request.
-    ops: Vec<(usize, f64)>,
+    /// `(phase, latency s)` per request; `stats` and `metrics` have no
+    /// phase.
+    ops: Vec<(Option<usize>, f64)>,
     /// `(ok, description)` per checked request.
     checks: Vec<(bool, String)>,
     /// Cacheable requests sent (for the reconciliation with `stats`).
@@ -244,6 +236,8 @@ struct ClientOut {
     requests: Vec<String>,
     responses: Vec<String>,
     expects: Vec<String>,
+    /// Scenarios of the cold `expect`s sent.
+    scenarios: Vec<&'static str>,
 }
 
 /// The workload's fixed state: the server, the client connections, the warm
@@ -261,6 +255,8 @@ pub struct PpsimdMixed {
 }
 
 impl Workload for PpsimdMixed {
+    const SINGLE_THREADED: bool = false;
+
     fn setup(opts: &Opts) -> Self {
         let sizes = if opts.tiny { &TINY } else { &FULL };
         let server = serve(ServerConfig { workers: 2, ..ServerConfig::default() })
@@ -307,7 +303,7 @@ impl Workload for PpsimdMixed {
         workload
     }
 
-    fn round(&mut self, repeat: u64, ctx: &mut Ctx) {
+    fn round(&mut self, round: u64, ctx: &mut Ctx) {
         let traced = ctx.tracer.enabled();
         if self.lanes.is_empty() {
             self.lanes = (0..CLIENTS).map(|c| ctx.tracer.lane(2 + c as u64)).collect();
@@ -315,7 +311,7 @@ impl Workload for PpsimdMixed {
         for lane in &mut self.lanes {
             lane.set_enabled(traced);
         }
-        let plans: Vec<Vec<Req>> = (0..CLIENTS).map(|c| self.plan(repeat, c, traced)).collect();
+        let plans: Vec<Vec<Req>> = (0..CLIENTS).map(|c| self.plan(round, c, traced)).collect();
         let outs: Vec<ClientOut> = std::thread::scope(|scope| {
             let handles: Vec<_> = self
                 .conns
@@ -328,7 +324,9 @@ impl Workload for PpsimdMixed {
         });
         for out in outs {
             for (phase, secs) in out.ops {
-                ctx.record(phase, 1.0, secs);
+                if let Some(phase) = phase {
+                    ctx.record(phase, 1.0, secs);
+                }
             }
             for (ok, what) in out.checks {
                 ctx.check(ok, || what);
@@ -343,6 +341,9 @@ impl Workload for PpsimdMixed {
                 keep(&mut capture.requests, out.requests);
                 keep(&mut capture.responses, out.responses);
                 keep(&mut capture.expects, out.expects);
+                for scenario in out.scenarios {
+                    capture.checker_start(self.sizes.expect_n, scenario);
+                }
             }
         }
     }
@@ -370,16 +371,16 @@ impl Workload for PpsimdMixed {
 }
 
 impl PpsimdMixed {
-    /// Client `client`'s requests for one round. The round's shape (which
-    /// warm entries, in which order) is fixed by the run seed and the runs'
-    /// trajectories are pinned, so every round does the same work. Every pass (traced passes
-    /// included) still misses the cache: its runs carry a budget and its
-    /// expects a seed that no earlier pass used, neither of which changes
-    /// the trajectory or the chain solved.
-    fn plan(&self, repeat: u64, client: usize, traced: bool) -> Vec<Req> {
+    /// Client `client`'s requests for one round. Every round draws its
+    /// shape (which warm entries, in which order) and fresh `run` seeds,
+    /// which a traced pass reuses (a traced `run` bypasses the cache), and
+    /// every pass draws fresh `expect` seeds, which change the cache key but
+    /// not the chain solved.
+    fn plan(&self, round: u64, client: usize, traced: bool) -> Vec<Req> {
         let s = self.sizes;
-        let pass = 2 * repeat + u64::from(traced);
-        let mut shape = rng_for(self.seed, 0, 0x5E00 + client as u64);
+        let pass = 2 * round + u64::from(traced);
+        let mut shape = rng_for(self.seed, round, 0x5E00 + client as u64);
+        let mut runs = rng_for(self.seed, round, 0x5E80 + client as u64);
         let mut fresh = rng_for(self.seed, pass, 0x5F00 + client as u64);
         let mut reqs: Vec<Req> = (0..s.hits)
             .map(|_| {
@@ -389,9 +390,8 @@ impl PpsimdMixed {
             .collect();
         for i in 0..s.runs {
             let template = client + CLIENTS * i;
-            let seed = wire_seed(&mut rng_for(PINNED_RUN_SEED, 0, template as u64));
-            let (line, trials, plan) =
-                run_line(template, s.run_scale, seed, RUN_BUDGET + pass, traced);
+            let seed = wire_seed(&mut runs);
+            let (line, trials, plan) = run_line(template, s.run_scale, seed, RUN_BUDGET, traced);
             reqs.push(Req::Run { line, trials, plan });
         }
         reqs.push(Req::Stats);
@@ -403,9 +403,9 @@ impl PpsimdMixed {
         // The cold expects open the list and their replays close it. Their
         // scenarios ignore the seed, so each slot solves the same chain.
         let mut ordered: Vec<Req> = (0..s.expects)
-            .map(|i| {
-                let scenario = COLD_SCENARIOS[(client + CLIENTS * i) % COLD_SCENARIOS.len()];
-                Req::Expect { line: expect_line(s.expect_n, scenario, wire_seed(&mut fresh)) }
+            .map(|_| {
+                let line = expect_line(s.expect_n, COLD_SCENARIO, wire_seed(&mut fresh));
+                Req::Expect { line, scenario: COLD_SCENARIO }
             })
             .collect();
         ordered.extend(reqs);
@@ -420,15 +420,17 @@ fn run_client(conn: &mut Conn, lane: &mut Tracer, plan: Vec<Req>) -> ClientOut {
     let mut cold: Vec<(String, String)> = Vec::new();
     for req in &plan {
         let (line, phase, cacheable, name) = match req {
-            Req::Hit { line, .. } => (line.clone(), 0, true, "ppsimd.request.hit"),
-            Req::Replay { index } => (cold[*index].0.clone(), 0, true, "ppsimd.request.replay"),
-            Req::Run { line, .. } => {
-                (line.clone(), 1, !line.contains("\"trace\":true"), "ppsimd.request.run")
+            Req::Hit { line, .. } => (line.clone(), Some(0), true, "ppsimd.request.hit"),
+            Req::Replay { index } => {
+                (cold[*index].0.clone(), Some(0), true, "ppsimd.request.replay")
             }
-            Req::Expect { line } => (line.clone(), 2, true, "ppsimd.request.expect"),
-            Req::Stats => ("{\"type\":\"stats\"}".to_owned(), 0, false, "ppsimd.request.stats"),
+            Req::Run { line, .. } => {
+                (line.clone(), Some(1), !line.contains("\"trace\":true"), "ppsimd.request.run")
+            }
+            Req::Expect { line, .. } => (line.clone(), Some(2), true, "ppsimd.request.expect"),
+            Req::Stats => ("{\"type\":\"stats\"}".to_owned(), None, false, "ppsimd.request.stats"),
             Req::Metrics => {
-                ("{\"type\":\"metrics\"}".to_owned(), 0, false, "ppsimd.request.metrics")
+                ("{\"type\":\"metrics\"}".to_owned(), None, false, "ppsimd.request.metrics")
             }
         };
         lane.begin(name);
@@ -451,11 +453,12 @@ fn run_client(conn: &mut Conn, lane: &mut Tracer, plan: Vec<Req>) -> ClientOut {
             Req::Run { trials, plan, .. } => {
                 check_run(&reply, *trials, *plan, lane, within, &mut out)
             }
-            Req::Expect { line } => {
+            Req::Expect { line, scenario } => {
                 let doc = perf::parse(&reply).unwrap_or(Json::Null);
                 let expected = result_num(&doc, &["expected-interactions"]).unwrap_or(f64::NAN);
                 cold.push((line.clone(), reply.clone()));
                 out.expects.push(line.clone());
+                out.scenarios.push(scenario);
                 // A start that is already silent expects 0 interactions.
                 is_ok(&reply) && expected.is_finite() && expected >= 0.0
             }

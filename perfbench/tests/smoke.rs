@@ -8,7 +8,7 @@ use std::process::Command;
 
 use bench::perf::{self, Json};
 
-const WORKLOADS: [&str; 4] = ["count-engines", "exact-protocols", "mcheck-proofs", "ppsimd-mixed"];
+const WORKLOADS: [&str; 3] = ["count-engines", "exact-protocols", "ppsimd-mixed"];
 
 fn declared(key: &str) -> Vec<String> {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../BENCHMARK.json");
