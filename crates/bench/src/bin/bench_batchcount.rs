@@ -97,8 +97,8 @@ where
         wall += start.elapsed().as_secs_f64();
         interactions += sim.interactions().count() as f64;
         transitions += sim.transitions() as f64;
-        epochs += sim.batch_epochs() as f64;
-        truncations += sim.batch_truncations() as f64;
+        epochs += sim.counters().get(Counter::EpochsOpened) as f64;
+        truncations += sim.counters().get(Counter::BatchTruncations) as f64;
     }
     let t = trials as f64;
     Measurement {

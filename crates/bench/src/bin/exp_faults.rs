@@ -171,7 +171,7 @@ fn measure_silent_cell(
                 .scenario(scenario_interned)
                 .faults(plan.clone())
                 .seed(trial_seed)
-                .run_one_interned()
+                .run_one()
                 .expect("a uniform-scheduled fault spec always builds")
         }),
         Backend::Exact | Backend::Batched | Backend::BatchCount => {
@@ -262,7 +262,7 @@ fn roll_call(quick: bool, cells: &mut Vec<Cell>) {
                     .init(config)
                     .faults(plan.clone())
                     .seed(trial_seed)
-                    .run_one_interned()
+                    .run_one()
                     .expect("a uniform-scheduled interned fault spec always builds")
             });
             let wall = start.elapsed().as_secs_f64();

@@ -15,10 +15,11 @@
 //!   merged Chrome trace-event document to `trace_profile.json`
 //!   (Perfetto / `chrome://tracing` loadable, validated before writing).
 //! * **Overhead gate** — measures the wall-clock cost of running with the
-//!   recorder attached against the default `NoopTelemetry` path on the two
-//!   acceptance workloads (batched SSR at n = 10³, batch-count epidemic at
-//!   n = 10⁵) and writes the ratios as `"engine": "speedup"` rows to
-//!   `BENCH_obs.json`, which CI gates via `check_bench` at 2% tolerance.
+//!   recorder attached against the default no-op sink
+//!   (`TelemetrySink::Noop`) on the two acceptance workloads (batched SSR at
+//!   n = 10³, batch-count epidemic at n = 10⁵) and writes the ratios as
+//!   `"engine": "speedup"` rows to `BENCH_obs.json`, which CI gates via
+//!   `check_bench` at 2% tolerance.
 //!
 //! ```text
 //! cargo run --release -p bench --bin exp_profile [-- --quick]

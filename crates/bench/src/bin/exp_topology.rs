@@ -280,7 +280,7 @@ fn measure_weighted(
                     .scheduler(scheduler.clone())
                     .init(config)
                     .seed(trial_seed)
-                    .run_one_interned()
+                    .run_one()
                     .expect("weighted schedulers run on the interned backend");
                 assert!(report.outcome.is_silent());
                 report.parallel_time().value()

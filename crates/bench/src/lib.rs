@@ -174,8 +174,8 @@ pub fn sublinear_scenario_times_with_engine(
     run_trials(&plan, |_, trial_seed| {
         let protocol = SublinearTimeSsr::new(SublinearParams::recommended(n, h));
         let config = scenario.configuration(&protocol, trial_seed);
-        let report = engine
-            .run_until_interned(protocol, &config, trial_seed, budget, |c| protocol.is_correct(c));
+        let report =
+            engine.run_until(protocol, &config, trial_seed, budget, |c| protocol.is_correct(c));
         assert!(
             report.outcome.condition_met(),
             "scenario {:?} failed to converge within {budget} interactions",
@@ -221,7 +221,7 @@ pub fn sublinear_detection_scenario_times_with_engine(
     run_trials(&plan, |_, trial_seed| {
         let protocol = SublinearTimeSsr::new(params);
         let config = scenario.configuration(&protocol, trial_seed);
-        let report = engine.run_until_interned(
+        let report = engine.run_until(
             protocol,
             &config,
             trial_seed,
@@ -250,7 +250,7 @@ pub fn roll_call_times_with_engine(n: usize, trials: usize, seed: u64, engine: E
             .engine(engine)
             .init(config)
             .seed(trial_seed)
-            .run_one_interned()
+            .run_one()
             .expect("an interned roll-call spec under the uniform scheduler always builds");
         assert!(report.outcome.is_silent());
         report.parallel_time().value()
@@ -282,9 +282,8 @@ pub fn roll_call_times_with_scheduler(
     };
     spec_for(plan.seed_for(0)).build()?;
     Ok(run_trials(&plan, |_, trial_seed| {
-        let report = spec_for(trial_seed)
-            .run_one_interned()
-            .expect("the probe build above validated this pairing");
+        let report =
+            spec_for(trial_seed).run_one().expect("the probe build above validated this pairing");
         assert!(report.outcome.is_silent());
         report.parallel_time().value()
     }))
@@ -467,7 +466,7 @@ pub fn optimal_silent_times(n: usize, workload: Workload, trials: usize, seed: u
 /// engine.
 ///
 /// This protocol's unsettled/resetting states interact with everything, so
-/// the batched engine runs on its dense present-scan backend: correct, and
+/// the batched engine runs it on the present route: correct, and
 /// worthwhile only on configurations that idle near silence. The exact engine
 /// is the sensible default for whole-stabilization measurements.
 pub fn optimal_silent_times_with_engine(

@@ -1,4 +1,5 @@
-//! Count-based **batched** simulation engine.
+//! The count-based engine: one multiset simulation over a pluggable state
+//! index.
 //!
 //! The exact engine ([`crate::Simulation`]) pays O(1) work per *interaction*,
 //! which is hopeless for protocols whose stabilization takes `Θ(n²)` parallel
@@ -8,8 +9,8 @@
 //! states unchanged — so this module simulates the *same* Markov chain while
 //! paying only for the non-null interactions:
 //!
-//! 1. the configuration is a **multiset of state counts** (`Vec<u64>` over an
-//!    enumerated state space) instead of a per-agent array;
+//! 1. the configuration is a **multiset of state counts** (`Vec<u64>` over
+//!    dense state indices) instead of a per-agent array;
 //! 2. the number of consecutive null interactions between two non-null ones
 //!    is drawn in one shot from its geometric law (a run of failures with
 //!    success probability `p = A / (n(n−1))`, where `A` counts the non-null
@@ -26,25 +27,37 @@
 //! randomness differently), which is why the cross-engine tests compare
 //! verdicts and distributions rather than bit-identical traces.
 //!
-//! Protocols opt in by implementing [`EnumerableProtocol`] (a bijection
-//! between their state type and `0..num_states`). Protocols with sparse
-//! non-null structure (`Silent-n-state-SSR`, epidemic, fratricide, coupon)
-//! also provide [`EnumerableProtocol::interaction_partners`], unlocking a
-//! Fenwick-tree backend with O(deg · log |states|) work per non-null
-//! interaction; dense protocols (`Optimal-Silent-SSR`, whose
-//! unsettled/resetting states interact with everything) fall back to a
-//! present-state scan that costs O(P²) per non-null interaction with `P ≤ n`
-//! distinct present states.
+//! # One engine, two state indices, two draw routes
 //!
-//! Protocols whose state space cannot be enumerated up front — the name ×
-//! roster × history-tree states of `Sublinear-Time-SSR`, the roster states
-//! of the roll-call process — use the third batched backend instead: the
-//! dynamically **interned** engine of [`crate::interned`], which assigns
-//! dense indices to states as they are first observed and grows its tables
-//! on demand ([`crate::InternableProtocol`] /
-//! [`crate::InternedSimulation`]). [`Engine`] is the routing layer for all
-//! of them, and `ARCHITECTURE.md` at the repository root draws the decision
-//! tree.
+//! [`CountSimulation<P, X>`] is the engine. `X` is its [`StateIndex`], the
+//! map between protocol states and dense indices:
+//!
+//! * [`EnumeratedStates`] — a fixed table built from an
+//!   [`EnumerableProtocol`]'s `state_index` / `state_from_index` bijection
+//!   ([`BatchedSimulation`] names this pairing);
+//! * [`crate::InternedStates`] — a growing [`crate::StateInterner`] for open
+//!   state spaces (`Sublinear-Time-SSR`'s names × rosters × history trees,
+//!   roll call's rosters), assigning indices as states are first observed
+//!   ([`crate::InternedSimulation`] names this pairing).
+//!
+//! The engine keeps per-state row weights `r_i = c_i · Σ_j term(i, j)` in one
+//! growable Fenwick tree, draws the initiator from it, and repairs the rows by
+//! one of two routes, fixed at construction:
+//!
+//! * **indexed** — an enumerated protocol that declares sparse
+//!   [`EnumerableProtocol::interaction_partners`] (`Silent-n-state-SSR`,
+//!   epidemic, fratricide, coupon): rows are repaired over partner lists in
+//!   O(deg · log |states|) per non-null interaction;
+//! * **present** — every other protocol: an enumerated one with dense
+//!   non-null structure (`Optimal-Silent-SSR`) or an open state space. Rows
+//!   are repaired over the set of present states; on an open space, null
+//!   classes ([`crate::InternableProtocol::null_class`]) short-circuit
+//!   expensive `is_null` comparisons.
+//!
+//! The routes consume the RNG differently (see [`CountSimulation`]), so each
+//! keeps its own seed-for-seed trajectory. [`Engine`] is the routing layer;
+//! [`CountProtocol`] names each protocol's default index, and
+//! `ARCHITECTURE.md` at the repository root draws the decision tree.
 //!
 //! # Example
 //!
@@ -115,8 +128,8 @@ use crate::time::{Interactions, ParallelTime};
 /// A [`Protocol`] with a finite, enumerable state space: a bijection between
 /// the state type and `0..num_states`.
 ///
-/// This is the opt-in surface for the batched engine. Implementations must
-/// guarantee:
+/// This is the opt-in surface for the enumerated state index. Implementations
+/// must guarantee:
 ///
 /// * `state_index` / `state_from_index` are inverse bijections on
 ///   `0..num_states` for every state the protocol can reach **or be
@@ -140,10 +153,10 @@ pub trait EnumerableProtocol: Protocol {
     /// current configuration). Include `i` itself when `(i, i)` is non-null.
     ///
     /// Returning `Some` for one index means `Some` for all indices; the
-    /// engine then uses the indexed (Fenwick) backend with per-transition
-    /// cost proportional to the partner-list degree. The default `None`
-    /// selects the dense present-scan backend, which is always correct but
-    /// pays O(P²) per non-null interaction in the number of distinct present
+    /// engine then uses the indexed draw route with per-transition cost
+    /// proportional to the partner-list degree. The default `None` selects
+    /// the present route, which is always correct but pays
+    /// O(P) per non-null interaction in the number of distinct present
     /// states.
     fn interaction_partners(&self, _index: usize) -> Option<Vec<usize>> {
         None
@@ -164,10 +177,10 @@ pub trait EnumerableProtocol: Protocol {
 }
 
 /// Wraps an [`EnumerableProtocol`], dropping its sparse partner structure so
-/// the batched engine selects the dense present-scan backend regardless of
-/// what the inner protocol declares.
+/// the engine selects the present route regardless of what the inner
+/// protocol declares.
 ///
-/// The two backends simulate the same Markov chain, so any observable
+/// The two routes simulate the same Markov chain, so any observable
 /// difference between `P` and `ForceDense<P>` — non-null pair weight,
 /// silence verdict, final multiset distribution — is an engine bug. The
 /// cross-backend equivalence suites run matching configurations through
@@ -230,7 +243,7 @@ impl<P: EnumerableProtocol> EnumerableProtocol for ForceDense<P> {
 /// * `active_pairs == total_pairs` (every pair is non-null) always returns 0;
 /// * a single non-null ordered pair among `n(n−1)` gives the full geometric
 ///   with `p = 1 / (n(n−1))`, whose mean `≈ n²` is exactly the cost the
-///   batched engine avoids paying per-interaction;
+///   count engine avoids paying per-interaction;
 /// * `active_pairs == 0` (a silent configuration) has no next non-null
 ///   interaction; callers must detect silence first. The function panics in
 ///   that case rather than looping forever.
@@ -256,56 +269,156 @@ pub fn sample_null_run(active_pairs: u64, total_pairs: u64, rng: &mut impl RngCo
     }
 }
 
-/// A 1-based Fenwick (binary indexed) tree over `u64` weights with prefix
-/// search, used to sample the initiator state proportionally to its row
-/// weight.
+/// A value-backed, growable Fenwick (binary indexed) tree over `u64` weights:
+/// O(1) point reads from the backing values, O(log capacity) point writes and
+/// prefix searches, a without-replacement batch splitter, and amortized O(1)
+/// growth (the capacity doubles, rebuilding the tree in O(capacity)).
 #[derive(Clone, Debug)]
-struct Fenwick {
+pub(crate) struct Fenwick {
+    values: Vec<u64>,
+    /// 1-based partial sums over `tree.len() − 1` slots of capacity.
     tree: Vec<u64>,
+    /// The largest power of two not above the capacity.
     mask: usize,
     total: u64,
+    /// Tree (re)builds so far: the `engine.fenwick_rebuilds` counter.
+    rebuilds: u64,
 }
 
 impl Fenwick {
-    fn new(len: usize) -> Self {
-        let mut mask = 1usize;
-        while mask * 2 <= len {
-            mask *= 2;
+    /// `len` zero-weight slots with room for `capacity`. The capacity shapes
+    /// [`Fenwick::split_batch`]'s recursion, so a tree over a fixed space is
+    /// sized to exactly that space.
+    pub(crate) fn zeros(len: usize, capacity: usize) -> Self {
+        let capacity = capacity.max(len).max(1);
+        let mut values = vec![0; len];
+        values.reserve_exact(capacity - len);
+        Fenwick {
+            values,
+            tree: vec![0; capacity + 1],
+            mask: 1 << capacity.ilog2(),
+            total: 0,
+            rebuilds: 0,
         }
-        Fenwick { tree: vec![0; len + 1], mask, total: 0 }
     }
 
-    fn len(&self) -> usize {
+    fn capacity(&self) -> usize {
         self.tree.len() - 1
     }
 
-    fn add(&mut self, index: usize, delta: i64) {
+    pub(crate) fn total(&self) -> u64 {
+        self.total
+    }
+
+    pub(crate) fn get(&self, index: usize) -> u64 {
+        self.values[index]
+    }
+
+    /// Appends zero-weight slots up to `len`, doubling the capacity as
+    /// often as that needs.
+    pub(crate) fn grow(&mut self, len: usize) {
+        if len <= self.values.len() {
+            return;
+        }
+        self.values.resize(len, 0);
+        if len > self.capacity() {
+            let mut capacity = self.capacity();
+            while capacity < len {
+                capacity *= 2;
+            }
+            self.rebuild(capacity);
+        }
+    }
+
+    /// Overwrites the weight of an existing slot.
+    pub(crate) fn set(&mut self, index: usize, value: u64) {
+        let delta = value.wrapping_sub(self.values[index]);
         if delta == 0 {
             return;
         }
-        self.total = (self.total as i128 + delta as i128) as u64;
+        self.values[index] = value;
+        // Two's-complement deltas: the wrapping adds land on the exact sums.
+        self.total = self.total.wrapping_add(delta);
         let mut i = index + 1;
-        while i <= self.len() {
-            self.tree[i] = (self.tree[i] as i128 + delta as i128) as u64;
+        while i < self.tree.len() {
+            self.tree[i] = self.tree[i].wrapping_add(delta);
             i += i & i.wrapping_neg();
         }
     }
 
-    fn total(&self) -> u64 {
-        self.total
+    /// Sets every slot's weight to `weight(slot)`; counts as one rebuild.
+    /// While few slots change, each goes in by a point write, so a large,
+    /// mostly zero table — `values` and `tree` alike — keeps its untouched
+    /// pages unfaulted. Past `capacity / log₂ capacity` changes one O(capacity)
+    /// rebuild is cheaper and takes over.
+    fn assign(&mut self, weight: impl Fn(usize) -> u64) {
+        let limit = self.capacity() / (self.capacity().ilog2() as usize + 1);
+        let mut changed = 0;
+        for i in 0..self.values.len() {
+            let w = weight(i);
+            if self.values[i] == w {
+                continue;
+            }
+            changed += 1;
+            if changed <= limit {
+                self.set(i, w);
+            } else {
+                self.values[i] = w;
+            }
+        }
+        if changed > limit {
+            self.rebuild(self.capacity());
+        } else {
+            self.rebuilds += 1;
+        }
+    }
+
+    /// Rebuilds the partial sums from `values` with room for `capacity`
+    /// slots, in O(capacity).
+    fn rebuild(&mut self, capacity: usize) {
+        self.rebuilds += 1;
+        self.mask = 1 << capacity.ilog2();
+        self.tree.clear();
+        self.tree.push(0);
+        self.tree.extend_from_slice(&self.values);
+        self.tree.resize(capacity + 1, 0);
+        for i in 1..=capacity {
+            let parent = i + (i & i.wrapping_neg());
+            if parent <= capacity {
+                self.tree[parent] += self.tree[i];
+            }
+        }
+        self.total = self.values.iter().sum();
+    }
+
+    /// The slot holding offset `target` of the weight mass, and the offset
+    /// left within that slot (requires `target < total`).
+    pub(crate) fn find(&self, mut target: u64) -> (usize, u64) {
+        debug_assert!(target < self.total);
+        let mut pos = 0usize;
+        let mut step = self.mask;
+        while step > 0 {
+            let next = pos + step;
+            if next < self.tree.len() && self.tree[next] <= target {
+                target -= self.tree[next];
+                pos = next;
+            }
+            step /= 2;
+        }
+        (pos, target)
     }
 
     /// Splits a without-replacement batch of `draws` interaction slots across
-    /// the tree's leaves: jointly, the leaf shares follow the multivariate
-    /// hypergeometric law over the current leaf weights. Implemented by
-    /// recursive conditional [`sample_hypergeometric`] splits down the
-    /// implicit binary structure, so the cost is O(k · log len) for the `k`
-    /// leaves that receive a nonzero share — independent of how many leaves
-    /// exist, which is what keeps epoch draws affordable when the state
-    /// space is as large as the population (`Silent-n-state-SSR`).
+    /// the tree's slots: jointly, the shares follow the multivariate
+    /// hypergeometric law over the current weights. Implemented by recursive
+    /// conditional [`sample_hypergeometric`] splits down the implicit binary
+    /// structure, so the cost is O(k · log capacity) for the `k` slots that
+    /// receive a nonzero share — independent of how many slots exist, which
+    /// is what keeps epoch draws affordable when the state space is as large
+    /// as the population (`Silent-n-state-SSR`).
     ///
-    /// Calls `sink(leaf, share)` once per leaf with a nonzero share, in
-    /// ascending leaf order. Requires `draws <= total()`.
+    /// Calls `sink(slot, share)` once per slot with a nonzero share, in
+    /// ascending slot order. Requires `draws <= total()`.
     fn split_batch(&self, draws: u64, rng: &mut impl RngCore, sink: &mut impl FnMut(usize, u64)) {
         debug_assert!(draws <= self.total);
         self.split_range(0, 2 * self.mask, self.total, draws, rng, sink);
@@ -333,45 +446,247 @@ impl Fenwick {
         // `pos` is a multiple of `step`, so `pos + half` has lowest set bit
         // exactly `half` and its tree entry stores the left child's range sum
         // whenever it is in bounds; an out-of-bounds right child is entirely
-        // past the last leaf and holds no weight.
-        let left_w = if pos + half <= self.len() { self.tree[pos + half] } else { weight };
+        // past the last slot and holds no weight.
+        let left_w = if pos + half < self.tree.len() { self.tree[pos + half] } else { weight };
         let left_d = sample_hypergeometric(weight, left_w, draws, rng);
         self.split_range(pos, half, left_w, left_d, rng, sink);
         self.split_range(pos + half, half, weight - left_w, draws - left_d, rng, sink);
     }
+}
 
-    /// The smallest index whose inclusive prefix sum exceeds `target`
-    /// (requires `target < total`).
-    fn find(&self, mut target: u64) -> usize {
-        debug_assert!(target < self.total);
-        let mut pos = 0usize;
-        let mut step = self.mask;
-        while step > 0 {
-            let next = pos + step;
-            if next <= self.len() && self.tree[next] <= target {
-                target -= self.tree[next];
-                pos = next;
-            }
-            step /= 2;
-        }
-        pos // 0-based index of the selected element
+/// The map between a protocol's states and the dense indices the count
+/// engine keys its tables by: the engine's one point of variation.
+///
+/// Two indices exist: [`EnumeratedStates`] for an [`EnumerableProtocol`]'s
+/// fixed space, and [`crate::InternedStates`] for an open space discovered at
+/// run time. Indices are stable for the lifetime of a simulation.
+pub trait StateIndex<P: Protocol>: Sized {
+    /// Whether the index discovers states at run time. Open indices grow the
+    /// engine's tables on first observation, draw through the interned
+    /// route, and pick fault and churn victims over the present set.
+    const OPEN: bool;
+
+    /// The index for `protocol`, before any configuration is counted.
+    fn new(protocol: &P) -> Self;
+
+    /// How many slots to pre-size the engine's tables for. An enumerated
+    /// index returns exactly its size: the epoch batch splitter's draws
+    /// depend on the row tree's capacity.
+    fn capacity(&self, protocol: &P) -> usize;
+
+    /// The dense index of `state` on the transition path, assigning the next
+    /// free index on first observation when the index is open.
+    fn index(&mut self, protocol: &P, state: &P::State) -> usize;
+
+    /// [`StateIndex::index`] for states entering from outside the
+    /// transition function (initial configurations, fault bursts, joins,
+    /// scheduler rates), where a bad state must fail loudly.
+    fn admit(&mut self, protocol: &P, state: &P::State) -> usize {
+        self.index(protocol, state)
+    }
+
+    /// The index of `state` if it has one, without assigning it.
+    fn lookup(&self, protocol: &P, state: &P::State) -> Option<usize>;
+
+    /// The state with dense index `index`.
+    fn state(&self, index: usize) -> &P::State;
+
+    /// The number of indices assigned so far.
+    fn size(&self) -> usize;
+
+    /// Whether the distinct states `i` and `j` share a declared null class,
+    /// which makes the pair null in both orders without an `is_null` call.
+    fn same_null_class(&self, _i: usize, _j: usize) -> bool {
+        false
+    }
+
+    /// Per-state partner lists for the indexed draw route, if the protocol
+    /// declares sparse non-null structure.
+    fn partners(&self, _protocol: &P) -> Option<Vec<Vec<usize>>> {
+        None
     }
 }
 
-/// The backend data structure maintaining the non-null pair weight.
+/// The fixed state index of an [`EnumerableProtocol`]: the decoded
+/// `state_from_index` table, with `state_index` as the inverse.
 #[derive(Clone, Debug)]
-enum Backend {
-    /// Sparse non-null structure: per-state partner lists plus a Fenwick tree
-    /// over row weights `r_i = c_i · Σ_j [(i,j) non-null] (c_j − [i = j])`.
-    Indexed { partners: Vec<Vec<usize>>, rows: Fenwick },
-    /// Dense fallback: the set of present states, scanned per transition.
-    PresentScan { present: Vec<usize>, position: Vec<usize> },
+pub struct EnumeratedStates<P: Protocol> {
+    states: Vec<P::State>,
+}
+
+impl<P: EnumerableProtocol> EnumeratedStates<P> {
+    /// The enumerated space's one range check.
+    fn checked(&self, index: usize) -> usize {
+        assert!(
+            index < self.states.len(),
+            "state outside the enumerated space: state_index returned {index} for a space of {} \
+             states",
+            self.states.len()
+        );
+        index
+    }
+}
+
+impl<P: EnumerableProtocol> StateIndex<P> for EnumeratedStates<P> {
+    const OPEN: bool = false;
+
+    fn new(protocol: &P) -> Self {
+        EnumeratedStates {
+            states: (0..protocol.num_states()).map(|i| protocol.state_from_index(i)).collect(),
+        }
+    }
+
+    fn capacity(&self, _protocol: &P) -> usize {
+        self.states.len()
+    }
+
+    fn index(&mut self, protocol: &P, state: &P::State) -> usize {
+        let index = protocol.state_index(state);
+        if cfg!(debug_assertions) {
+            self.checked(index)
+        } else {
+            index
+        }
+    }
+
+    fn admit(&mut self, protocol: &P, state: &P::State) -> usize {
+        self.checked(protocol.state_index(state))
+    }
+
+    fn lookup(&self, protocol: &P, state: &P::State) -> Option<usize> {
+        Some(protocol.state_index(state)).filter(|&i| i < self.states.len())
+    }
+
+    fn state(&self, index: usize) -> &P::State {
+        &self.states[index]
+    }
+
+    fn size(&self) -> usize {
+        self.states.len()
+    }
+
+    fn partners(&self, protocol: &P) -> Option<Vec<Vec<usize>>> {
+        protocol.interaction_partners(0)?;
+        Some(
+            (0..self.states.len())
+                .map(|i| {
+                    protocol
+                        .interaction_partners(i)
+                        .expect("interaction_partners must be Some for every index or none")
+                })
+                .collect(),
+        )
+    }
+}
+
+/// A protocol the count engine can run through [`crate::RunSpec::run`] and
+/// [`Engine::run_until`]: it names the [`StateIndex`] its states live in.
+///
+/// Every [`EnumerableProtocol`] gets [`EnumeratedStates`] through a blanket
+/// impl. Open-state-space protocols implement the trait directly with
+/// [`crate::InternedStates`], as `Sublinear-Time-SSR`, roll call and the
+/// [`crate::AsInterned`] adapter do.
+pub trait CountProtocol: Protocol + Sized {
+    /// The state index the count engine keys this protocol's tables by.
+    type Index: StateIndex<Self>;
+}
+
+impl<P: EnumerableProtocol> CountProtocol for P {
+    type Index = EnumeratedStates<P>;
+}
+
+/// How the engine draws from its row weights. Both routes take the initiator
+/// from the row tree; they consume the RNG differently after that, and
+/// seed-for-seed pins cover each.
+#[derive(Clone, Debug)]
+enum Route {
+    /// Enumerated space with sparse structure: rows are repaired over the
+    /// partner lists. The responder comes from a fresh draw over the partner
+    /// list; epochs split the batch down the tree.
+    Indexed { partners: Vec<Vec<usize>> },
+    /// Dense or open structure: rows are repaired over the present set. The
+    /// responder is the offset left in the row, modulo the per-copy weight;
+    /// epochs split the batch over the present set.
+    Present,
+}
+
+/// The states a row's weight sums over: the partner list on the indexed
+/// route, the present set otherwise.
+fn support<'a>(route: &'a Route, present: &'a [usize], i: usize) -> &'a [usize] {
+    match route {
+        Route::Indexed { partners } => &partners[i],
+        Route::Present => present,
+    }
+}
+
+/// The read-only inputs of a pair weight, borrowed apart from the RNG and
+/// the row tree so draws and repairs can evaluate weights while those are
+/// mutably borrowed.
+struct Weights<'a, P, X> {
+    protocol: &'a P,
+    states: &'a X,
+    counts: &'a [u64],
+    rates: Option<&'a IndexRates>,
+}
+
+impl<P: Protocol, X: StateIndex<P>> Weights<'_, P, X> {
+    /// Whether the ordered pair `(i, j)` is non-null; count-independent.
+    /// Distinct states of one null class skip `is_null`.
+    fn nonnull(&self, i: usize, j: usize) -> bool {
+        if i != j && self.states.same_null_class(i, j) {
+            return false;
+        }
+        !self.protocol.is_null(self.states.state(i), self.states.state(j))
+    }
+
+    /// The scheduler rate of `(i, j)`: 1 under the uniform scheduler.
+    fn rate(&self, i: usize, j: usize) -> u64 {
+        self.rates.map_or(1, |r| r.rate(i, j))
+    }
+
+    /// The contribution of responder `j` to initiator `i`'s row:
+    /// `(c_j − [i = j])` if `(i, j)` is non-null, else 0 — scaled by the
+    /// scheduler rate of `(i, j)` when a weighted scheduler is installed.
+    fn term(&self, i: usize, j: usize) -> u64 {
+        let c = self.counts[j].saturating_sub((i == j) as u64);
+        if c == 0 || !self.nonnull(i, j) {
+            return 0;
+        }
+        match self.rates {
+            None => c,
+            Some(r) => r
+                .rate(i, j)
+                .checked_mul(c)
+                .expect("weighted pair term overflows u64; scale the rates down"),
+        }
+    }
+
+    /// The row weight `c_i · Σ_{j ∈ support} term(i, j)`.
+    fn row(&self, i: usize, support: &[usize]) -> u64 {
+        let ci = self.counts[i];
+        if ci == 0 {
+            return 0;
+        }
+        let s: u64 = support.iter().map(|&j| self.term(i, j)).sum();
+        ci.checked_mul(s).expect("weighted row weight overflows u64; scale the rates down")
+    }
+
+    /// The state in `support` that offset `t < Σ term(i, ·)` falls on.
+    fn responder(&self, i: usize, support: &[usize], mut t: u64) -> usize {
+        for &j in support {
+            let w = self.term(i, j);
+            if t < w {
+                return j;
+            }
+            t -= w;
+        }
+        unreachable!("responder weights sum past the offset")
+    }
 }
 
 const NOT_PRESENT: usize = usize::MAX;
 
-/// How the count engines ([`BatchedSimulation`] and
-/// [`crate::InternedSimulation`]) draw the non-null interaction schedule.
+/// How the count engine draws the non-null interaction schedule.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum SamplingMode {
     /// One geometric null-run skip plus one weighted pair draw per applied
@@ -387,8 +702,8 @@ pub enum SamplingMode {
     /// Every primitive draw is exact (see [`crate::sampling`]); the
     /// approximation is purely *in schedule*: pair weights are frozen for
     /// the `B ≤ min(n/16, A/8)` transitions of an epoch, and interaction
-    /// tables exceeding an agent's availability are truncated
-    /// ([`BatchedSimulation::batch_truncations`] counts how often). Epochs
+    /// tables exceeding an agent's availability are truncated (the
+    /// [`Counter::BatchTruncations`] counter records how often). Epochs
     /// shrink automatically near silence, small populations, and budget or
     /// measurement-tick boundaries, where the engine degenerates to the
     /// per-transition path and is exact again.
@@ -396,19 +711,38 @@ pub enum SamplingMode {
 }
 
 /// A single execution of a population protocol under the uniformly random
-/// scheduler, simulated in batches of null interactions.
+/// scheduler, simulated over state counts with null runs skipped in bulk.
 ///
 /// Mirrors [`Simulation`]'s stop conditions (`run_until_silent`, `run_for`,
 /// predicate runs) but stores only state counts; agent identities do not
 /// exist here, which is faithful to the model (protocols cannot observe
-/// them). Construct with [`BatchedSimulation::new`] and read results with
-/// [`BatchedSimulation::state_counts`] / [`BatchedSimulation::to_configuration`].
+/// them). `X` is the [`StateIndex`]: use the [`BatchedSimulation`] and
+/// [`crate::InternedSimulation`] aliases, or `P::Index` for a
+/// [`CountProtocol`]. Read results with [`CountSimulation::state_counts`] /
+/// [`CountSimulation::to_configuration`].
+///
+/// The two draw routes (see the [module docs](self)) both find a
+/// per-transition initiator in the row tree, and differ in two places: how
+/// the draw finds the responder (a fresh draw on the indexed route, the
+/// offset left in the row on the present route), and how an epoch splits its
+/// batch across rows (down the tree, or in present order). Fault and churn
+/// victims are drawn over every index of an enumerated space and over the
+/// present set of an open one.
 #[derive(Clone, Debug)]
-pub struct BatchedSimulation<P: EnumerableProtocol> {
+pub struct CountSimulation<P: Protocol, X> {
     protocol: P,
+    states: X,
     counts: Vec<u64>,
-    decoded: Vec<P::State>,
-    backend: Backend,
+    /// Row weights `r_i = c_i · Σ_j term(i, j)` (see `Weights::term`); their
+    /// total is the non-null ordered agent-pair weight `A`.
+    rows: Fenwick,
+    /// The states with a nonzero count, in swap-remove order, and each
+    /// state's slot in it (`NOT_PRESENT` when absent). Kept on the present
+    /// routes only: the indexed route never reads them, and over a space as
+    /// large as the population they would cost two more tables of that size.
+    present: Vec<usize>,
+    position: Vec<usize>,
+    route: Route,
     rng: ChaCha8Rng,
     interactions: Interactions,
     transitions: u64,
@@ -416,12 +750,11 @@ pub struct BatchedSimulation<P: EnumerableProtocol> {
     mode: SamplingMode,
     /// Resolved weighted-scheduler rates (`None` = the uniform scheduler;
     /// the `None` path is byte-for-byte the pre-scheduler arithmetic, which
-    /// keeps uniform trajectories seed-stable across the layer).
+    /// keeps uniform trajectories seed-stable across the layer). On an open
+    /// index, states interned later fall under the default rate.
     rates: Option<IndexRates>,
-    /// The unified telemetry registry (see [`crate::telemetry`]): absorbs the
-    /// former ad-hoc `epochs` / `truncations` / `scheduler_fallbacks` fields.
-    /// Counters never touch the RNG, so the registry cannot perturb a
-    /// trajectory.
+    /// The unified telemetry registry (see [`crate::telemetry`]). Counters
+    /// never touch the RNG, so the registry cannot perturb a trajectory.
     counters: CounterBlock,
     /// Probe/span sink; [`TelemetrySink::Noop`] (free) unless a recorder is
     /// attached.
@@ -432,19 +765,23 @@ pub struct BatchedSimulation<P: EnumerableProtocol> {
     scratch_stamp: Vec<u64>,
 }
 
-impl<P: EnumerableProtocol> BatchedSimulation<P> {
-    /// Creates a batched simulation from a protocol, an initial configuration
-    /// and an RNG seed.
+/// The count engine over an [`EnumerableProtocol`]'s fixed state space.
+pub type BatchedSimulation<P> = CountSimulation<P, EnumeratedStates<P>>;
+
+impl<P: Protocol, X: StateIndex<P>> CountSimulation<P, X> {
+    /// Creates a simulation from a protocol, an initial configuration and an
+    /// RNG seed.
     ///
     /// # Panics
     ///
-    /// Panics on the same setup errors as [`Simulation::new`]. Use
-    /// [`BatchedSimulation::try_new`] for a non-panicking constructor.
+    /// Panics on the same setup errors as [`Simulation::new`], and if a
+    /// state falls outside an enumerated space. Use
+    /// [`CountSimulation::try_new`] for a non-panicking constructor.
     pub fn new(protocol: P, config: &Configuration<P::State>, seed: u64) -> Self {
         Self::try_new(protocol, config, seed).expect("invalid simulation setup")
     }
 
-    /// Creates a batched simulation, validating the setup.
+    /// Creates a simulation, validating the setup.
     ///
     /// # Errors
     ///
@@ -452,6 +789,10 @@ impl<P: EnumerableProtocol> BatchedSimulation<P> {
     /// length differs from the protocol's population size, and
     /// [`SimError::PopulationTooSmall`] if the population has fewer than two
     /// agents.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a state falls outside an enumerated space.
     pub fn try_new(
         protocol: P,
         config: &Configuration<P::State>,
@@ -464,43 +805,26 @@ impl<P: EnumerableProtocol> BatchedSimulation<P> {
         if n < 2 {
             return Err(SimError::PopulationTooSmall { n });
         }
-        let num_states = protocol.num_states();
-        let decoded: Vec<P::State> =
-            (0..num_states).map(|i| protocol.state_from_index(i)).collect();
-        let mut counts = vec![0u64; num_states];
-        for state in config.iter() {
-            let index = protocol.state_index(state);
-            assert!(
-                index < num_states,
-                "state_index returned {index} for a space of {num_states} states"
-            );
-            counts[index] += 1;
-        }
-        let backend = if protocol.interaction_partners(0).is_some() {
-            let partners: Vec<Vec<usize>> = (0..num_states)
-                .map(|i| {
-                    protocol
-                        .interaction_partners(i)
-                        .expect("interaction_partners must be Some for every index or none")
-                })
-                .collect();
-            Backend::Indexed { partners, rows: Fenwick::new(num_states) }
-        } else {
-            let mut present = Vec::new();
-            let mut position = vec![NOT_PRESENT; num_states];
-            for (i, &c) in counts.iter().enumerate() {
-                if c > 0 {
-                    position[i] = present.len();
-                    present.push(i);
-                }
-            }
-            Backend::PresentScan { present, position }
+        let states = X::new(&protocol);
+        let capacity = states.capacity(&protocol);
+        let size = states.size();
+        // Zeroed tables come from the allocator untouched: over a space as
+        // large as the population, writing them up front can cost more than
+        // the run itself.
+        let mut counts = vec![0; size];
+        counts.reserve_exact(capacity.saturating_sub(size));
+        let route = match states.partners(&protocol) {
+            Some(partners) => Route::Indexed { partners },
+            None => Route::Present,
         };
-        let mut sim = BatchedSimulation {
+        let mut sim = CountSimulation {
             protocol,
+            states,
             counts,
-            decoded,
-            backend,
+            rows: Fenwick::zeros(size, capacity),
+            present: Vec::new(),
+            position: Vec::with_capacity(capacity),
+            route,
             rng: ChaCha8Rng::seed_from_u64(seed),
             interactions: Interactions::ZERO,
             transitions: 0,
@@ -512,15 +836,33 @@ impl<P: EnumerableProtocol> BatchedSimulation<P> {
             scratch_avail: Vec::new(),
             scratch_stamp: Vec::new(),
         };
+        // Counted through plain field borrows: this loop runs once per agent.
+        let CountSimulation { protocol, states, counts, .. } = &mut sim;
+        for state in config.iter() {
+            let i = states.admit(protocol, state);
+            if X::OPEN && i == counts.len() {
+                counts.push(0);
+            }
+            counts[i] += 1;
+        }
+        sim.fit(sim.counts.len());
+        if sim.tracks_present() {
+            for i in 0..sim.counts.len() {
+                if sim.counts[i] > 0 {
+                    sim.position[i] = sim.present.len();
+                    sim.present.push(i);
+                }
+            }
+        }
         sim.rebuild_rows();
         Ok(sim)
     }
 
-    /// Creates a batched simulation under an explicit scheduling strategy.
+    /// Creates a simulation under an explicit scheduling strategy.
     ///
     /// # Panics
     ///
-    /// Panics on the setup errors [`BatchedSimulation::try_new_scheduled`]
+    /// Panics on the setup errors [`CountSimulation::try_new_scheduled`]
     /// reports.
     pub fn new_scheduled(
         protocol: P,
@@ -532,17 +874,19 @@ impl<P: EnumerableProtocol> BatchedSimulation<P> {
             .expect("invalid simulation setup")
     }
 
-    /// Creates a batched simulation under an explicit scheduling strategy,
-    /// validating both the setup and the scheduler/engine compatibility.
+    /// Creates a simulation under an explicit scheduling strategy, validating
+    /// both the setup and the scheduler/engine compatibility.
     ///
     /// [`InteractionScheduler::Uniform`] is trajectory-preserving: it runs
     /// the exact same code path (and RNG draws) as
-    /// [`BatchedSimulation::try_new`]. [`InteractionScheduler::WeightedPairs`]
-    /// reweighs the count-level pair measure by the resolved rates.
+    /// [`CountSimulation::try_new`]. [`InteractionScheduler::WeightedPairs`]
+    /// reweighs the count-level pair measure by the resolved rates; an open
+    /// index interns the override states eagerly so their rates apply from
+    /// the first observation.
     ///
     /// # Errors
     ///
-    /// In addition to [`BatchedSimulation::try_new`]'s errors, returns
+    /// In addition to [`CountSimulation::try_new`]'s errors, returns
     /// [`SimError::SchedulerNeedsIdentities`] for
     /// [`InteractionScheduler::GraphRestricted`] (a graph measure depends on
     /// which agent holds which state, and this engine erases identities) and
@@ -556,7 +900,7 @@ impl<P: EnumerableProtocol> BatchedSimulation<P> {
         if !scheduler.is_exchangeable() {
             return Err(SimError::SchedulerNeedsIdentities {
                 scheduler: scheduler.label(),
-                engine: "batched",
+                engine: if X::OPEN { "interned" } else { "batched" },
             });
         }
         let mut sim = Self::try_new(protocol, config, seed)?;
@@ -564,7 +908,7 @@ impl<P: EnumerableProtocol> BatchedSimulation<P> {
             if rates.max_rate() == 0 {
                 return Err(SimError::ZeroRateScheduler);
             }
-            let resolved = IndexRates::resolve(rates, |s| sim.protocol.state_index(s));
+            let resolved = IndexRates::resolve(rates, |s| sim.admit(s));
             sim.rates = Some(resolved);
             sim.rebuild_rows();
         }
@@ -583,37 +927,18 @@ impl<P: EnumerableProtocol> BatchedSimulation<P> {
         self.mode
     }
 
-    /// The number of batch-count epochs drawn so far (always 0 in
-    /// per-transition mode) — the `engine.epochs_opened` telemetry counter.
-    pub fn batch_epochs(&self) -> u64 {
-        self.counters.get(Counter::EpochsOpened)
-    }
-
-    /// The number of drawn table interactions clamped away by the
-    /// collision-free availability cap, summed over all **committed** epochs
-    /// (a budget-overshooting epoch rolls its truncations back with its
-    /// transitions) — the `engine.batch_truncations` telemetry counter. The
-    /// ratio `batch_truncations / transitions` is the schedule-approximation
-    /// diagnostic the statistical suites pin down.
-    pub fn batch_truncations(&self) -> u64 {
-        self.counters.get(Counter::BatchTruncations)
-    }
-
-    /// How often a [`SamplingMode::BatchCount`] run fell back to
-    /// per-transition sampling because the scheduler is not uniform (the
-    /// epoch tables freeze an exchangeable pair measure, which a weighted
-    /// scheduler reshapes mid-epoch). Always 0 under the uniform scheduler.
-    /// The `engine.scheduler_fallbacks` telemetry counter.
-    pub fn scheduler_fallbacks(&self) -> u64 {
-        self.counters.get(Counter::SchedulerFallbacks)
-    }
-
     /// A snapshot of the unified telemetry counter registry for this run
-    /// (see [`crate::telemetry`]), with the applied-transition count mirrored
-    /// into [`Counter::Transitions`].
+    /// (see [`crate::telemetry`]). The snapshot mirrors in the applied
+    /// transitions ([`Counter::Transitions`]), the row tree's (re)builds
+    /// ([`Counter::FenwickRebuilds`]) and, on an open index, the number of
+    /// states interned ([`Counter::InternerGrowths`]).
     pub fn counters(&self) -> CounterBlock {
         let mut block = self.counters;
         block.set(Counter::Transitions, self.transitions);
+        block.set(Counter::FenwickRebuilds, self.rows.rebuilds);
+        if X::OPEN {
+            block.set(Counter::InternerGrowths, self.states.size() as u64);
+        }
         block
     }
 
@@ -666,89 +991,93 @@ impl<P: EnumerableProtocol> BatchedSimulation<P> {
     }
 
     /// The number of non-null transitions actually applied — the work the
-    /// batched engine pays for, as opposed to the interactions it skips. The
-    /// ratio `interactions / transitions` is the engine's effective batching
+    /// engine pays for, as opposed to the interactions it skips. The ratio
+    /// `interactions / transitions` is the engine's effective batching
     /// factor.
     pub fn transitions(&self) -> u64 {
         self.transitions
     }
 
-    /// The multiset view: every present state with its count, in state-index
+    /// The number of states the index holds: the whole space when
+    /// enumerated; every state observed so far, present or not, when
+    /// interned (the size a static enumeration would have needed).
+    pub fn interned_states(&self) -> usize {
+        self.states.size()
+    }
+
+    /// The multiset view: every present state with its count, in index
     /// order.
     pub fn state_counts(&self) -> impl Iterator<Item = (&P::State, u64)> {
-        self.counts.iter().enumerate().filter(|(_, &c)| c > 0).map(|(i, &c)| (&self.decoded[i], c))
+        self.counts
+            .iter()
+            .enumerate()
+            .filter(|(_, &c)| c > 0)
+            .map(|(i, &c)| (self.states.state(i), c))
     }
 
     /// The number of agents currently holding `state`.
     pub fn count_of(&self, state: &P::State) -> u64 {
-        self.counts[self.protocol.state_index(state)]
+        self.states.lookup(&self.protocol, state).map_or(0, |i| self.counts[i])
     }
 
     /// The number of distinct states present.
     pub fn distinct_states(&self) -> usize {
-        self.counts.iter().filter(|&&c| c > 0).count()
+        if self.tracks_present() {
+            self.present.len()
+        } else {
+            self.counts.iter().filter(|&&c| c > 0).count()
+        }
     }
 
-    /// Materializes a canonical per-agent configuration (states in
-    /// state-index order). Agent identities are arbitrary — the model's
-    /// agents are anonymous — so this is suitable for any permutation-
-    /// invariant predicate, which every protocol-level predicate is.
+    /// Whether the route keeps the present set (see the `present` field).
+    fn tracks_present(&self) -> bool {
+        !matches!(self.route, Route::Indexed { .. })
+    }
+
+    /// Materializes a canonical per-agent configuration (states in index
+    /// order). Agent identities are arbitrary — the model's agents are
+    /// anonymous — so this is suitable for any permutation-invariant
+    /// predicate, which every protocol-level predicate is.
     pub fn to_configuration(&self) -> Configuration<P::State> {
         let mut states = Vec::with_capacity(self.n);
         for (i, &c) in self.counts.iter().enumerate() {
-            for _ in 0..c {
-                states.push(self.decoded[i].clone());
+            if c > 0 {
+                states.resize(states.len() + c as usize, self.states.state(i).clone());
             }
         }
         Configuration::from_states(states)
     }
 
-    /// The active pair weight of the current configuration: under the
-    /// uniform scheduler, the number of non-null ordered **agent** pairs
+    /// The active pair weight of the current configuration, in O(1): under
+    /// the uniform scheduler, the number of non-null ordered **agent** pairs
     /// (the quantity `A` of the module docs); under a weighted scheduler,
     /// the rate-weighted sum over those pairs, so rate-0 pairs contribute
     /// nothing (scheduler-relative silence).
     pub fn active_pairs(&self) -> u64 {
-        match &self.backend {
-            Backend::Indexed { rows, .. } => rows.total(),
-            Backend::PresentScan { present, .. } => {
-                let mut active = 0u64;
-                for &u in present {
-                    active += self.row_weight_scan(u, present);
-                }
-                active
-            }
-        }
+        self.rows.total()
     }
 
-    /// Whether the configuration is silent (no non-null ordered pair exists).
-    /// Matches [`Simulation::is_silent`] exactly and costs O(1) on the
-    /// indexed backend.
+    /// Whether the configuration is silent (no non-null ordered pair
+    /// exists); matches [`Simulation::is_silent`] exactly, in O(1).
     pub fn is_silent(&self) -> bool {
         self.active_pairs() == 0
     }
 
     /// Recomputes the non-null pair weight from the raw counts, bypassing
-    /// every incrementally maintained structure. Agreement with
-    /// [`BatchedSimulation::active_pairs`] is the row-maintenance audit the
-    /// property suites check after epochs and fault bursts.
+    /// the incrementally maintained row tree. Agreement with
+    /// [`CountSimulation::active_pairs`] is the row-maintenance audit the
+    /// property suites check after epochs, fault bursts and churn.
     pub fn recount_active_pairs(&self) -> u64 {
-        match &self.backend {
-            Backend::Indexed { partners, .. } => (0..self.counts.len())
-                .map(|i| {
-                    Self::row_weight(
-                        &self.protocol,
-                        &self.counts,
-                        &self.decoded,
-                        self.rates.as_ref(),
-                        i,
-                        &partners[i],
-                    )
-                })
-                .sum(),
-            Backend::PresentScan { present, .. } => {
-                present.iter().map(|&u| self.row_weight_scan(u, present)).sum()
-            }
+        let w = self.weights();
+        (0..self.counts.len()).map(|i| w.row(i, support(&self.route, &self.present, i))).sum()
+    }
+
+    fn weights(&self) -> Weights<'_, P, X> {
+        Weights {
+            protocol: &self.protocol,
+            states: &self.states,
+            counts: &self.counts,
+            rates: self.rates.as_ref(),
         }
     }
 
@@ -786,8 +1115,8 @@ impl<P: EnumerableProtocol> BatchedSimulation<P> {
     /// The predicate receives the canonical configuration, so any
     /// permutation-invariant predicate written for the exact engine works
     /// unchanged. Materializing it costs O(n) per non-null interaction; for
-    /// large-n workloads prefer [`BatchedSimulation::run_until_silent`] or a
-    /// count-based predicate via [`BatchedSimulation::run_until_counts`].
+    /// large-n workloads prefer [`CountSimulation::run_until_silent`] or a
+    /// count-based predicate via [`CountSimulation::run_until_counts`].
     pub fn run_until(
         &mut self,
         mut condition: impl FnMut(&Configuration<P::State>) -> bool,
@@ -926,70 +1255,57 @@ impl<P: EnumerableProtocol> BatchedSimulation<P> {
         }
         self.counters.add(Counter::BatchDraws, b_target);
 
-        // Phase 1: draw the interaction-count table over the frozen weights.
-        // Rows first (initiator states), then each row's share across its
-        // partner cells, all by exact conditional hypergeometric splits.
+        // Phase 1: draw the interaction-count table over the frozen weights,
+        // by exact conditional hypergeometric splits: a batch share per row
+        // (initiator state), then each row's share across its responder
+        // cells. The indexed route splits the batch down the row tree before
+        // drawing any cell; the present routes interleave, drawing a row's
+        // cells right after its share.
         self.telemetry.span_begin("epoch.draw");
         let mut cells: Vec<(usize, usize, u64)> = Vec::new();
         {
-            let Self { protocol, counts, decoded, backend, rng, rates, .. } = self;
-            let rates = rates.as_ref();
-            match backend {
-                Backend::Indexed { partners, rows } => {
-                    let mut row_shares: Vec<(usize, u64)> = Vec::new();
-                    rows.split_batch(b_target, rng, &mut |leaf, share| {
-                        row_shares.push((leaf, share));
-                    });
-                    for (i, n_i) in row_shares {
-                        let ci = counts[i];
-                        let mut row_rem =
-                            Self::row_weight(protocol, counts, decoded, rates, i, &partners[i]);
-                        let mut n_rem = n_i;
-                        for &j in &partners[i] {
-                            if n_rem == 0 {
-                                break;
-                            }
-                            let w = ci * Self::pair_term(protocol, counts, decoded, rates, i, j);
-                            let m = sample_hypergeometric(row_rem, w, n_rem, rng);
-                            row_rem -= w;
-                            n_rem -= m;
-                            if m > 0 {
-                                cells.push((i, j, m));
-                            }
-                        }
-                        debug_assert_eq!(n_rem, 0, "row share exceeds row weight");
+            let Self { protocol, states, counts, rows, present, route, rng, rates, .. } = self;
+            let w = Weights { protocol, states, counts, rates: rates.as_ref() };
+            let mut split_row = |i: usize, n_i: u64, rng: &mut ChaCha8Rng| {
+                let ci = counts[i];
+                let mut row_rem = rows.get(i);
+                let mut n_rem = n_i;
+                for &j in support(route, present, i) {
+                    if n_rem == 0 {
+                        break;
+                    }
+                    let cell = ci * w.term(i, j);
+                    let m = sample_hypergeometric(row_rem, cell, n_rem, rng);
+                    row_rem -= cell;
+                    n_rem -= m;
+                    if m > 0 {
+                        cells.push((i, j, m));
                     }
                 }
-                Backend::PresentScan { present, .. } => {
+                debug_assert_eq!(n_rem, 0, "row share exceeds row weight");
+            };
+            match route {
+                Route::Indexed { .. } => {
+                    let mut row_shares: Vec<(usize, u64)> = Vec::new();
+                    rows.split_batch(b_target, rng, &mut |i, share| row_shares.push((i, share)));
+                    for (i, n_i) in row_shares {
+                        split_row(i, n_i, rng);
+                    }
+                }
+                Route::Present => {
                     let mut a_rem = active;
                     let mut b_rem = b_target;
                     for &u in present.iter() {
                         if b_rem == 0 {
                             break;
                         }
-                        let r = Self::row_weight(protocol, counts, decoded, rates, u, present);
+                        let r = rows.get(u);
                         let n_u = sample_hypergeometric(a_rem, r, b_rem, rng);
                         a_rem -= r;
                         b_rem -= n_u;
-                        if n_u == 0 {
-                            continue;
+                        if n_u > 0 {
+                            split_row(u, n_u, rng);
                         }
-                        let cu = counts[u];
-                        let mut row_rem = r;
-                        let mut n_rem = n_u;
-                        for &v in present.iter() {
-                            if n_rem == 0 {
-                                break;
-                            }
-                            let w = cu * Self::pair_term(protocol, counts, decoded, rates, u, v);
-                            let m = sample_hypergeometric(row_rem, w, n_rem, rng);
-                            row_rem -= w;
-                            n_rem -= m;
-                            if m > 0 {
-                                cells.push((u, v, m));
-                            }
-                        }
-                        debug_assert_eq!(n_rem, 0, "row share exceeds row weight");
                     }
                     debug_assert_eq!(b_rem, 0, "batch exceeds the active pair weight");
                 }
@@ -1012,7 +1328,7 @@ impl<P: EnumerableProtocol> BatchedSimulation<P> {
         // Truncations accumulate locally and only commit with the epoch: a
         // budget-overshooting epoch undoes its transitions, so leaving its
         // truncations counted would skew the truncations/transitions
-        // diagnostic (both backends commit at the same point now).
+        // diagnostic.
         let mut epoch_truncations = 0u64;
         for cell in &mut cells {
             let (i, j, drawn) = *cell;
@@ -1101,27 +1417,25 @@ impl<P: EnumerableProtocol> BatchedSimulation<P> {
             if deterministic && m > 1 {
                 // Two independent probe streams must agree if the protocol's
                 // determinism declaration is truthful.
+                let (a, b) = (self.states.state(i), self.states.state(j));
                 let mut probe_a = ChaCha8Rng::seed_from_u64(stamp ^ 0xD371);
                 let mut probe_b = ChaCha8Rng::seed_from_u64(stamp ^ 0x9E37);
-                let (xa, ya) =
-                    self.protocol.transition(&self.decoded[i], &self.decoded[j], &mut probe_a);
-                let (xb, yb) =
-                    self.protocol.transition(&self.decoded[i], &self.decoded[j], &mut probe_b);
                 debug_assert!(
-                    self.protocol.state_index(&xa) == self.protocol.state_index(&xb)
-                        && self.protocol.state_index(&ya) == self.protocol.state_index(&yb),
+                    self.protocol.transition(a, b, &mut probe_a)
+                        == self.protocol.transition(a, b, &mut probe_b),
                     "protocol declares deterministic_transitions but outcomes differ"
                 );
             }
             let reps = if deterministic { 1 } else { m };
             let per = (m / reps) as i64;
             for _ in 0..reps {
-                let (a2, b2) = {
-                    let (a, b) = (&self.decoded[i], &self.decoded[j]);
-                    self.protocol.transition(a, b, &mut self.rng)
-                };
-                let i2 = self.protocol.state_index(&a2);
-                let j2 = self.protocol.state_index(&b2);
+                let (a2, b2) = self.protocol.transition(
+                    self.states.state(i),
+                    self.states.state(j),
+                    &mut self.rng,
+                );
+                let i2 = self.intern(&a2);
+                let j2 = self.intern(&b2);
                 if i == j {
                     deltas.push((i, -2 * per));
                 } else {
@@ -1139,120 +1453,22 @@ impl<P: EnumerableProtocol> BatchedSimulation<P> {
     /// Samples the non-null ordered state pair and applies one transition.
     fn apply_sampled_transition(&mut self, active: u64) {
         let target = self.rng.gen_range(0..active);
-        let (i, j) = match &self.backend {
-            Backend::Indexed { partners, rows } => {
-                let i = rows.find(target);
-                // Sample the responder among i's non-null partners.
-                let mut t = {
-                    // rows stores c_i * s_i; recover s_i to re-draw cheaply.
-                    let mut s = 0u64;
-                    for &j in &partners[i] {
-                        s += self.pair_weight_term(i, j);
-                    }
-                    self.rng.gen_range(0..s)
-                };
-                let mut chosen = None;
-                for &j in &partners[i] {
-                    let w = self.pair_weight_term(i, j);
-                    if t < w {
-                        chosen = Some(j);
-                        break;
-                    }
-                    t -= w;
-                }
-                (i, chosen.expect("responder weights sum to s"))
-            }
-            Backend::PresentScan { present, .. } => {
-                let mut t = target;
-                let mut initiator = None;
-                for &u in present {
-                    let r = self.row_weight_scan(u, present);
-                    if t < r {
-                        initiator = Some(u);
-                        break;
-                    }
-                    t -= r;
-                }
-                let i = initiator.expect("initiator rows sum to active");
-                // Within row i the remaining target t selects the responder:
-                // row i is laid out as c_i consecutive copies of the
-                // responder weights, so reduce modulo the per-copy sum.
-                let per_copy: u64 =
-                    present.iter().map(|&v| self.pair_weight_term_dense(i, v)).sum();
-                let mut t = t % per_copy;
-                let mut responder = None;
-                for &v in present {
-                    let w = self.pair_weight_term_dense(i, v);
-                    if t < w {
-                        responder = Some(v);
-                        break;
-                    }
-                    t -= w;
-                }
-                (i, responder.expect("responder weights sum to per-copy total"))
-            }
+        let (i, offset) = self.rows.find(target);
+        // Row i is c_i consecutive copies of the responder weights.
+        let per_copy = self.rows.get(i) / self.counts[i];
+        let t = match self.route {
+            Route::Indexed { .. } => self.rng.gen_range(0..per_copy),
+            Route::Present => offset % per_copy,
         };
-        debug_assert!(!self.protocol.is_null(&self.decoded[i], &self.decoded[j]));
-        let (a2, b2) = {
-            let (a, b) = (&self.decoded[i], &self.decoded[j]);
-            self.protocol.transition(a, b, &mut self.rng)
-        };
-        let i2 = self.protocol.state_index(&a2);
-        let j2 = self.protocol.state_index(&b2);
+        let j = self.weights().responder(i, support(&self.route, &self.present, i), t);
+        debug_assert!(!self.protocol.is_null(self.states.state(i), self.states.state(j)));
+        // Field-disjoint borrows: the index lends the states while the
+        // transition draws from the rng — no clones on the hot path.
+        let (a2, b2) =
+            self.protocol.transition(self.states.state(i), self.states.state(j), &mut self.rng);
+        let i2 = self.intern(&a2);
+        let j2 = self.intern(&b2);
         self.apply_count_deltas(&[(i, -1), (j, -1), (i2, 1), (j2, 1)]);
-    }
-
-    /// The contribution of responder state `j` to initiator `i`'s row:
-    /// `(c_j − [i = j])` if `(i, j)` is non-null, else 0 — scaled by the
-    /// scheduler rate of `(i, j)` when a weighted scheduler is installed.
-    ///
-    /// Associated function over the individual fields (rather than `&self`)
-    /// so row repairs can call it while the backend is mutably borrowed.
-    fn pair_term(
-        protocol: &P,
-        counts: &[u64],
-        decoded: &[P::State],
-        rates: Option<&IndexRates>,
-        i: usize,
-        j: usize,
-    ) -> u64 {
-        if protocol.is_null(&decoded[i], &decoded[j]) {
-            return 0;
-        }
-        let c = counts[j].saturating_sub((i == j) as u64);
-        match rates {
-            None => c,
-            Some(r) => r
-                .rate(i, j)
-                .checked_mul(c)
-                .expect("weighted pair term overflows u64; scale the rates down"),
-        }
-    }
-
-    /// Row weight of state `i` given its partner list (see [`Self::pair_term`]
-    /// for why this is an associated function).
-    fn row_weight(
-        protocol: &P,
-        counts: &[u64],
-        decoded: &[P::State],
-        rates: Option<&IndexRates>,
-        i: usize,
-        partners: &[usize],
-    ) -> u64 {
-        let ci = counts[i];
-        if ci == 0 {
-            return 0;
-        }
-        let mut s = 0u64;
-        for &j in partners {
-            s += Self::pair_term(protocol, counts, decoded, rates, i, j);
-        }
-        ci.checked_mul(s).expect("weighted row weight overflows u64; scale the rates down")
-    }
-
-    /// Method form of [`Self::pair_term`] for call sites holding `&self`.
-    fn pair_weight_term(&self, i: usize, j: usize) -> u64 {
-        Self::pair_term(&self.protocol, &self.counts, &self.decoded, self.rates.as_ref(), i, j)
     }
 
     /// The total pair measure the scheduler draws each interaction from:
@@ -1268,24 +1484,6 @@ impl<P: EnumerableProtocol> BatchedSimulation<P> {
         }
     }
 
-    /// Same as [`Self::pair_weight_term`] for the dense backend (identical
-    /// formula; separate name only for profiling clarity).
-    fn pair_weight_term_dense(&self, i: usize, j: usize) -> u64 {
-        self.pair_weight_term(i, j)
-    }
-
-    /// Full row weight of state `u` against the present set (dense backend).
-    fn row_weight_scan(&self, u: usize, present: &[usize]) -> u64 {
-        Self::row_weight(
-            &self.protocol,
-            &self.counts,
-            &self.decoded,
-            self.rates.as_ref(),
-            u,
-            present,
-        )
-    }
-
     /// Applies one fault burst in count space: draws `states.len()` victim
     /// agents **proportionally to the current counts without replacement**
     /// (the count-space image of choosing distinct agents uniformly — agents
@@ -1296,33 +1494,33 @@ impl<P: EnumerableProtocol> BatchedSimulation<P> {
     ///
     /// # Panics
     ///
-    /// Panics if `states.len()` exceeds the population size.
+    /// Panics if `states.len()` exceeds the population size, or if a target
+    /// state falls outside an enumerated space.
     pub fn inject_states(&mut self, states: &[P::State], rng: &mut impl Rng) {
         let k = states.len();
         assert!(k <= self.n, "cannot corrupt more agents than the population holds");
-        let victims = sample_victims_by_counts(&self.counts, None, k, rng);
+        // Index the targets first: an open index may grow its tables, and the
+        // draw below reads counts (new states enter with count 0).
+        let targets: Vec<usize> = states.iter().map(|s| self.admit(s)).collect();
         let mut deltas: Vec<(usize, i64)> = Vec::with_capacity(2 * k);
-        for (src, s) in victims.into_iter().zip(states) {
+        for (src, dst) in self.sample_victims(k, rng).into_iter().zip(targets) {
             deltas.push((src, -1));
-            deltas.push((self.protocol.state_index(s), 1));
+            deltas.push((dst, 1));
         }
         self.apply_count_deltas(&deltas);
     }
 
     /// Population churn: `states.len()` fresh agents join in the given
     /// states. A no-op for an empty slice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a joining state falls outside an enumerated space.
     pub fn join(&mut self, states: &[P::State]) {
         if states.is_empty() {
             return;
         }
-        let deltas: Vec<(usize, i64)> = states
-            .iter()
-            .map(|s| {
-                let i = self.protocol.state_index(s);
-                assert!(i < self.counts.len(), "joining state outside the enumerated space");
-                (i, 1)
-            })
-            .collect();
+        let deltas: Vec<(usize, i64)> = states.iter().map(|s| (self.admit(s), 1)).collect();
         self.n += states.len();
         self.apply_count_deltas(&deltas);
     }
@@ -1339,13 +1537,65 @@ impl<P: EnumerableProtocol> BatchedSimulation<P> {
             return;
         }
         assert!(self.n >= k + 2, "churn departures must leave at least two agents");
-        let victims = sample_victims_by_counts(&self.counts, None, k, rng);
-        let deltas: Vec<(usize, i64)> = victims.into_iter().map(|i| (i, -1)).collect();
+        let deltas: Vec<(usize, i64)> =
+            self.sample_victims(k, rng).into_iter().map(|i| (i, -1)).collect();
         self.n -= k;
         self.apply_count_deltas(&deltas);
     }
 
-    /// Applies signed count changes and repairs the backend structures.
+    /// `k` victim states drawn ∝ counts without replacement, scanning every
+    /// index of an enumerated space and the present set of an open one.
+    fn sample_victims(&self, k: usize, rng: &mut impl Rng) -> Vec<usize> {
+        let order = X::OPEN.then_some(self.present.as_slice());
+        sample_victims_by_counts(&self.counts, order, k, rng)
+    }
+
+    /// The index of a state produced by a transition, growing the tables
+    /// when an open index meets it for the first time.
+    fn intern(&mut self, state: &P::State) -> usize {
+        let i = self.states.index(&self.protocol, state);
+        if X::OPEN {
+            self.fit(i + 1);
+        }
+        i
+    }
+
+    /// [`Self::intern`] for states entering from outside the transition
+    /// function (see [`StateIndex::admit`]).
+    fn admit(&mut self, state: &P::State) -> usize {
+        let i = self.states.admit(&self.protocol, state);
+        if X::OPEN {
+            self.fit(i + 1);
+        }
+        i
+    }
+
+    /// Grows the count, row and position tables to at least `len` slots:
+    /// once at construction for an enumerated space, on first observation
+    /// of each state for an open one.
+    fn fit(&mut self, len: usize) {
+        let len = len.max(self.counts.len());
+        self.counts.resize(len, 0);
+        self.rows.grow(len);
+        if self.tracks_present() {
+            self.position.resize(len, NOT_PRESENT);
+        }
+    }
+
+    /// Recomputes every row weight from the counts and rebuilds the row tree
+    /// (at construction and when a weighted scheduler is installed).
+    fn rebuild_rows(&mut self) {
+        let Self { protocol, states, counts, rows, present, route, rates, .. } = self;
+        let w = Weights { protocol, states, counts, rates: rates.as_ref() };
+        rows.assign(|i| w.row(i, support(route, present, i)));
+    }
+
+    /// Applies signed count changes, then repairs the present set and the
+    /// row weights. The indexed route recomputes every row that reads a
+    /// changed count (the changed states and their partners). The present
+    /// route shifts each unchanged row by `c_u · Σ_k rate(u, k) · Δc_k` over
+    /// its non-null `(u, k)` — nullness is count-independent — and rebuild
+    /// only the changed states' own rows with a present scan.
     fn apply_count_deltas(&mut self, deltas: &[(usize, i64)]) {
         // Net the deltas per state first (i may equal j, or a state may both
         // lose and gain an agent in the same transition). Small lists — the
@@ -1375,10 +1625,10 @@ impl<P: EnumerableProtocol> BatchedSimulation<P> {
             debug_assert!(c >= 0, "state count went negative");
             self.counts[k] = c as u64;
         }
-        match &mut self.backend {
-            Backend::Indexed { partners, rows } => {
-                // Rows whose weight depends on a changed count: the changed
-                // state itself plus everything it can interact with.
+        let Self { protocol, states, counts, rows, present, position, route, rates, .. } = self;
+        let w = Weights { protocol, states, counts, rates: rates.as_ref() };
+        match route {
+            Route::Indexed { partners } => {
                 let mut affected: Vec<usize> = Vec::new();
                 for &(k, _) in &net {
                     affected.push(k);
@@ -1387,21 +1637,13 @@ impl<P: EnumerableProtocol> BatchedSimulation<P> {
                 affected.sort_unstable();
                 affected.dedup();
                 for i in affected {
-                    let new_row = Self::row_weight(
-                        &self.protocol,
-                        &self.counts,
-                        &self.decoded,
-                        self.rates.as_ref(),
-                        i,
-                        &partners[i],
-                    );
-                    let old_row = Self::row_from_fenwick(rows, i);
-                    rows.add(i, new_row as i64 - old_row as i64);
+                    rows.set(i, w.row(i, &partners[i]));
                 }
             }
-            Backend::PresentScan { present, position } => {
+            Route::Present => {
+                // Present-set maintenance (swap-remove keeps positions dense).
                 for &(k, _) in &net {
-                    let now_present = self.counts[k] > 0;
+                    let now_present = counts[k] > 0;
                     let was_present = position[k] != NOT_PRESENT;
                     if now_present && !was_present {
                         position[k] = present.len();
@@ -1416,46 +1658,25 @@ impl<P: EnumerableProtocol> BatchedSimulation<P> {
                         }
                     }
                 }
+                for &u in present.iter() {
+                    if net.iter().any(|&(k, _)| k == u) {
+                        continue;
+                    }
+                    let shift: i128 = net
+                        .iter()
+                        .filter(|&&(k, _)| w.nonnull(u, k))
+                        .map(|&(k, d)| w.rate(u, k) as i128 * d as i128)
+                        .sum();
+                    if shift != 0 {
+                        let row = rows.get(u) as i128 + counts[u] as i128 * shift;
+                        debug_assert!(row >= 0, "row weight went negative");
+                        rows.set(u, row as u64);
+                    }
+                }
+                for &(k, _) in &net {
+                    rows.set(k, w.row(k, present));
+                }
             }
-        }
-    }
-
-    /// Point query of a row weight in the Fenwick tree.
-    fn row_from_fenwick(rows: &Fenwick, i: usize) -> u64 {
-        // prefix(i+1) − prefix(i) via the tree's partial sums.
-        let prefix = |mut idx: usize| -> u64 {
-            let mut sum = 0u64;
-            while idx > 0 {
-                sum += rows.tree[idx];
-                idx -= idx & idx.wrapping_neg();
-            }
-            sum
-        };
-        prefix(i + 1) - prefix(i)
-    }
-
-    /// Rebuilds every row weight from the counts (used at construction).
-    fn rebuild_rows(&mut self) {
-        let partners = match &mut self.backend {
-            Backend::Indexed { partners, .. } => std::mem::take(partners),
-            Backend::PresentScan { .. } => return,
-        };
-        self.counters.incr(Counter::FenwickRebuilds);
-        let mut fresh = Fenwick::new(self.counts.len());
-        for (i, list) in partners.iter().enumerate() {
-            let w = Self::row_weight(
-                &self.protocol,
-                &self.counts,
-                &self.decoded,
-                self.rates.as_ref(),
-                i,
-                list,
-            );
-            fresh.add(i, w as i64);
-        }
-        if let Backend::Indexed { partners: p, rows } = &mut self.backend {
-            *p = partners;
-            *rows = fresh;
         }
     }
 }
@@ -1464,20 +1685,18 @@ impl<P: EnumerableProtocol> BatchedSimulation<P> {
 ///
 /// The engines simulate the same Markov chain; they differ only in cost
 /// model. [`Engine::Exact`] pays O(1) per interaction and works for every
-/// [`Protocol`]. [`Engine::Batched`] pays only per *non-null* interaction;
-/// its backend depends on the protocol's capability trait: the statically
-/// enumerated backends for [`EnumerableProtocol`] (driven by
-/// [`crate::RunSpec::run`] or, for custom predicates, [`Engine::run_until`])
-/// and the dynamically interned backend for [`crate::InternableProtocol`]
-/// ([`crate::RunSpec::run_interned`] / [`Engine::run_until_interned`]).
+/// [`Protocol`]. [`Engine::Batched`] and [`Engine::BatchedCounts`] run the
+/// count engine, which pays only per *non-null* interaction, over the
+/// protocol's [`CountProtocol::Index`] — driven by [`crate::RunSpec::run`]
+/// or, for custom predicates, [`Engine::run_until`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Engine {
     /// The per-agent engine: [`Simulation`].
     Exact,
-    /// The count-based engine: [`BatchedSimulation`], sampling each non-null
+    /// The count engine ([`CountSimulation`]), sampling each non-null
     /// transition individually.
     Batched,
-    /// The count-based engine in [`SamplingMode::BatchCount`]: whole
+    /// The count engine in [`SamplingMode::BatchCount`]: whole
     /// interaction-count tables per collision-free epoch.
     BatchedCounts,
 }
@@ -1497,7 +1716,7 @@ impl std::fmt::Display for Engine {
 pub struct EngineReport<S> {
     /// Why and when the run stopped.
     pub outcome: RunOutcome,
-    /// The final configuration. For the batched engine this is the canonical
+    /// The final configuration. For the count engine this is the canonical
     /// materialization (agents sorted by state index); agent identities are
     /// meaningless under both engines.
     pub final_config: Configuration<S>,
@@ -1511,9 +1730,9 @@ impl<S> EngineReport<S> {
 }
 
 impl Engine {
-    /// The [`SamplingMode`] this engine variant selects on the count-based
-    /// simulations ([`Engine::Exact`] has no count simulation; its mode is
-    /// vacuous and maps to the default).
+    /// The [`SamplingMode`] this engine variant selects on the count engine
+    /// ([`Engine::Exact`] has no count simulation; its mode is vacuous and
+    /// maps to the default).
     pub fn sampling_mode(self) -> SamplingMode {
         match self {
             Engine::Exact | Engine::Batched => SamplingMode::PerTransition,
@@ -1523,7 +1742,7 @@ impl Engine {
 
     /// Runs the protocol from `init` until the (permutation-invariant)
     /// predicate holds or `budget` interactions elapse.
-    pub fn run_until<P: EnumerableProtocol>(
+    pub fn run_until<P: CountProtocol>(
         self,
         protocol: P,
         init: &Configuration<P::State>,
@@ -1538,7 +1757,7 @@ impl Engine {
                 EngineReport { outcome, final_config: sim.configuration().clone() }
             }
             Engine::Batched | Engine::BatchedCounts => {
-                let mut sim = BatchedSimulation::new(protocol, init, seed)
+                let mut sim = CountSimulation::<P, P::Index>::new(protocol, init, seed)
                     .with_sampling_mode(self.sampling_mode());
                 let outcome = sim.run_until(condition, budget);
                 EngineReport { outcome, final_config: sim.to_configuration() }
@@ -1601,6 +1820,35 @@ mod tests {
     }
 
     #[test]
+    fn budget_exhaustion_reports_partial_progress() {
+        let mut sim = BatchedSimulation::new(Frat { n: 100 }, &Configuration::uniform(0u8, 100), 3);
+        let outcome = sim.run_until_silent(50);
+        // 50 interactions cannot silence 100 leaders (needs 99 transitions).
+        assert!(outcome.budget_exhausted());
+        assert_eq!(sim.interactions().count(), 50);
+    }
+
+    #[test]
+    fn run_for_advances_exactly_the_requested_interactions() {
+        let mut sim = BatchedSimulation::new(Frat { n: 50 }, &Configuration::uniform(0u8, 50), 7);
+        sim.run_for(1234);
+        assert_eq!(sim.interactions().count(), 1234);
+        // Once silent, further interactions are all null but still counted.
+        let mut done = BatchedSimulation::new(Frat { n: 50 }, &Configuration::uniform(1u8, 50), 7);
+        done.run_for(777);
+        assert_eq!(done.interactions().count(), 777);
+        assert!(done.is_silent());
+    }
+
+    #[test]
+    fn run_until_stops_at_the_predicate() {
+        let mut sim = BatchedSimulation::new(Frat { n: 60 }, &Configuration::uniform(0u8, 60), 11);
+        let outcome = sim.run_until(|c| c.iter().filter(|&&s| s == 0).count() <= 30, u64::MAX >> 8);
+        assert!(outcome.condition_met());
+        assert!(sim.count_of(&0) <= 30);
+    }
+
+    #[test]
     fn single_non_null_pair_resolves_in_one_transition() {
         // Exactly two leaders: A = 2 ordered pairs; one real transition ends it.
         let config = Configuration::from_fn(30, |i| u8::from(i >= 2));
@@ -1634,32 +1882,10 @@ mod tests {
     }
 
     #[test]
-    fn budget_exhaustion_reports_partial_progress() {
-        let mut sim = BatchedSimulation::new(Frat { n: 100 }, &Configuration::uniform(0u8, 100), 3);
-        let outcome = sim.run_until_silent(50);
-        // 50 interactions cannot silence 100 leaders (needs 99 transitions).
-        assert!(outcome.budget_exhausted());
-        assert_eq!(sim.interactions().count(), 50);
-    }
-
-    #[test]
-    fn run_for_advances_exactly_the_requested_interactions() {
-        let mut sim = BatchedSimulation::new(Frat { n: 50 }, &Configuration::uniform(0u8, 50), 7);
-        sim.run_for(1234);
-        assert_eq!(sim.interactions().count(), 1234);
-        // Once silent, further interactions are all null but still counted.
-        let mut done = BatchedSimulation::new(Frat { n: 50 }, &Configuration::uniform(1u8, 50), 7);
-        done.run_for(777);
-        assert_eq!(done.interactions().count(), 777);
-        assert!(done.is_silent());
-    }
-
-    #[test]
-    fn run_until_stops_at_the_predicate() {
-        let mut sim = BatchedSimulation::new(Frat { n: 60 }, &Configuration::uniform(0u8, 60), 11);
-        let outcome = sim.run_until(|c| c.iter().filter(|&&s| s == 0).count() <= 30, u64::MAX >> 8);
-        assert!(outcome.condition_met());
-        assert!(sim.count_of(&0) <= 30);
+    #[should_panic(expected = "state outside the enumerated space")]
+    fn fault_bursts_into_states_outside_the_enumerated_space_panic() {
+        let mut sim = BatchedSimulation::new(Frat { n: 10 }, &Configuration::uniform(0u8, 10), 1);
+        sim.inject_states(&[0u8, 7], &mut ChaCha8Rng::seed_from_u64(2));
     }
 
     #[test]
@@ -1690,31 +1916,59 @@ mod tests {
 
     #[test]
     fn fenwick_prefix_search_matches_linear_scan() {
-        let weights = [5u64, 0, 3, 7, 0, 1, 4];
-        let mut fw = Fenwick::new(weights.len());
-        for (i, &w) in weights.iter().enumerate() {
-            fw.add(i, w as i64);
-        }
-        assert_eq!(fw.total(), 20);
-        for target in 0..20u64 {
-            let mut t = target;
-            let mut expected = 0;
-            for (i, &w) in weights.iter().enumerate() {
-                if t < w {
-                    expected = i;
-                    break;
-                }
-                t -= w;
+        // `find` and `split_batch` against a linear scan of the weights, on a
+        // tree sized to exactly its slots as the indexed route builds it,
+        // after point updates to and from zero and after both `assign` paths
+        // (point writes for a few changes, one rebuild for many). Growth is
+        // covered on the interned side, which is the only index that grows.
+        fn check(fw: &Fenwick, weights: &[u64]) {
+            assert_eq!(fw.total(), weights.iter().sum::<u64>());
+            for (slot, &w) in weights.iter().enumerate() {
+                assert_eq!(fw.get(slot), w);
             }
-            assert_eq!(fw.find(target), expected, "target {target}");
+            for target in 0..fw.total() {
+                let (mut slot, mut t) = (0, target);
+                while t >= weights[slot] {
+                    t -= weights[slot];
+                    slot += 1;
+                }
+                assert_eq!(fw.find(target), (slot, t), "target {target} over {weights:?}");
+            }
+            let mut rng = ChaCha8Rng::seed_from_u64(fw.total());
+            for draws in [fw.total() / 2, fw.total()] {
+                let mut shares = vec![0u64; weights.len()];
+                let mut last = None;
+                fw.split_batch(draws, &mut rng, &mut |slot, share| {
+                    assert!(last < Some(slot), "shares arrive in ascending slot order");
+                    last = Some(slot);
+                    shares[slot] += share;
+                });
+                assert_eq!(shares.iter().sum::<u64>(), draws);
+                assert!(shares.iter().zip(weights).all(|(s, w)| s <= w));
+                if draws == fw.total() {
+                    assert_eq!(shares, weights, "a full batch takes every slot whole");
+                }
+            }
         }
-        // Updates, including to zero.
-        fw.add(3, -7);
-        fw.add(1, 2);
-        assert_eq!(fw.total(), 15);
-        assert_eq!(fw.find(5), 1);
-        assert_eq!(fw.find(6), 1);
-        assert_eq!(fw.find(7), 2);
+        let mut weights = vec![5u64, 0, 3, 7, 0, 1, 4, 9, 2, 0, 6];
+        let mut fw = Fenwick::zeros(weights.len(), weights.len());
+        for (i, &w) in weights.iter().enumerate() {
+            fw.set(i, w);
+        }
+        check(&fw, &weights);
+        fw.set(3, 0);
+        fw.set(1, 2);
+        (weights[3], weights[1]) = (0, 2);
+        check(&fw, &weights);
+        for w in &mut weights {
+            *w *= 2;
+        }
+        fw.assign(|i| weights[i]);
+        check(&fw, &weights);
+        weights[4] = 8;
+        fw.assign(|i| weights[i]);
+        check(&fw, &weights);
+        assert_eq!(fw.rebuilds, 2, "each assign counts one rebuild");
     }
 
     #[test]
@@ -1772,7 +2026,7 @@ mod tests {
         assert!(outcome.is_silent());
         assert_eq!(sim.count_of(&0), 1);
         assert_eq!(sim.transitions(), 1);
-        assert_eq!(sim.batch_epochs(), 0, "no epoch can open at n = 2");
+        assert_eq!(sim.counters().get(Counter::EpochsOpened), 0, "no epoch can open at n = 2");
     }
 
     #[test]
@@ -1789,7 +2043,10 @@ mod tests {
         assert!(sim.run_until_silent(u64::MAX >> 8).is_silent());
         assert_eq!(sim.count_of(&0), 1);
         assert_eq!(sim.transitions(), 399);
-        assert!(sim.batch_epochs() > 0, "n = 400 from all-leaders must open epochs");
+        assert!(
+            sim.counters().get(Counter::EpochsOpened) > 0,
+            "n = 400 from all-leaders must open epochs"
+        );
         let mut dense = BatchedSimulation::new(
             ForceDense(Frat { n: 400 }),
             &Configuration::uniform(0u8, 400),
@@ -1820,8 +2077,8 @@ mod tests {
         // No late-silence bias at epoch boundaries: the interaction clock
         // ends ON the last applied transition, so replaying the same seed
         // with the budget set to the observed silence time must still report
-        // silence, not exhaustion (PR 2 fixed this for the per-transition
-        // path; the epoch clock must preserve it).
+        // silence, not exhaustion (the epoch clock must preserve what the
+        // per-transition path guarantees).
         for seed in 0..10u64 {
             let config = Configuration::uniform(0u8, 120);
             let mut probe = batchcount(Frat { n: 120 }, &config, seed);
@@ -1843,10 +2100,8 @@ mod tests {
         // Seeded; the 0.999 threshold gives a ~10⁻³ false-failure rate on a
         // reseed (see tests/sampling_stats.rs for the suite-wide budget).
         let weights = [3u64, 0, 2, 5];
-        let mut fw = Fenwick::new(weights.len());
-        for (i, &w) in weights.iter().enumerate() {
-            fw.add(i, w as i64);
-        }
+        let mut fw = Fenwick::zeros(weights.len(), weights.len());
+        fw.assign(|i| weights[i]);
         let draws = 4u64;
         let choose = |n: u64, k: u64| -> f64 {
             if k > n {
@@ -2024,10 +2279,10 @@ mod tests {
                     "seed {seed}"
                 );
                 assert!(
-                    batchcount.scheduler_fallbacks() > 0,
+                    batchcount.counters().get(Counter::SchedulerFallbacks) > 0,
                     "fallback diagnostic must count the diverted batches"
                 );
-                assert_eq!(per_transition.scheduler_fallbacks(), 0);
+                assert_eq!(per_transition.counters().get(Counter::SchedulerFallbacks), 0);
             }
         }
 

@@ -94,12 +94,11 @@
 
 use rand::SeedableRng;
 
-use crate::batched::{BatchedSimulation, EnumerableProtocol};
+use crate::batched::{CountSimulation, StateIndex};
 use crate::execution::{RunOutcome, Simulation, StopReason};
 use crate::faults::{
     sample_exponential_gap, CorruptionTarget, FaultEvent, FaultHost, FaultSchedule,
 };
-use crate::interned::{InternableProtocol, InternedSimulation};
 use crate::protocol::Protocol;
 use crate::scenario::{name_salt, ScenarioRng};
 use crate::telemetry::Counter;
@@ -278,8 +277,8 @@ pub(crate) const DEPARTURE_SALT: u64 = 0xDE9A_2217;
 
 /// The engine-side surface the churn driver needs on top of [`FaultHost`]:
 /// report the current population size, append joining agents, and remove
-/// departing ones. The three engines implement it ([`Simulation`],
-/// [`BatchedSimulation`], [`InternedSimulation`]).
+/// departing ones. Both engines implement it ([`Simulation`] and
+/// [`CountSimulation`] over either state index).
 pub trait ChurnHost: FaultHost {
     /// The current population size.
     fn population(&self) -> usize;
@@ -311,31 +310,17 @@ impl<P: Protocol> ChurnHost for Simulation<P> {
     }
 }
 
-impl<P: EnumerableProtocol> ChurnHost for BatchedSimulation<P> {
+impl<P: Protocol, X: StateIndex<P>> ChurnHost for CountSimulation<P, X> {
     fn population(&self) -> usize {
         self.population_size()
     }
 
     fn join(&mut self, states: &[Self::State]) {
-        BatchedSimulation::join(self, states);
+        CountSimulation::join(self, states);
     }
 
     fn leave(&mut self, k: usize, rng: &mut ScenarioRng) {
-        BatchedSimulation::leave(self, k, rng);
-    }
-}
-
-impl<P: InternableProtocol> ChurnHost for InternedSimulation<P> {
-    fn population(&self) -> usize {
-        self.population_size()
-    }
-
-    fn join(&mut self, states: &[Self::State]) {
-        InternedSimulation::join(self, states);
-    }
-
-    fn leave(&mut self, k: usize, rng: &mut ScenarioRng) {
-        InternedSimulation::leave(self, k, rng);
+        CountSimulation::leave(self, k, rng);
     }
 }
 
@@ -529,7 +514,7 @@ pub fn run_until_silent_with_churn_and_faults<H: ChurnHost>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batched::Engine;
+    use crate::batched::{Engine, EnumerableProtocol};
     use crate::config::Configuration;
     use crate::error::SimError;
     use crate::faults::FaultPlan;
@@ -665,7 +650,7 @@ mod tests {
             .seed(7)
             .budget(BUDGET)
             .churn(plan)
-            .run_one_interned()
+            .run_one()
             .unwrap();
         assert_eq!(interned.outcome.reason, StopReason::Silent);
         assert_eq!(interned.final_population(), 60);
@@ -783,7 +768,7 @@ mod tests {
             .init(Configuration::uniform(0u8, 10))
             .scheduler(scheduler)
             .churn(plan)
-            .run_one_interned()
+            .run_one()
             .unwrap_err();
         assert!(matches!(err, SimError::SchedulerNeedsIdentities { .. }), "{err}");
     }

@@ -29,12 +29,12 @@
 //! * [`crate::Simulation`] picks `k` **distinct agents uniformly** and
 //!   overwrites their states, restarting the exact-silence clock
 //!   (`last_change`) exactly as [`crate::Simulation::corrupt`] does;
-//! * [`crate::BatchedSimulation`] and [`crate::InternedSimulation`] have no
-//!   agent identities, so they draw `k` victims **proportionally to the
-//!   state counts without replacement** — the count-space image of the same
-//!   distribution — and apply the burst as count-table edits routed through
-//!   the engines' incremental row repair (`apply_count_deltas`), so affected
-//!   rows are re-audited incrementally, never by a full recount.
+//! * [`crate::CountSimulation`] has no agent identities, so it draws `k`
+//!   victims **proportionally to the state counts without replacement** —
+//!   the count-space image of the same distribution — and applies the burst
+//!   as count-table edits routed through the engine's incremental row repair
+//!   (`apply_count_deltas`), so affected rows are re-audited incrementally,
+//!   never by a full recount.
 //!
 //! [`run_until_silent_with_faults`] drives any host segment by segment:
 //! run to silence (capped at the next injection index), advance the trailing
@@ -100,9 +100,8 @@ use std::sync::Arc;
 
 use rand::{Rng, SeedableRng};
 
-use crate::batched::{BatchedSimulation, EnumerableProtocol};
+use crate::batched::{CountSimulation, StateIndex};
 use crate::execution::{RunOutcome, Simulation, StopReason};
-use crate::interned::{InternableProtocol, InternedSimulation};
 use crate::protocol::Protocol;
 use crate::scenario::{name_salt, ScenarioRng};
 use crate::telemetry::{Counter, CounterBlock, Recorder};
@@ -315,8 +314,8 @@ pub(crate) fn sample_exponential_gap(mean: u64, rng: &mut impl Rng) -> u64 {
 
 /// The engine-side surface the fault driver needs: every simulation backend
 /// that can pause at an interaction index, apply a corruption burst, and
-/// resume implements this. The three engines do
-/// ([`Simulation`], [`BatchedSimulation`], [`InternedSimulation`]).
+/// resume implements this. Both engines do ([`Simulation`] and
+/// [`CountSimulation`] over either state index).
 pub trait FaultHost {
     /// The protocol state type.
     type State;
@@ -400,29 +399,7 @@ impl<P: Protocol> FaultHost for Simulation<P> {
     fault_host_telemetry!();
 }
 
-impl<P: EnumerableProtocol> FaultHost for BatchedSimulation<P> {
-    type State = P::State;
-
-    fn interactions_so_far(&self) -> Interactions {
-        self.interactions()
-    }
-
-    fn run_to_silence(&mut self, budget: u64) -> RunOutcome {
-        self.run_until_silent(budget)
-    }
-
-    fn advance(&mut self, budget: u64) {
-        self.run_for(budget);
-    }
-
-    fn inject(&mut self, states: &[Self::State], rng: &mut ScenarioRng) {
-        self.inject_states(states, rng);
-    }
-
-    fault_host_telemetry!();
-}
-
-impl<P: InternableProtocol> FaultHost for InternedSimulation<P> {
+impl<P: Protocol, X: StateIndex<P>> FaultHost for CountSimulation<P, X> {
     type State = P::State;
 
     fn interactions_so_far(&self) -> Interactions {
@@ -561,9 +538,9 @@ pub fn run_until_silent_with_faults<H: FaultHost>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batched::{Engine, ForceDense};
+    use crate::batched::{BatchedSimulation, Engine, EnumerableProtocol, ForceDense};
     use crate::config::Configuration;
-    use crate::interned::AsInterned;
+    use crate::interned::{AsInterned, InternedSimulation};
     use crate::runspec::{RunSpec, TrialReport};
     use rand::RngCore;
 
@@ -679,7 +656,7 @@ mod tests {
                 .seed(seed)
                 .budget(BUDGET)
                 .faults(plan.clone())
-                .run_one_interned()
+                .run_one()
                 .unwrap();
             for report in [&exact, &batched, &dense, &interned] {
                 assert!(report.outcome.is_silent());
@@ -711,7 +688,7 @@ mod tests {
                     .seed(7)
                     .budget(BUDGET)
                     .faults(plan.clone())
-                    .run_one_interned()
+                    .run_one()
                     .unwrap()
             } else {
                 run_faulty(engine, Frat { n }, &init, 7, BUDGET, &plan)

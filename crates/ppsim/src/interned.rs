@@ -1,30 +1,25 @@
-//! Count-based batched engine for **open** (non-enumerable) state spaces,
-//! built on dynamic state interning.
+//! The open state index of the count engine: dynamic state interning.
 //!
-//! The [`crate::batched`] engine requires a protocol to enumerate its state
-//! space up front ([`crate::EnumerableProtocol`]): a bijection `state ↔ 0..k` fixes
-//! the size of the count table and of the pair structures. That rules out the
-//! paper's headline `Sublinear-Time-SSR` protocol (states are names × rosters
-//! × history trees — astronomically many *possible* states) and the roll-call
-//! process (states are rosters over agent identities), even though any single
-//! execution only ever *visits* a modest number of distinct states (`n` at
-//! initialization, then at most 2 new states per non-null interaction, and in
-//! practice `O(n)` overall).
+//! The enumerated index ([`crate::EnumeratedStates`]) requires a protocol to
+//! enumerate its state space up front ([`crate::EnumerableProtocol`]): a
+//! bijection `state ↔ 0..k` fixes the size of the count table and of the pair
+//! structures. That rules out the paper's headline `Sublinear-Time-SSR`
+//! protocol (states are names × rosters × history trees — astronomically
+//! many *possible* states) and the roll-call process (states are rosters over
+//! agent identities), even though any single execution only ever *visits* a
+//! modest number of distinct states (`n` at initialization, then at most 2
+//! new states per non-null interaction, and in practice `O(n)` overall).
 //!
 //! This module closes that gap with the standard move of count-based
 //! population-protocol simulators on open state spaces: **intern states as
 //! they are first observed**. A [`StateInterner`] assigns dense indices
-//! `0, 1, 2, …` to distinct states in order of first appearance, and the
-//! count/row tables grow on demand, so the geometric null-run skipping
-//! machinery of the batched engine works unchanged:
-//!
-//! 1. the configuration is a multiset of counts over the *interned* states;
-//! 2. runs of null interactions are skipped in O(1) via
-//!    [`crate::batched::sample_null_run`];
-//! 3. one non-null transition is applied by sampling an ordered state pair
-//!    proportionally to its pair count, through a growable Fenwick tree over
-//!    per-state row weights that are maintained **incrementally** (O(present)
-//!    nullness queries per applied transition, not O(present²)).
+//! `0, 1, 2, …` to distinct states in order of first appearance, and
+//! [`InternedStates`] plugs it into the one count engine
+//! ([`crate::CountSimulation`]), whose tables grow on demand. Null runs are
+//! skipped in O(1) exactly as on the enumerated index, and row weights are
+//! maintained **incrementally** over the present set (O(present) nullness
+//! queries per applied transition, not O(present²)).
+//! [`InternedSimulation`] names the pairing.
 //!
 //! # Null classes
 //!
@@ -43,21 +38,20 @@
 //! direct-detection states, which turns its near-silent merged phase from
 //! O(present² · n) comparisons into O(present²) hash lookups.
 //!
-//! # Choosing between the three batched backends
+//! # Choosing a state index
 //!
-//! * state space enumerable **and** sparse non-null structure → indexed
-//!   (Fenwick) backend of [`crate::BatchedSimulation`];
-//! * state space enumerable, dense non-null structure → present-scan backend
-//!   of [`crate::BatchedSimulation`];
-//! * state space not enumerable (open) → this module's
-//!   [`InternedSimulation`].
+//! * state space enumerable → [`crate::EnumeratedStates`]
+//!   ([`crate::BatchedSimulation`]), on the indexed route when the protocol
+//!   declares sparse interaction partners and the present route otherwise;
+//! * state space not enumerable (open) → [`InternedStates`]
+//!   ([`InternedSimulation`]).
 //!
 //! See `ARCHITECTURE.md` at the repository root for the full decision tree.
 //!
 //! # Example
 //!
 //! A protocol over an open state space (unbounded counters) that no static
-//! enumeration covers, run on the interned engine:
+//! enumeration covers, run on the interned index:
 //!
 //! ```
 //! use ppsim::prelude::*;
@@ -101,28 +95,20 @@
 use std::collections::HashMap;
 use std::hash::Hash;
 
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
-
-use crate::batched::{sample_null_run, Engine, EngineReport, SamplingMode};
-use crate::config::Configuration;
-use crate::error::SimError;
-use crate::execution::{RunOutcome, Simulation, StopReason};
+use crate::batched::{CountProtocol, CountSimulation, StateIndex};
 use crate::protocol::Protocol;
-use crate::sampling::{sample_hypergeometric, sample_interleaved_nulls, sample_victims_by_counts};
-use crate::scheduler::{IndexRates, InteractionScheduler};
-use crate::telemetry::{Counter, CounterBlock, Probe, Recorder, TelemetrySink};
-use crate::time::{Interactions, ParallelTime};
 
-/// A [`Protocol`] that opts into the dynamically interned batched engine.
+/// A [`Protocol`] that opts into the interned state index.
 ///
 /// No methods are required: every protocol state is already `Hash + Eq +
 /// Clone` (the [`Protocol::State`] bounds), which is all the interner needs.
 /// Implementing the trait is a declaration that the multiset of states is a
 /// sufficient statistic for the protocol — true for every population
 /// protocol whose transition reads only the two interacting states, which is
-/// the model itself — and an opt-in to the engine's cost profile (pay per
-/// distinct state present, not per possible state).
+/// the model itself — and an opt-in to the index's cost profile (pay per
+/// distinct state present, not per possible state). To route
+/// [`crate::RunSpec::run`] through the interned index, also implement
+/// [`CountProtocol`] with `type Index = InternedStates<Self>`.
 ///
 /// The two optional members tune performance, never correctness:
 ///
@@ -153,7 +139,7 @@ pub trait InternableProtocol: Protocol {
     }
 }
 
-/// Adapter running **any** protocol on the interned backend, whether or not
+/// Adapter running **any** protocol on the interned index, whether or not
 /// it declares a static enumeration: the interner simply discovers (the
 /// visited subset of) the state space at run time.
 ///
@@ -161,8 +147,8 @@ pub trait InternableProtocol: Protocol {
 /// every downstream `InternableProtocol` impl a coherence conflict, so the
 /// adapter is an explicit wrapper instead — the same shape as
 /// [`crate::ForceDense`], and used the same way by the cross-backend
-/// equivalence suites to drive one protocol through all three batched
-/// backends.
+/// equivalence suites to drive one protocol through both draw routes and
+/// both state indices.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct AsInterned<P>(pub P);
 
@@ -193,6 +179,10 @@ impl<P: Protocol> Protocol for AsInterned<P> {
 
 impl<P: Protocol> InternableProtocol for AsInterned<P> {
     type NullClass = ();
+}
+
+impl<P: Protocol> CountProtocol for AsInterned<P> {
+    type Index = InternedStates<Self>;
 }
 
 /// Assigns dense indices to states in order of first appearance.
@@ -272,1102 +262,75 @@ impl<S: Clone + Eq + Hash> StateInterner<S> {
     }
 }
 
-/// A growable Fenwick (binary indexed) tree over explicit point weights:
-/// point reads are O(1) from the backing vector, point writes and prefix
-/// searches are O(log len), and appending past the allocated capacity
-/// rebuilds in O(len) (amortized O(1) per append by capacity doubling).
+/// The open state index: a [`StateInterner`] plus the null-class id of
+/// every interned state, so same-class pairs skip `is_null`.
 #[derive(Clone, Debug)]
-struct WeightIndex {
-    values: Vec<u64>,
-    tree: Vec<u64>,
-    mask: usize,
-    total: u64,
-    rebuilds: u64,
-}
-
-impl WeightIndex {
-    fn with_capacity(capacity: usize) -> Self {
-        let mut w =
-            WeightIndex { values: Vec::new(), tree: Vec::new(), mask: 0, total: 0, rebuilds: 0 };
-        w.rebuild(capacity.max(1));
-        w
-    }
-
-    fn total(&self) -> u64 {
-        self.total
-    }
-
-    fn get(&self, index: usize) -> u64 {
-        self.values[index]
-    }
-
-    /// Appends a new slot with the given weight, growing the tree if needed.
-    fn push(&mut self, value: u64) {
-        self.values.push(value);
-        if self.values.len() >= self.tree.len() {
-            let capacity = (self.tree.len() - 1).max(1) * 2;
-            self.rebuild(capacity.max(self.values.len()));
-            return;
-        }
-        self.total += value;
-        if value > 0 {
-            let mut i = self.values.len(); // 1-based position of the new slot
-            while i < self.tree.len() {
-                self.tree[i] += value;
-                i += i & i.wrapping_neg();
-            }
-        }
-    }
-
-    /// Overwrites the weight of an existing slot.
-    fn set(&mut self, index: usize, value: u64) {
-        let old = self.values[index];
-        if old == value {
-            return;
-        }
-        self.values[index] = value;
-        let delta = value as i128 - old as i128;
-        self.total = (self.total as i128 + delta) as u64;
-        let mut i = index + 1;
-        while i < self.tree.len() {
-            self.tree[i] = (self.tree[i] as i128 + delta) as u64;
-            i += i & i.wrapping_neg();
-        }
-    }
-
-    /// The slot holding offset `target` of the weight mass, and the remainder
-    /// within that slot (requires `target < total`).
-    fn find(&self, mut target: u64) -> (usize, u64) {
-        debug_assert!(target < self.total);
-        let mut pos = 0usize;
-        let mut step = self.mask;
-        while step > 0 {
-            let next = pos + step;
-            if next < self.tree.len() && self.tree[next] <= target {
-                target -= self.tree[next];
-                pos = next;
-            }
-            step /= 2;
-        }
-        (pos, target) // pos is the 0-based slot; target is the offset within
-    }
-
-    /// Rebuilds the tree from `values` with room for `capacity` slots.
-    fn rebuild(&mut self, capacity: usize) {
-        self.rebuilds += 1;
-        self.tree = vec![0; capacity + 1];
-        self.mask = 1;
-        while self.mask * 2 <= capacity {
-            self.mask *= 2;
-        }
-        self.total = 0;
-        for (i, &v) in self.values.iter().enumerate() {
-            self.total += v;
-            if v > 0 {
-                let mut j = i + 1;
-                while j < self.tree.len() {
-                    self.tree[j] += v;
-                    j += j & j.wrapping_neg();
-                }
-            }
-        }
-    }
-}
-
-const NOT_PRESENT: usize = usize::MAX;
-
-/// A single execution of a population protocol on the dynamically interned
-/// batched engine.
-///
-/// The public surface mirrors [`crate::BatchedSimulation`] (`run_until_silent`,
-/// `run_until`, `run_for`, multiset accessors), so measurement code written
-/// against one engine ports to the other mechanically; the difference is
-/// entirely internal — counts, rows and pair structures are keyed by a
-/// [`StateInterner`] that grows as new states are first observed, instead of
-/// by a static enumeration.
-#[derive(Clone, Debug)]
-pub struct InternedSimulation<P: InternableProtocol> {
-    protocol: P,
+pub struct InternedStates<P: InternableProtocol> {
     interner: StateInterner<P::State>,
     /// Null-class id per interned state (`None` = no class declared).
     classes: Vec<Option<u32>>,
     class_ids: HashMap<P::NullClass, u32>,
-    counts: Vec<u64>,
-    /// Row weights `r_i = c_i · Σ_{u present} term(i, u)` behind a prefix-
-    /// searchable index; `term(i, u) = (c_u − [i = u])` if `(i, u)` is
-    /// non-null, else 0. `Σ r_i` is the non-null ordered agent-pair count.
-    rows: WeightIndex,
-    present: Vec<usize>,
-    position: Vec<usize>,
-    rng: ChaCha8Rng,
-    interactions: Interactions,
-    transitions: u64,
-    n: usize,
-    mode: SamplingMode,
-    /// Resolved weighted-scheduler rates over interned indices (`None` = the
-    /// uniform scheduler, whose path is byte-for-byte the pre-scheduler
-    /// arithmetic). States interned later fall under the default rate.
-    rates: Option<IndexRates>,
-    /// The unified telemetry registry (see [`crate::telemetry`]): absorbs the
-    /// former ad-hoc `epochs` / `truncations` / `scheduler_fallbacks` fields.
-    /// Counters never touch the RNG, so the registry cannot perturb a
-    /// trajectory.
-    counters: CounterBlock,
-    /// Probe/span sink; [`TelemetrySink::Noop`] (free) unless a recorder is
-    /// attached.
-    telemetry: TelemetrySink,
-    /// Per-epoch agent availability, stamped with the epoch number so
-    /// clearing between epochs is free (lazily sized on first epoch).
-    scratch_avail: Vec<u64>,
-    scratch_stamp: Vec<u64>,
 }
 
-impl<P: InternableProtocol> InternedSimulation<P> {
-    /// Creates an interned simulation from a protocol, an initial
-    /// configuration and an RNG seed.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the same setup errors as [`Simulation::new`]. Use
-    /// [`InternedSimulation::try_new`] for a non-panicking constructor.
-    pub fn new(protocol: P, config: &Configuration<P::State>, seed: u64) -> Self {
-        Self::try_new(protocol, config, seed).expect("invalid simulation setup")
-    }
+impl<P: InternableProtocol> StateIndex<P> for InternedStates<P> {
+    const OPEN: bool = true;
 
-    /// Creates an interned simulation, validating the setup.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::ConfigurationSizeMismatch`] if the configuration
-    /// length differs from the protocol's population size, and
-    /// [`SimError::PopulationTooSmall`] if the population has fewer than two
-    /// agents.
-    pub fn try_new(
-        protocol: P,
-        config: &Configuration<P::State>,
-        seed: u64,
-    ) -> Result<Self, SimError> {
-        let n = protocol.population_size();
-        if config.len() != n {
-            return Err(SimError::ConfigurationSizeMismatch { expected: n, actual: config.len() });
-        }
-        if n < 2 {
-            return Err(SimError::PopulationTooSmall { n });
-        }
+    fn new(protocol: &P) -> Self {
         let hint = protocol.distinct_states_hint().max(4);
-        let mut sim = InternedSimulation {
-            protocol,
+        InternedStates {
             interner: StateInterner::with_capacity(hint),
             classes: Vec::with_capacity(hint),
             class_ids: HashMap::new(),
-            counts: Vec::with_capacity(hint),
-            rows: WeightIndex::with_capacity(hint),
-            present: Vec::new(),
-            position: Vec::with_capacity(hint),
-            rng: ChaCha8Rng::seed_from_u64(seed),
-            interactions: Interactions::ZERO,
-            transitions: 0,
-            n,
-            mode: SamplingMode::default(),
-            rates: None,
-            counters: CounterBlock::default(),
-            telemetry: TelemetrySink::Noop,
-            scratch_avail: Vec::new(),
-            scratch_stamp: Vec::new(),
-        };
-        for state in config.iter() {
-            let i = sim.intern_state(state);
-            if sim.counts[i] == 0 {
-                sim.position[i] = sim.present.len();
-                sim.present.push(i);
-            }
-            sim.counts[i] += 1;
         }
-        // Initial rows, built in one O(present²) pass (same-class pairs cost
-        // a hash compare, not an is_null evaluation).
-        for slot in 0..sim.present.len() {
-            let i = sim.present[slot];
-            let row = sim.row_weight(i);
-            sim.rows.set(i, row);
-        }
-        Ok(sim)
     }
 
-    /// Creates an interned simulation under an explicit scheduling strategy.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the setup errors [`InternedSimulation::try_new_scheduled`]
-    /// reports.
-    pub fn new_scheduled(
-        protocol: P,
-        config: &Configuration<P::State>,
-        seed: u64,
-        scheduler: &InteractionScheduler<P::State>,
-    ) -> Self {
-        Self::try_new_scheduled(protocol, config, seed, scheduler)
-            .expect("invalid simulation setup")
+    fn capacity(&self, protocol: &P) -> usize {
+        protocol.distinct_states_hint().max(4)
     }
 
-    /// Creates an interned simulation under an explicit scheduling strategy,
-    /// validating both the setup and the scheduler/engine compatibility.
-    /// Weighted override states are interned eagerly so their rates apply
-    /// from the first observation; states discovered later fall under the
-    /// default rate.
-    ///
-    /// # Errors
-    ///
-    /// In addition to [`InternedSimulation::try_new`]'s errors, returns
-    /// [`SimError::SchedulerNeedsIdentities`] for
-    /// [`InteractionScheduler::GraphRestricted`] (this engine erases agent
-    /// identities) and [`SimError::ZeroRateScheduler`] if every weighted
-    /// rate is zero.
-    pub fn try_new_scheduled(
-        protocol: P,
-        config: &Configuration<P::State>,
-        seed: u64,
-        scheduler: &InteractionScheduler<P::State>,
-    ) -> Result<Self, SimError> {
-        if !scheduler.is_exchangeable() {
-            return Err(SimError::SchedulerNeedsIdentities {
-                scheduler: scheduler.label(),
-                engine: "interned",
-            });
-        }
-        let mut sim = Self::try_new(protocol, config, seed)?;
-        if let InteractionScheduler::WeightedPairs(rates) = scheduler {
-            if rates.max_rate() == 0 {
-                return Err(SimError::ZeroRateScheduler);
-            }
-            let resolved = IndexRates::resolve(rates, |s| sim.intern_state(s));
-            sim.rates = Some(resolved);
-            // Reweigh every present row under the weighted measure.
-            for slot in 0..sim.present.len() {
-                let i = sim.present[slot];
-                let row = sim.row_weight(i);
-                sim.rows.set(i, row);
-            }
-        }
-        Ok(sim)
-    }
-
-    /// Selects the sampling mode (builder style); the default is
-    /// [`SamplingMode::PerTransition`].
-    pub fn with_sampling_mode(mut self, mode: SamplingMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// The active sampling mode.
-    pub fn sampling_mode(&self) -> SamplingMode {
-        self.mode
-    }
-
-    /// The number of batch-count epochs drawn so far (always 0 in
-    /// per-transition mode) — the `engine.epochs_opened` telemetry counter.
-    pub fn batch_epochs(&self) -> u64 {
-        self.counters.get(Counter::EpochsOpened)
-    }
-
-    /// The number of drawn table interactions clamped away by the
-    /// collision-free availability cap, summed over all **committed** epochs
-    /// (a budget-overshooting epoch rolls its truncations back with its
-    /// transitions); see [`crate::BatchedSimulation::batch_truncations`].
-    pub fn batch_truncations(&self) -> u64 {
-        self.counters.get(Counter::BatchTruncations)
-    }
-
-    /// How often a [`SamplingMode::BatchCount`] run fell back to
-    /// per-transition sampling because the scheduler is not uniform; see
-    /// [`crate::BatchedSimulation::scheduler_fallbacks`].
-    pub fn scheduler_fallbacks(&self) -> u64 {
-        self.counters.get(Counter::SchedulerFallbacks)
-    }
-
-    /// A snapshot of the unified telemetry counter registry for this run
-    /// (see [`crate::telemetry`]): the batch counters live in the block, and
-    /// the snapshot mirrors in the applied-transition count, the number of
-    /// states interned ([`Counter::InternerGrowths`]) and the weight index's
-    /// capacity rebuilds ([`Counter::FenwickRebuilds`]).
-    pub fn counters(&self) -> CounterBlock {
-        let mut block = self.counters;
-        block.set(Counter::Transitions, self.transitions);
-        block.set(Counter::InternerGrowths, self.interner.len() as u64);
-        block.set(Counter::FenwickRebuilds, self.rows.rebuilds);
-        block
-    }
-
-    /// Adds `by` events to the registry (the drivers' accounting hook).
-    pub(crate) fn add_counter(&mut self, counter: Counter, by: u64) {
-        self.counters.add(counter, by);
-    }
-
-    /// Attaches a probe/span [`Recorder`]; until detached, the run loops
-    /// record log-spaced convergence checkpoints and epoch draw/apply spans.
-    pub fn attach_telemetry(&mut self, recorder: Recorder) {
-        self.telemetry.attach(recorder);
-    }
-
-    /// Detaches the recorder (if one is attached), restoring the zero-cost
-    /// no-op sink.
-    pub fn take_telemetry(&mut self) -> Option<Recorder> {
-        self.telemetry.take()
-    }
-
-    fn record_probe_now(&mut self) {
-        let probe = Probe {
-            interactions: self.interactions.count(),
-            active_pairs: self.active_pairs(),
-            distinct_states: self.distinct_states() as u64,
-            transitions: self.transitions,
-            population: self.n as u64,
-        };
-        self.telemetry.record_probe(probe);
-    }
-
-    /// Interns a state, registering its null class and growing the side
-    /// tables on first observation.
-    fn intern_state(&mut self, state: &P::State) -> usize {
+    fn index(&mut self, protocol: &P, state: &P::State) -> usize {
         let i = self.interner.intern(state);
-        if i == self.counts.len() {
-            let class = self.protocol.null_class(state).map(|key| {
+        if i == self.classes.len() {
+            let class = protocol.null_class(state).map(|key| {
                 let next = self.class_ids.len() as u32;
                 *self.class_ids.entry(key).or_insert(next)
             });
             self.classes.push(class);
-            self.counts.push(0);
-            self.rows.push(0);
-            self.position.push(NOT_PRESENT);
         }
         i
     }
 
-    /// `(c_j − [i = j])` if the ordered pair `(i, j)` is non-null, else 0 —
-    /// scaled by the scheduler rate of `(i, j)` when a weighted scheduler is
-    /// installed.
-    ///
-    /// Distinct states of one null class are null by the
-    /// [`InternableProtocol::null_class`] contract, so the class comparison
-    /// short-circuits `is_null`; same-state pairs always consult `is_null`.
-    fn pair_term(&self, i: usize, j: usize) -> u64 {
-        Self::pair_term_parts(
-            &self.protocol,
-            &self.interner,
-            &self.classes,
-            &self.counts,
-            self.rates.as_ref(),
-            i,
-            j,
-        )
+    fn lookup(&self, _protocol: &P, state: &P::State) -> Option<usize> {
+        self.interner.lookup(state)
     }
 
-    /// [`Self::pair_term`] over the individual fields (rather than `&self`)
-    /// so the epoch draw can evaluate weights while the RNG is mutably
-    /// borrowed.
-    fn pair_term_parts(
-        protocol: &P,
-        interner: &StateInterner<P::State>,
-        classes: &[Option<u32>],
-        counts: &[u64],
-        rates: Option<&IndexRates>,
-        i: usize,
-        j: usize,
-    ) -> u64 {
-        let w = counts[j].saturating_sub((i == j) as u64);
-        if w == 0 {
-            return 0;
-        }
-        if i != j {
-            if let (Some(a), Some(b)) = (classes[i], classes[j]) {
-                if a == b {
-                    return 0;
-                }
-            }
-        }
-        if protocol.is_null(interner.get(i), interner.get(j)) {
-            return 0;
-        }
-        match rates {
-            None => w,
-            Some(r) => r
-                .rate(i, j)
-                .checked_mul(w)
-                .expect("weighted pair term overflows u64; scale the rates down"),
-        }
+    fn state(&self, index: usize) -> &P::State {
+        self.interner.get(index)
     }
 
-    /// Full row weight of state `i` against the present set.
-    fn row_weight(&self, i: usize) -> u64 {
-        let ci = self.counts[i];
-        if ci == 0 {
-            return 0;
-        }
-        let mut s = 0u64;
-        for &u in &self.present {
-            s += self.pair_term(i, u);
-        }
-        ci.checked_mul(s).expect("weighted row weight overflows u64; scale the rates down")
-    }
-
-    /// The total pair measure the scheduler draws each interaction from:
-    /// `n(n−1)` under the uniform scheduler, the rate-weighted `W(c)` under
-    /// a weighted one.
-    fn total_weight(&self) -> u64 {
-        let n = self.n as u64;
-        let total_pairs = n * (n - 1);
-        match &self.rates {
-            None => total_pairs,
-            Some(r) => r.total_weight(&self.counts, total_pairs),
-        }
-    }
-
-    /// The protocol being simulated.
-    pub fn protocol(&self) -> &P {
-        &self.protocol
-    }
-
-    /// The population size.
-    pub fn population_size(&self) -> usize {
-        self.n
-    }
-
-    /// Total interactions executed so far (including skipped null runs).
-    pub fn interactions(&self) -> Interactions {
-        self.interactions
-    }
-
-    /// Total parallel time elapsed so far.
-    pub fn parallel_time(&self) -> ParallelTime {
-        self.interactions.to_parallel_time(self.n)
-    }
-
-    /// The number of non-null transitions actually applied; the ratio
-    /// `interactions / transitions` is the effective batching factor.
-    pub fn transitions(&self) -> u64 {
-        self.transitions
-    }
-
-    /// The number of distinct states interned over the whole run (present or
-    /// not) — the size the static enumeration would have needed, had one
-    /// existed.
-    pub fn interned_states(&self) -> usize {
+    fn size(&self) -> usize {
         self.interner.len()
     }
 
-    /// The multiset view: every present state with its count, in interning
-    /// order.
-    pub fn state_counts(&self) -> impl Iterator<Item = (&P::State, u64)> {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (self.interner.get(i), c))
-    }
-
-    /// The number of agents currently holding `state`.
-    pub fn count_of(&self, state: &P::State) -> u64 {
-        self.interner.lookup(state).map_or(0, |i| self.counts[i])
-    }
-
-    /// The number of distinct states present.
-    pub fn distinct_states(&self) -> usize {
-        self.present.len()
-    }
-
-    /// Materializes a canonical per-agent configuration (states in interning
-    /// order); suitable for any permutation-invariant predicate, which every
-    /// protocol-level predicate is (agents are anonymous).
-    pub fn to_configuration(&self) -> Configuration<P::State> {
-        let mut states = Vec::with_capacity(self.n);
-        for (i, &c) in self.counts.iter().enumerate() {
-            for _ in 0..c {
-                states.push(self.interner.get(i).clone());
-            }
-        }
-        Configuration::from_states(states)
-    }
-
-    /// The number of non-null ordered **agent** pairs in the current
-    /// configuration; O(1) (maintained incrementally).
-    pub fn active_pairs(&self) -> u64 {
-        self.rows.total()
-    }
-
-    /// Whether the configuration is silent (no non-null ordered pair
-    /// exists); O(1).
-    pub fn is_silent(&self) -> bool {
-        self.active_pairs() == 0
-    }
-
-    /// Recomputes the non-null pair weight from scratch in O(present²);
-    /// exposed so equivalence tests can audit the incremental bookkeeping.
-    pub fn recount_active_pairs(&self) -> u64 {
-        self.present.iter().map(|&i| self.row_weight(i)).sum()
-    }
-
-    /// Runs until the configuration is silent or `budget` additional
-    /// interactions (counting skipped nulls) have elapsed.
-    pub fn run_until_silent(&mut self, budget: u64) -> RunOutcome {
-        let mut remaining = budget;
-        loop {
-            let active = self.active_pairs();
-            if active == 0 {
-                if self.telemetry.is_recording() {
-                    self.record_probe_now();
-                }
-                return RunOutcome { reason: StopReason::Silent, interactions: self.interactions };
-            }
-            if self.telemetry.probe_due(self.interactions.count()) {
-                self.record_probe_now();
-            }
-            if !self.advance(active, &mut remaining, None) {
-                return RunOutcome {
-                    reason: StopReason::BudgetExhausted,
-                    interactions: self.interactions,
-                };
-            }
-        }
-    }
-
-    /// Runs until `condition` holds, checking after every applied (non-null)
-    /// transition — a finer granularity than the exact engine's periodic
-    /// checks — or until silence or budget exhaustion. Under
-    /// [`SamplingMode::BatchCount`] the check instead lands after every
-    /// epoch, with epochs capped to `n/8` expected interactions so conditions
-    /// are examined about as often as the exact engine examines them.
-    ///
-    /// The predicate receives the canonical configuration, so any
-    /// permutation-invariant predicate written for the exact engine works
-    /// unchanged; materializing it costs O(n) per non-null transition. Use
-    /// [`InternedSimulation::run_until_counts`] for a count-based predicate
-    /// when that matters.
-    pub fn run_until(
-        &mut self,
-        mut condition: impl FnMut(&Configuration<P::State>) -> bool,
-        budget: u64,
-    ) -> RunOutcome {
-        self.run_until_counts(|sim| condition(&sim.to_configuration()), budget)
-    }
-
-    /// Runs until `condition` holds for the simulation's multiset state,
-    /// checking after every applied transition, or until silence or budget
-    /// exhaustion.
-    pub fn run_until_counts(
-        &mut self,
-        mut condition: impl FnMut(&Self) -> bool,
-        budget: u64,
-    ) -> RunOutcome {
-        if condition(self) {
-            return RunOutcome {
-                reason: StopReason::ConditionMet,
-                interactions: self.interactions,
-            };
-        }
-        let mut remaining = budget;
-        let check_cap = ((self.n as u64) / 8).max(1);
-        loop {
-            let active = self.active_pairs();
-            if active == 0 {
-                return RunOutcome { reason: StopReason::Silent, interactions: self.interactions };
-            }
-            if !self.advance(active, &mut remaining, Some(check_cap)) {
-                return RunOutcome {
-                    reason: StopReason::BudgetExhausted,
-                    interactions: self.interactions,
-                };
-            }
-            if condition(self) {
-                return RunOutcome {
-                    reason: StopReason::ConditionMet,
-                    interactions: self.interactions,
-                };
-            }
-        }
-    }
-
-    /// Executes exactly `budget` interactions (in batches).
-    pub fn run_for(&mut self, budget: u64) {
-        let mut remaining = budget;
-        while remaining > 0 {
-            let active = self.active_pairs();
-            if active == 0 {
-                // Silent: the remaining interactions are all null.
-                self.interactions += Interactions::new(remaining);
-                return;
-            }
-            if !self.advance(active, &mut remaining, None) {
-                return;
-            }
-        }
-    }
-
-    /// Dispatches one advance step according to the sampling mode.
-    /// `elapsed_cap` soft-caps an epoch's expected elapsed interactions;
-    /// predicate runs pass their check granularity through it.
-    fn advance(&mut self, active: u64, remaining: &mut u64, elapsed_cap: Option<u64>) -> bool {
-        match self.mode {
-            SamplingMode::PerTransition => self.advance_one_transition(active, remaining),
-            // Epoch tables freeze an exchangeable pair measure; a weighted
-            // scheduler reshapes the measure with every count change, so
-            // batch-count runs degrade to exact per-transition sampling and
-            // record that they did.
-            SamplingMode::BatchCount if self.rates.is_some() => {
-                self.counters.incr(Counter::SchedulerFallbacks);
-                self.advance_one_transition(active, remaining)
-            }
-            SamplingMode::BatchCount => self.advance_epoch(active, remaining, elapsed_cap),
-        }
-    }
-
-    /// Skips the null run preceding the next non-null interaction and applies
-    /// that interaction, staying within `remaining` interactions. Returns
-    /// `false` (with `remaining` driven to 0 and the interaction counter
-    /// advanced) if the budget ran out before the non-null interaction.
-    fn advance_one_transition(&mut self, active: u64, remaining: &mut u64) -> bool {
-        let skip = sample_null_run(active, self.total_weight(), &mut self.rng);
-        if skip >= *remaining {
-            self.counters.add(Counter::NullsSkipped, *remaining);
-            self.interactions += Interactions::new(*remaining);
-            *remaining = 0;
-            return false;
-        }
-        self.counters.add(Counter::NullsSkipped, skip);
-        self.interactions += Interactions::new(skip + 1);
-        *remaining -= skip + 1;
-        self.transitions += 1;
-        self.apply_sampled_transition(active);
-        true
-    }
-
-    /// Advances one **batch-count epoch** on the interned backend: identical
-    /// in law to [`crate::BatchedSimulation`]'s epoch (see its
-    /// `advance_epoch`), drawing row shares by sequential conditional
-    /// hypergeometric splits over the present list with the incrementally
-    /// maintained row weights as the frozen pair weights, clamping to
-    /// per-agent availability, accounting the interleaved nulls with a
-    /// segmented negative-binomial clock that tracks the evolving active
-    /// mass ([`sample_interleaved_nulls`]) and ends **on** the last applied
-    /// transition, and applying the whole table through one bulk
-    /// [`Self::apply_count_deltas`]. Falls back to
-    /// [`Self::advance_one_transition`] whenever the collision-free batch
-    /// length clamps to one.
-    fn advance_epoch(
-        &mut self,
-        active: u64,
-        remaining: &mut u64,
-        elapsed_cap: Option<u64>,
-    ) -> bool {
-        let total_pairs = (self.n as u64) * (self.n as u64 - 1);
-        let p = active as f64 / total_pairs as f64;
-        let mut b_target = ((self.n as u64) / 16).min(active / 8);
-        b_target = b_target.min((*remaining as f64 * p * 0.5) as u64);
-        if let Some(cap) = elapsed_cap {
-            b_target = b_target.min((cap as f64 * p) as u64);
-        }
-        if b_target <= 1 {
-            return self.advance_one_transition(active, remaining);
-        }
-        self.counters.add(Counter::BatchDraws, b_target);
-
-        // Phase 1: draw the interaction-count table over the frozen weights
-        // by sequential conditional hypergeometric splits: rows first (the
-        // maintained row weights are exact), then each row's share across
-        // the present responder cells.
-        self.telemetry.span_begin("epoch.draw");
-        let mut cells: Vec<(usize, usize, u64)> = Vec::new();
-        {
-            let Self { protocol, interner, classes, counts, rows, present, rng, rates, .. } = self;
-            let rates = rates.as_ref();
-            let mut a_rem = active;
-            let mut b_rem = b_target;
-            for &u in present.iter() {
-                if b_rem == 0 {
-                    break;
-                }
-                let r = rows.get(u);
-                let n_u = sample_hypergeometric(a_rem, r, b_rem, rng);
-                a_rem -= r;
-                b_rem -= n_u;
-                if n_u == 0 {
-                    continue;
-                }
-                let cu = counts[u];
-                let mut row_rem = r;
-                let mut n_rem = n_u;
-                for &v in present.iter() {
-                    if n_rem == 0 {
-                        break;
-                    }
-                    let w = cu
-                        * Self::pair_term_parts(protocol, interner, classes, counts, rates, u, v);
-                    let m = sample_hypergeometric(row_rem, w, n_rem, rng);
-                    row_rem -= w;
-                    n_rem -= m;
-                    if m > 0 {
-                        cells.push((u, v, m));
-                    }
-                }
-                debug_assert_eq!(n_rem, 0, "row share exceeds row weight");
-            }
-            debug_assert_eq!(b_rem, 0, "batch exceeds the active pair weight");
-        }
-        self.telemetry.span_end("epoch.draw");
-
-        // Phase 2: clamp to per-agent availability (diagonal cells consume
-        // two agents per interaction). The first nonzero cell always fits,
-        // so b_applied >= 1.
-        self.telemetry.span_begin("epoch.apply");
-        if self.scratch_avail.len() < self.counts.len() {
-            self.scratch_avail.resize(self.counts.len(), 0);
-            self.scratch_stamp.resize(self.counts.len(), 0);
-        }
-        self.counters.incr(Counter::EpochsOpened);
-        let stamp = self.counters.get(Counter::EpochsOpened);
-        let mut b_applied = 0u64;
-        // Truncations accumulate locally and only commit with the epoch (see
-        // the batched engine's `advance_epoch`: both backends commit at the
-        // same point, and a discarded epoch leaves no truncation residue).
-        let mut epoch_truncations = 0u64;
-        for cell in &mut cells {
-            let (i, j, drawn) = *cell;
-            for s in [i, j] {
-                if self.scratch_stamp[s] != stamp {
-                    self.scratch_stamp[s] = stamp;
-                    self.scratch_avail[s] = self.counts[s];
-                }
-            }
-            let cap = if i == j {
-                self.scratch_avail[i] / 2
-            } else {
-                self.scratch_avail[i].min(self.scratch_avail[j])
-            };
-            let m = drawn.min(cap);
-            epoch_truncations += drawn - m;
-            if i == j {
-                self.scratch_avail[i] -= 2 * m;
-            } else {
-                self.scratch_avail[i] -= m;
-                self.scratch_avail[j] -= m;
-            }
-            cell.2 = m;
-            b_applied += m;
-        }
-        debug_assert!(b_applied >= 1, "the first drawn cell always fits");
-
-        // Phases 3 and 4, optimistically ordered: apply the table, audit the
-        // epoch-end active mass, then draw the null clock segmented over the
-        // evolving mass ([`sample_interleaved_nulls`]) — a clock frozen at
-        // the epoch-start probability under-counts nulls whenever the mass
-        // shrinks several-fold within an epoch. The epoch still ends **on**
-        // its last applied transition. If the clock overshoots the remaining
-        // budget, the apply is undone exactly (count deltas are invertible,
-        // and every derived structure is recomputed from counts) and the run
-        // advances per-transition instead, which lands the budget exactly;
-        // the discarded draws leave the law of the continuation unchanged.
-        // One path for every budget also keeps epoch boundaries
-        // seed-reproducible: replaying with the budget set to an observed
-        // silence time makes the same draws in the same order.
-        let mut deltas = self.apply_epoch_cells(&cells, stamp);
-        let a_end = self.active_pairs();
-        let nulls = sample_interleaved_nulls(b_applied, active, a_end, total_pairs, &mut self.rng);
-        self.telemetry.span_end("epoch.apply");
-        match b_applied.checked_add(nulls) {
-            Some(elapsed) if elapsed <= *remaining => {
-                self.counters.add(Counter::BatchTruncations, epoch_truncations);
-                self.counters.add(Counter::NullsSkipped, nulls);
-                self.interactions += Interactions::new(elapsed);
-                *remaining -= elapsed;
-                self.transitions += b_applied;
-                true
-            }
-            _ => {
-                self.counters.incr(Counter::EpochsDiscarded);
-                for d in &mut deltas {
-                    d.1 = -d.1;
-                }
-                self.apply_count_deltas(&deltas);
-                self.advance_one_transition(active, remaining)
-            }
-        }
-    }
-
-    /// Phase 4 of [`Self::advance_epoch`]: applies a clamped interaction-count
-    /// table through one bulk [`Self::apply_count_deltas`]. Deterministic
-    /// protocols evaluate each cell once and apply the outcome m-fold;
-    /// randomized protocols evaluate per counted interaction. Returns the
-    /// applied deltas so an epoch that overshoots the budget can be undone
-    /// exactly.
-    fn apply_epoch_cells(
-        &mut self,
-        cells: &[(usize, usize, u64)],
-        stamp: u64,
-    ) -> Vec<(usize, i64)> {
-        // The probe streams below exist only under debug_assertions.
-        let _ = stamp;
-        let deterministic = self.protocol.deterministic_transitions();
-        let mut deltas: Vec<(usize, i64)> = Vec::with_capacity(4 * cells.len());
-        for &(i, j, m) in cells {
-            if m == 0 {
-                continue;
-            }
-            #[cfg(debug_assertions)]
-            if deterministic && m > 1 {
-                // Two independent probe streams must agree if the protocol's
-                // determinism declaration is truthful.
-                let mut probe_a = ChaCha8Rng::seed_from_u64(stamp ^ 0xD371);
-                let mut probe_b = ChaCha8Rng::seed_from_u64(stamp ^ 0x9E37);
-                let (xa, ya) = self.protocol.transition(
-                    self.interner.get(i),
-                    self.interner.get(j),
-                    &mut probe_a,
-                );
-                let (xb, yb) = self.protocol.transition(
-                    self.interner.get(i),
-                    self.interner.get(j),
-                    &mut probe_b,
-                );
-                debug_assert!(
-                    xa == xb && ya == yb,
-                    "protocol declares deterministic_transitions but outcomes differ"
-                );
-            }
-            let reps = if deterministic { 1 } else { m };
-            let per = (m / reps) as i64;
-            for _ in 0..reps {
-                let (a2, b2) = self.protocol.transition(
-                    self.interner.get(i),
-                    self.interner.get(j),
-                    &mut self.rng,
-                );
-                let i2 = self.intern_state(&a2);
-                let j2 = self.intern_state(&b2);
-                if i == j {
-                    deltas.push((i, -2 * per));
-                } else {
-                    deltas.push((i, -per));
-                    deltas.push((j, -per));
-                }
-                deltas.push((i2, per));
-                deltas.push((j2, per));
-            }
-        }
-        self.apply_count_deltas(&deltas);
-        deltas
-    }
-
-    /// Samples the non-null ordered state pair, applies one transition, and
-    /// repairs the count/row tables incrementally.
-    fn apply_sampled_transition(&mut self, active: u64) {
-        let target = self.rng.gen_range(0..active);
-        let (i, within_row) = self.rows.find(target);
-        // Row i is c_i consecutive copies of the responder weights; reduce
-        // modulo the per-copy sum to select the responder.
-        let per_copy = self.rows.get(i) / self.counts[i];
-        let mut t = within_row % per_copy;
-        let mut responder = None;
-        for &v in &self.present {
-            let w = self.pair_term(i, v);
-            if t < w {
-                responder = Some(v);
-                break;
-            }
-            t -= w;
-        }
-        let j = responder.expect("responder weights sum to the per-copy total");
-        debug_assert!(!self.protocol.is_null(self.interner.get(i), self.interner.get(j)));
-        // Field-disjoint borrows: the interner lends the states while the
-        // transition draws from the rng — no clones on the hot path.
-        let (a2, b2) =
-            self.protocol.transition(self.interner.get(i), self.interner.get(j), &mut self.rng);
-        let i2 = self.intern_state(&a2);
-        let j2 = self.intern_state(&b2);
-        self.apply_count_deltas(&[(i, -1), (j, -1), (i2, 1), (j2, 1)]);
-    }
-
-    /// Applies one fault burst in count space: interns the target states,
-    /// draws `states.len()` victims **proportionally to the current counts
-    /// without replacement** over the present set, and moves the `i`-th
-    /// victim into `states[i]`, repairing the row weights through the same
-    /// incremental path as an applied transition — never a full recount
-    /// (see [`crate::faults`]; [`InternedSimulation::recount_active_pairs`]
-    /// audits the repair in tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `states.len()` exceeds the population size.
-    pub fn inject_states(&mut self, states: &[P::State], rng: &mut impl Rng) {
-        let k = states.len();
-        assert!(k <= self.n, "cannot corrupt more agents than the population holds");
-        // Intern targets first: the side tables may grow, and the draw below
-        // reads counts (new states enter with count 0, weightless).
-        let dsts: Vec<usize> = states.iter().map(|s| self.intern_state(s)).collect();
-        let victims = sample_victims_by_counts(&self.counts, Some(&self.present), k, rng);
-        let mut deltas: Vec<(usize, i64)> = Vec::with_capacity(2 * k);
-        for (src, dst) in victims.into_iter().zip(dsts) {
-            deltas.push((src, -1));
-            deltas.push((dst, 1));
-        }
-        self.apply_count_deltas(&deltas);
-    }
-
-    /// Population churn: `states.len()` fresh agents join in the given
-    /// states (interning any state not yet observed). A no-op for an empty
-    /// slice.
-    pub fn join(&mut self, states: &[P::State]) {
-        if states.is_empty() {
-            return;
-        }
-        let deltas: Vec<(usize, i64)> = states.iter().map(|s| (self.intern_state(s), 1)).collect();
-        self.n += states.len();
-        self.apply_count_deltas(&deltas);
-    }
-
-    /// Population churn: `k` agents, drawn proportionally to the current
-    /// counts without replacement, leave the population. A no-op for
-    /// `k == 0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless at least two agents remain after the departures.
-    pub fn leave(&mut self, k: usize, rng: &mut impl Rng) {
-        if k == 0 {
-            return;
-        }
-        assert!(self.n >= k + 2, "churn departures must leave at least two agents");
-        let victims = sample_victims_by_counts(&self.counts, Some(&self.present), k, rng);
-        let deltas: Vec<(usize, i64)> = victims.into_iter().map(|i| (i, -1)).collect();
-        self.n -= k;
-        self.apply_count_deltas(&deltas);
-    }
-
-    /// Applies signed count changes and repairs the present set and row
-    /// weights incrementally: rows of unchanged states shift by
-    /// `c_u · Σ_k [(u,k) non-null] Δc_k` (their nullness against the changed
-    /// states is count-independent), and only the changed states' own rows
-    /// are rebuilt by a full present scan.
-    fn apply_count_deltas(&mut self, deltas: &[(usize, i64)]) {
-        // Net the deltas per state (a state may both lose and gain an agent
-        // in one transition, and i may equal j). Short lists scan linearly;
-        // whole-epoch lists sort and merge instead of scanning quadratically.
-        let mut net: Vec<(usize, i64)> = Vec::with_capacity(deltas.len());
-        if deltas.len() <= 16 {
-            for &(k, d) in deltas {
-                match net.iter_mut().find(|(s, _)| *s == k) {
-                    Some((_, acc)) => *acc += d,
-                    None => net.push((k, d)),
-                }
-            }
-        } else {
-            let mut sorted = deltas.to_vec();
-            sorted.sort_unstable_by_key(|&(k, _)| k);
-            for (k, d) in sorted {
-                match net.last_mut() {
-                    Some((s, acc)) if *s == k => *acc += d,
-                    _ => net.push((k, d)),
-                }
-            }
-        }
-        net.retain(|&(_, d)| d != 0);
-        for &(k, d) in &net {
-            let c = self.counts[k] as i64 + d;
-            debug_assert!(c >= 0, "state count went negative");
-            self.counts[k] = c as u64;
-        }
-        // Present-set maintenance (swap-remove keeps positions dense).
-        for &(k, _) in &net {
-            let now_present = self.counts[k] > 0;
-            let was_present = self.position[k] != NOT_PRESENT;
-            if now_present && !was_present {
-                self.position[k] = self.present.len();
-                self.present.push(k);
-            } else if !now_present && was_present {
-                let pos = self.position[k];
-                let last = *self.present.last().expect("present is nonempty");
-                self.present.swap_remove(pos);
-                self.position[k] = NOT_PRESENT;
-                if last != k {
-                    self.position[last] = pos;
-                }
-            }
-        }
-        // Incremental row updates for states whose own count did not change:
-        // term(u, k) is linear in c_k with a count-independent coefficient
-        // (the nullness indicator times the scheduler rate), so the row
-        // shifts by c_u · rate(u, k) · Δc_k per non-null (u, k).
-        for slot in 0..self.present.len() {
-            let u = self.present[slot];
-            if net.iter().any(|&(k, _)| k == u) {
-                continue;
-            }
-            let mut shift = 0i128;
-            for &(k, d) in &net {
-                if self.pair_nonnull(u, k) {
-                    let r = self.rates.as_ref().map_or(1, |rt| rt.rate(u, k));
-                    shift += r as i128 * d as i128;
-                }
-            }
-            if shift != 0 {
-                let old = self.rows.get(u) as i128;
-                let new = old + self.counts[u] as i128 * shift;
-                debug_assert!(new >= 0, "row weight went negative");
-                self.rows.set(u, new as u64);
-            }
-        }
-        // Changed states: rebuild their rows from scratch (covers presence
-        // changes, the c_k factor, and terms against other changed states).
-        for &(k, _) in &net {
-            let row = self.row_weight(k);
-            self.rows.set(k, row);
-        }
-    }
-
-    /// Whether the ordered pair `(i, j)` is non-null, via the class
-    /// short-circuit; count-independent.
-    fn pair_nonnull(&self, i: usize, j: usize) -> bool {
-        if i != j {
-            if let (Some(a), Some(b)) = (self.classes[i], self.classes[j]) {
-                if a == b {
-                    return false;
-                }
-            }
-        }
-        !self.protocol.is_null(self.interner.get(i), self.interner.get(j))
+    fn same_null_class(&self, i: usize, j: usize) -> bool {
+        matches!((self.classes[i], self.classes[j]), (Some(a), Some(b)) if a == b)
     }
 }
 
-impl Engine {
-    /// Runs an [`InternableProtocol`] from `init` until the (permutation-
-    /// invariant) predicate holds or `budget` interactions elapse; the
-    /// open-state-space counterpart of [`Engine::run_until`].
-    pub fn run_until_interned<P: InternableProtocol>(
-        self,
-        protocol: P,
-        init: &Configuration<P::State>,
-        seed: u64,
-        budget: u64,
-        condition: impl FnMut(&Configuration<P::State>) -> bool,
-    ) -> EngineReport<P::State> {
-        match self {
-            Engine::Exact => {
-                let mut sim = Simulation::new(protocol, init.clone(), seed);
-                let outcome = sim.run_until(condition, budget);
-                EngineReport { outcome, final_config: sim.configuration().clone() }
-            }
-            Engine::Batched | Engine::BatchedCounts => {
-                let mut sim = InternedSimulation::new(protocol, init, seed)
-                    .with_sampling_mode(self.sampling_mode());
-                let outcome = sim.run_until(condition, budget);
-                EngineReport { outcome, final_config: sim.to_configuration() }
-            }
-        }
-    }
-}
+/// The count engine over an open state space, interning states as they are
+/// first observed.
+pub type InternedSimulation<P> = CountSimulation<P, InternedStates<P>>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::Protocol;
-    use rand::RngCore;
+    use crate::batched::{Engine, Fenwick, SamplingMode};
+    use crate::config::Configuration;
+    use crate::error::SimError;
+    use crate::telemetry::Counter;
+    use crate::time::Interactions;
+    use rand::{RngCore, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     /// (L, L) -> (L, F) fratricide over an "open" state space: states are
     /// arbitrary u32 values, 0 = leader, anything else = follower. Only the
@@ -1399,6 +362,10 @@ mod tests {
         fn distinct_states_hint(&self) -> usize {
             2
         }
+    }
+
+    impl CountProtocol for Frat {
+        type Index = InternedStates<Self>;
     }
 
     /// Tokens merge pairwise: (w, w) -> (2w, 0) for w > 0. Starting from all
@@ -1465,37 +432,6 @@ mod tests {
     }
 
     #[test]
-    fn weight_index_prefix_search_matches_linear_scan_across_growth() {
-        let weights = [5u64, 0, 3, 7, 0, 1, 4, 9, 2, 0, 6];
-        let mut wi = WeightIndex::with_capacity(2); // forces several rebuilds
-        for &w in &weights {
-            wi.push(w);
-        }
-        assert_eq!(wi.total(), weights.iter().sum::<u64>());
-        for target in 0..wi.total() {
-            let mut t = target;
-            let mut expected = (0usize, 0u64);
-            for (i, &w) in weights.iter().enumerate() {
-                if t < w {
-                    expected = (i, t);
-                    break;
-                }
-                t -= w;
-            }
-            assert_eq!(wi.find(target), expected, "target {target}");
-        }
-        // Point updates, including to and from zero.
-        wi.set(3, 0);
-        wi.set(1, 2);
-        assert_eq!(wi.total(), weights.iter().sum::<u64>() - 7 + 2);
-        assert_eq!(wi.get(3), 0);
-        assert_eq!(wi.get(1), 2);
-        assert_eq!(wi.find(5), (1, 0));
-        assert_eq!(wi.find(6), (1, 1));
-        assert_eq!(wi.find(7), (2, 0));
-    }
-
-    #[test]
     fn interned_fratricide_elects_one_leader() {
         let mut sim =
             InternedSimulation::new(Frat { n: 200 }, &Configuration::uniform(0u32, 200), 42);
@@ -1558,6 +494,40 @@ mod tests {
     }
 
     #[test]
+    fn weight_index_prefix_search_matches_linear_scan_across_growth() {
+        // The interned index starts its row weights at the (small) state
+        // hint and grows them one interned state at a time.
+        let weights = [5u64, 0, 3, 7, 0, 1, 4, 9, 2, 0, 6];
+        let mut wi = Fenwick::zeros(0, 2); // forces several rebuilds
+        for (i, &w) in weights.iter().enumerate() {
+            wi.grow(i + 1);
+            wi.set(i, w);
+        }
+        assert_eq!(wi.total(), weights.iter().sum::<u64>());
+        for target in 0..wi.total() {
+            let mut t = target;
+            let mut expected = (0usize, 0u64);
+            for (i, &w) in weights.iter().enumerate() {
+                if t < w {
+                    expected = (i, t);
+                    break;
+                }
+                t -= w;
+            }
+            assert_eq!(wi.find(target), expected, "target {target}");
+        }
+        // Point updates, including to and from zero.
+        wi.set(3, 0);
+        wi.set(1, 2);
+        assert_eq!(wi.total(), weights.iter().sum::<u64>() - 7 + 2);
+        assert_eq!(wi.get(3), 0);
+        assert_eq!(wi.get(1), 2);
+        assert_eq!(wi.find(5), (1, 0));
+        assert_eq!(wi.find(6), (1, 1));
+        assert_eq!(wi.find(7), (2, 0));
+    }
+
+    #[test]
     fn run_until_stops_at_the_predicate() {
         let mut sim =
             InternedSimulation::new(Frat { n: 60 }, &Configuration::uniform(0u32, 60), 11);
@@ -1605,7 +575,7 @@ mod tests {
                 .engine(engine)
                 .init(config.clone())
                 .seed(9)
-                .run_one_interned()
+                .run_one()
                 .unwrap()
         };
         let exact = spec(Engine::Exact);
@@ -1616,14 +586,10 @@ mod tests {
         assert_eq!(leaders(&exact.final_config), 1);
         assert_eq!(leaders(&interned.final_config), 1);
 
-        let exact =
-            Engine::Exact.run_until_interned(Frat { n: 40 }, &config, 9, u64::MAX >> 8, |c| {
-                leaders(c) <= 20
-            });
-        let interned =
-            Engine::Batched.run_until_interned(Frat { n: 40 }, &config, 9, u64::MAX >> 8, |c| {
-                leaders(c) <= 20
-            });
+        let exact = Engine::Exact
+            .run_until(Frat { n: 40 }, &config, 9, u64::MAX >> 8, |c| leaders(c) <= 20);
+        let interned = Engine::Batched
+            .run_until(Frat { n: 40 }, &config, 9, u64::MAX >> 8, |c| leaders(c) <= 20);
         assert!(exact.outcome.condition_met());
         assert!(interned.outcome.condition_met());
     }
@@ -1811,8 +777,8 @@ mod tests {
                 let b = bc.run_until_silent(BUDGET);
                 assert_eq!(a, b, "seed {seed}");
                 assert_eq!(per.to_configuration(), bc.to_configuration(), "seed {seed}");
-                assert!(bc.scheduler_fallbacks() > 0);
-                assert_eq!(per.scheduler_fallbacks(), 0);
+                assert!(bc.counters().get(Counter::SchedulerFallbacks) > 0);
+                assert_eq!(per.counters().get(Counter::SchedulerFallbacks), 0);
             }
         }
 

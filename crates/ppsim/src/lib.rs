@@ -18,16 +18,17 @@
 //!
 //! * [`Simulation`] — the **exact** per-agent engine: O(1) per interaction,
 //!   works for every protocol with no opt-in at all;
-//! * [`BatchedSimulation`] — the **batched** multiset engine: represents the
-//!   configuration as state counts, skips each run of null interactions in
-//!   O(1) by sampling its geometric length, and pays only per *non-null*
-//!   interaction. Protocols with a finite state space opt in via
-//!   [`EnumerableProtocol`] (see the [`batched`] module docs for the
-//!   algorithm and its cost model); protocols with an **open** state space —
-//!   `Sublinear-Time-SSR`'s names × history trees, roll call's rosters —
-//!   opt in via [`InternableProtocol`] and run on [`InternedSimulation`],
-//!   which assigns dense indices to states as they are first observed (see
-//!   the [`interned`] module docs).
+//! * [`CountSimulation`] — the **count** (batched) multiset engine:
+//!   represents the configuration as state counts, skips each run of null
+//!   interactions in O(1) by sampling its geometric length, and pays only per
+//!   *non-null* interaction (see the [`batched`] module docs for the
+//!   algorithm and its cost model). A pluggable [`StateIndex`] maps states to
+//!   dense indices: protocols with a finite state space opt in via
+//!   [`EnumerableProtocol`] ([`BatchedSimulation`]); protocols with an
+//!   **open** state space — `Sublinear-Time-SSR`'s names × history trees,
+//!   roll call's rosters — opt in via [`InternableProtocol`]
+//!   ([`InternedSimulation`]), whose index assigns dense indices to states as
+//!   they are first observed (see the [`interned`] module docs).
 //!
 //! [`Engine`] names the engine choice, and every to-silence workload —
 //! single runs and multi-trial experiments, with or without an explicit
@@ -37,8 +38,7 @@
 //! combinations (e.g. a graph-restricted scheduler on a count-based engine)
 //! are rejected with a typed [`SimError`] when the spec is built, before any
 //! trial runs. The lower-level pieces remain public for custom predicates:
-//! [`Engine::run_until`] / [`Engine::run_until_interned`] stop on arbitrary
-//! conditions and [`runner`] ([`run_trials`], [`TrialPlan`]) distributes any
+//! [`Engine::run_until`] stops on arbitrary conditions and [`runner`] ([`run_trials`], [`TrialPlan`]) distributes any
 //! closure across threads. `ARCHITECTURE.md` at the repository root draws
 //! the full engine → backend decision tree.
 //!
@@ -113,8 +113,8 @@ pub mod trace;
 
 pub use agent::AgentId;
 pub use batched::{
-    sample_null_run, BatchedSimulation, Engine, EngineReport, EnumerableProtocol, ForceDense,
-    SamplingMode,
+    sample_null_run, BatchedSimulation, CountProtocol, CountSimulation, Engine, EngineReport,
+    EnumerableProtocol, EnumeratedStates, ForceDense, SamplingMode, StateIndex,
 };
 pub use churn::{
     run_until_silent_with_churn, run_until_silent_with_churn_and_faults, ChurnAction, ChurnEvent,
@@ -124,7 +124,9 @@ pub use config::Configuration;
 pub use error::SimError;
 pub use execution::{ConvergenceOutcome, RunOutcome, Simulation, StopReason};
 pub use faults::{CorruptionTarget, FaultEvent, FaultHost, FaultPlan, FaultSchedule};
-pub use interned::{AsInterned, InternableProtocol, InternedSimulation, StateInterner};
+pub use interned::{
+    AsInterned, InternableProtocol, InternedSimulation, InternedStates, StateInterner,
+};
 pub use mcheck::{
     check_convergence_from, check_fault_plan_closure, check_self_stabilization,
     check_self_stabilization_quotient, expected_silence_time_exact, expected_silence_time_probed,
@@ -141,9 +143,7 @@ pub use scheduler::{
     InteractionGraph, InteractionScheduler, OrderedPair, PairRates, Scheduler, Topology,
 };
 pub use symmetry::StateSymmetry;
-pub use telemetry::{
-    Counter, CounterBlock, NoopTelemetry, Probe, Recorder, Span, Telemetry, TelemetrySink,
-};
+pub use telemetry::{Counter, CounterBlock, Probe, Recorder, Span, TelemetrySink};
 pub use time::{Interactions, ParallelTime};
 pub use trace::{Trace, TraceEvent};
 
@@ -151,7 +151,8 @@ pub use trace::{Trace, TraceEvent};
 pub mod prelude {
     pub use crate::agent::AgentId;
     pub use crate::batched::{
-        BatchedSimulation, Engine, EngineReport, EnumerableProtocol, ForceDense, SamplingMode,
+        BatchedSimulation, CountProtocol, CountSimulation, Engine, EngineReport,
+        EnumerableProtocol, EnumeratedStates, ForceDense, SamplingMode, StateIndex,
     };
     pub use crate::churn::{
         run_until_silent_with_churn, run_until_silent_with_churn_and_faults, ChurnAction,
@@ -161,7 +162,9 @@ pub mod prelude {
     pub use crate::error::SimError;
     pub use crate::execution::{ConvergenceOutcome, RunOutcome, Simulation, StopReason};
     pub use crate::faults::{CorruptionTarget, FaultEvent, FaultHost, FaultPlan, FaultSchedule};
-    pub use crate::interned::{AsInterned, InternableProtocol, InternedSimulation, StateInterner};
+    pub use crate::interned::{
+        AsInterned, InternableProtocol, InternedSimulation, InternedStates, StateInterner,
+    };
     pub use crate::mcheck::{
         check_convergence_from, check_fault_plan_closure, check_self_stabilization,
         check_self_stabilization_quotient, expected_silence_time_exact,
@@ -178,9 +181,7 @@ pub mod prelude {
         InteractionGraph, InteractionScheduler, OrderedPair, PairRates, Scheduler, Topology,
     };
     pub use crate::symmetry::StateSymmetry;
-    pub use crate::telemetry::{
-        Counter, CounterBlock, NoopTelemetry, Probe, Recorder, Span, Telemetry, TelemetrySink,
-    };
+    pub use crate::telemetry::{Counter, CounterBlock, Probe, Recorder, Span, TelemetrySink};
     pub use crate::time::{Interactions, ParallelTime};
     pub use crate::trace::{Trace, TraceEvent};
 }

@@ -552,16 +552,20 @@ mod tests {
 
     #[test]
     fn spill_files_are_deleted_on_drop() {
-        let dir = std::env::temp_dir();
+        // A directory of its own: concurrent tests spilling into the shared
+        // temp directory would otherwise race the file counts.
+        let dir = std::env::temp_dir().join(format!("ppsim-drop-test-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
         let before: Vec<_> = spill_files_in(&dir);
         {
-            let mut store = EdgeStore::new(0, None);
+            let mut store = EdgeStore::new(0, Some(dir.clone()));
             store.push_state(&[(0, 1), (1, 2)]).unwrap();
             store.seal().unwrap();
             assert!(store.is_spilled());
             assert!(spill_files_in(&dir).len() > before.len());
         }
         assert_eq!(spill_files_in(&dir).len(), before.len());
+        fs::remove_dir(&dir).unwrap();
     }
 
     fn spill_files_in(dir: &Path) -> Vec<PathBuf> {

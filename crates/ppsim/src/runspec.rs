@@ -24,10 +24,10 @@
 //!
 //! Every trial produces the same unified [`TrialReport`], whatever axes were
 //! active: plain runs leave the fault and churn fields empty, faulted runs
-//! fill `injections`/`recoveries`, churned runs fill `churn`. The
-//! open-state-space protocols ([`InternableProtocol`]) use
-//! [`RunSpec::run_interned`] / [`RunSpec::run_one_interned`], which route the
-//! count engines through the dynamically interned backend.
+//! fill `injections`/`recoveries`, churned runs fill `churn`. The count
+//! engines key their tables by the protocol's [`CountProtocol::Index`]: the
+//! enumerated space of an [`crate::EnumerableProtocol`], or the interned index
+//! of an open-state-space protocol (see [`crate::InternedStates`]).
 //!
 //! # Seeding
 //!
@@ -41,7 +41,7 @@ use std::sync::Arc;
 
 use rand::SeedableRng;
 
-use crate::batched::{BatchedSimulation, Engine, EngineReport, EnumerableProtocol};
+use crate::batched::{CountProtocol, CountSimulation, Engine, EngineReport};
 use crate::churn::{
     all_events_restabilized, final_restabilization, run_until_silent_with_churn_and_faults,
     ChurnOutcome, ChurnPlan, ChurnRecord, DEPARTURE_SALT,
@@ -53,7 +53,6 @@ use crate::faults::{
     all_bursts_recovered, last_recovery, run_until_silent_with_faults, FaultOutcome, FaultPlan,
     VICTIM_SALT,
 };
-use crate::interned::{InternableProtocol, InternedSimulation};
 use crate::protocol::Protocol;
 use crate::runner::{run_trials, TrialPlan};
 use crate::scenario::{Scenario, ScenarioRng};
@@ -298,7 +297,7 @@ impl<P: Protocol> RunSpec<P> {
     }
 }
 
-impl<P: EnumerableProtocol + Clone + Sync> RunSpec<P> {
+impl<P: CountProtocol + Clone + Sync> RunSpec<P> {
     /// Builds and runs the spec, returning the per-trial reports in trial
     /// order (shorthand for `build()?.run()`).
     ///
@@ -320,36 +319,13 @@ impl<P: EnumerableProtocol + Clone + Sync> RunSpec<P> {
     }
 }
 
-impl<P: InternableProtocol + Clone + Sync> RunSpec<P> {
-    /// Builds and runs the spec for an open-state-space protocol, routing the
-    /// count engines through the dynamically interned backend (shorthand for
-    /// `build()?.run_interned()`).
-    ///
-    /// # Errors
-    ///
-    /// The build-time validation errors of [`RunSpec::build`].
-    pub fn run_interned(self) -> Result<Vec<TrialReport<P::State>>, SimError> {
-        Ok(self.build()?.run_interned())
-    }
-
-    /// Builds the spec and runs a single interned execution seeded with the
-    /// base seed verbatim (shorthand for `build()?.run_one_interned()`).
-    ///
-    /// # Errors
-    ///
-    /// The build-time validation errors of [`RunSpec::build`].
-    pub fn run_one_interned(self) -> Result<TrialReport<P::State>, SimError> {
-        Ok(self.build()?.run_one_interned())
-    }
-}
-
 /// A validated [`RunSpec`]: every trial is guaranteed to construct its
 /// simulation successfully, so the run methods are infallible.
 pub struct ReadyRun<P: Protocol> {
     spec: RunSpec<P>,
 }
 
-impl<P: EnumerableProtocol + Clone + Sync> ReadyRun<P> {
+impl<P: CountProtocol + Clone + Sync> ReadyRun<P> {
     /// Runs the trials across threads, returning reports in trial order.
     ///
     /// Each trial's seed is derived from the base seed with the
@@ -380,49 +356,15 @@ impl<P: EnumerableProtocol + Clone + Sync> ReadyRun<P> {
                 drive(spec, seed, &mut sim, final_config)
             }
             Engine::Batched | Engine::BatchedCounts => {
-                let mut sim =
-                    BatchedSimulation::try_new_scheduled(protocol, &config, seed, &spec.scheduler)
-                        .expect("run spec validated upfront")
-                        .with_sampling_mode(spec.engine.sampling_mode());
-                let final_config = |sim: &BatchedSimulation<P>| sim.to_configuration();
-                drive(spec, seed, &mut sim, final_config)
-            }
-        }
-    }
-}
-
-impl<P: InternableProtocol + Clone + Sync> ReadyRun<P> {
-    /// Runs the trials of an open-state-space protocol across threads: the
-    /// interned counterpart of [`ReadyRun::run`] ([`Engine::Batched`] routes
-    /// through the dynamically interned backend).
-    pub fn run_interned(&self) -> Vec<TrialReport<P::State>> {
-        let plan = self.spec.plan();
-        run_trials(&plan, |trial, seed| self.trial_interned(trial, seed))
-    }
-
-    /// Runs one interned execution seeded with the spec's base seed verbatim.
-    pub fn run_one_interned(&self) -> TrialReport<P::State> {
-        self.trial_interned(0, self.spec.base_seed)
-    }
-
-    fn trial_interned(&self, trial: usize, seed: u64) -> TrialReport<P::State> {
-        let spec = &self.spec;
-        let protocol = spec.protocol.clone();
-        let config = spec.start.configuration(&protocol, trial, seed);
-        match spec.engine {
-            Engine::Exact => {
-                let mut sim =
-                    Simulation::try_new_scheduled(protocol, config, seed, &spec.scheduler)
-                        .expect("run spec validated upfront");
-                let final_config = |sim: &Simulation<P>| sim.configuration().clone();
-                drive(spec, seed, &mut sim, final_config)
-            }
-            Engine::Batched | Engine::BatchedCounts => {
-                let mut sim =
-                    InternedSimulation::try_new_scheduled(protocol, &config, seed, &spec.scheduler)
-                        .expect("run spec validated upfront")
-                        .with_sampling_mode(spec.engine.sampling_mode());
-                let final_config = |sim: &InternedSimulation<P>| sim.to_configuration();
+                let mut sim = CountSimulation::<P, P::Index>::try_new_scheduled(
+                    protocol,
+                    &config,
+                    seed,
+                    &spec.scheduler,
+                )
+                .expect("run spec validated upfront")
+                .with_sampling_mode(spec.engine.sampling_mode());
+                let final_config = |sim: &CountSimulation<P, P::Index>| sim.to_configuration();
                 drive(spec, seed, &mut sim, final_config)
             }
         }
@@ -431,8 +373,8 @@ impl<P: InternableProtocol + Clone + Sync> ReadyRun<P> {
 
 /// Drives one constructed simulation through the spec's fault/churn axes.
 ///
-/// Shared by the enumerable and interned paths: the host type differs, but
-/// the event-stream logic is identical. `final_config` extracts the final
+/// Shared by the exact and count engines: the host type differs, but the
+/// event-stream logic is identical. `final_config` extracts the final
 /// configuration once the run stops (a closure because the exact engine
 /// borrows it while the count engines materialize it).
 fn drive<P, H, F>(
@@ -628,6 +570,7 @@ impl<S> TrialReport<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batched::EnumerableProtocol;
     use crate::churn::ChurnAction;
     use crate::faults::CorruptionTarget;
     use crate::scheduler::{PairRates, Topology};

@@ -13,9 +13,9 @@
 //!   branches, no allocation, and **no RNG use** (counters never perturb a
 //!   trajectory). Deterministic in the seed, merged across trials with
 //!   [`CounterBlock::merge`].
-//! * **Probes and spans** go through a [`Telemetry`] sink. The default sink
-//!   is [`NoopTelemetry`] (engine-side: [`TelemetrySink::Noop`]), whose
-//!   every hook is an inlined no-op — the disabled path is a single enum
+//! * **Probes and spans** go through the engine-side [`TelemetrySink`]
+//!   slot. Its default [`TelemetrySink::Noop`] arm makes every hook an
+//!   inlined no-op — the disabled path is a single enum
 //!   discriminant test at probe checkpoints and nothing at all elsewhere,
 //!   gated to ≤2% overhead by `exp_profile`'s `telemetry-overhead` row in
 //!   `BENCH_obs.json`.
@@ -245,38 +245,6 @@ pub struct Span {
     pub end_us: u64,
 }
 
-/// The instrumentation sink interface. Every hook defaults to a no-op so a
-/// sink implements only what it records; engines call the hooks through
-/// [`TelemetrySink`], whose `Noop` arm makes the disabled path free.
-pub trait Telemetry {
-    /// Whether probes/spans are being recorded (lets call sites skip
-    /// building a [`Probe`] that would be thrown away).
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    /// Whether a probe is due at `interactions` elapsed. Recording sinks
-    /// space probes log-uniformly; the no-op sink never asks for one.
-    fn probe_due(&self, _interactions: u64) -> bool {
-        false
-    }
-
-    /// Records one convergence checkpoint.
-    fn record_probe(&mut self, _probe: Probe) {}
-
-    /// Opens a span around a hot phase.
-    fn span_begin(&mut self, _name: &'static str) {}
-
-    /// Closes the innermost open span with this name.
-    fn span_end(&mut self, _name: &'static str) {}
-}
-
-/// The zero-cost default sink: every hook is an inlined no-op.
-#[derive(Clone, Copy, PartialEq, Eq, Default, Debug)]
-pub struct NoopTelemetry;
-
-impl Telemetry for NoopTelemetry {}
-
 /// Spans kept per recorder before further `span_begin`s only count
 /// [`Recorder::dropped_spans`] — bounds trace memory on very long runs.
 pub const SPAN_CAP: usize = 1 << 16;
@@ -327,18 +295,15 @@ impl Recorder {
     fn now_us(&self) -> u64 {
         self.origin.elapsed().as_micros().min(u64::MAX as u128) as u64
     }
-}
 
-impl Telemetry for Recorder {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn probe_due(&self, interactions: u64) -> bool {
+    /// Whether a probe is due at `interactions` elapsed: probes are spaced
+    /// log-uniformly in simulated time.
+    pub fn probe_due(&self, interactions: u64) -> bool {
         interactions >= self.next_probe_at
     }
 
-    fn record_probe(&mut self, probe: Probe) {
+    /// Records one convergence checkpoint.
+    pub fn record_probe(&mut self, probe: Probe) {
         // Log-spaced: the next checkpoint waits for 25% more simulated
         // time, with a +1 floor so early probes still advance.
         self.next_probe_at = (probe.interactions / PROBE_GROWTH_DEN)
@@ -347,11 +312,13 @@ impl Telemetry for Recorder {
         self.probes.push(probe);
     }
 
-    fn span_begin(&mut self, name: &'static str) {
+    /// Opens a span around a hot phase.
+    pub fn span_begin(&mut self, name: &'static str) {
         self.open.push((name, Instant::now()));
     }
 
-    fn span_end(&mut self, name: &'static str) {
+    /// Closes the innermost open span with this name.
+    pub fn span_end(&mut self, name: &'static str) {
         let Some(pos) = self.open.iter().rposition(|(n, _)| *n == name) else {
             return; // unbalanced end: drop rather than panic mid-run
         };

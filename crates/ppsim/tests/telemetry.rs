@@ -55,10 +55,6 @@ impl EnumerableProtocol for Spread {
     }
 }
 
-impl InternableProtocol for Spread {
-    type NullClass = ();
-}
-
 fn spec(n: usize, engine: Engine, seed: u64, probe: bool) -> RunSpec<Spread> {
     RunSpec::new(Spread { n })
         .engine(engine)
@@ -81,9 +77,16 @@ fn counters_are_identical_seed_for_seed_on_every_engine() {
             "{engine}: counters must replay exactly"
         );
     }
-    // The interned backend too (routed through the count engines).
-    let a = spec(64, Engine::Batched, 7, false).run_one_interned().unwrap();
-    let b = spec(64, Engine::Batched, 7, false).run_one_interned().unwrap();
+    // The interned index too (routed through the count engines).
+    let interned = || {
+        RunSpec::new(AsInterned(Spread { n: 64 }))
+            .engine(Engine::Batched)
+            .init(Configuration::from_fn(64, |i| (i % 5) as u8))
+            .seed(7)
+            .run_one()
+            .unwrap()
+    };
+    let (a, b) = (interned(), interned());
     assert!(!a.counters.is_empty(), "interned: a run must count something");
     assert_eq!(
         a.counters.iter_nonzero().collect::<Vec<_>>(),

@@ -21,7 +21,10 @@
 //! (`O(n/64)` words per interaction, no engine overhead) that the
 //! engine-based runs are cross-validated against.
 
-use ppsim::{Configuration, CorruptionTarget, FaultPlan, InternableProtocol, Protocol};
+use ppsim::{
+    Configuration, CorruptionTarget, CountProtocol, FaultPlan, InternableProtocol, InternedStates,
+    Protocol,
+};
 use rand::{Rng, RngCore};
 
 /// A roll-call roster: the set of agent IDs an agent has heard of, as a
@@ -134,7 +137,7 @@ impl Roster {
 ///     .engine(Engine::Batched)
 ///     .init(init)
 ///     .seed(11)
-///     .run_one_interned()
+///     .run_one()
 ///     .unwrap();
 /// assert!(report.outcome.is_silent());
 /// assert!(RollCall::is_complete(&report.final_config));
@@ -240,6 +243,10 @@ impl InternableProtocol for RollCall {
     fn distinct_states_hint(&self) -> usize {
         2 * self.n
     }
+}
+
+impl CountProtocol for RollCall {
+    type Index = InternedStates<Self>;
 }
 
 /// Samples the number of interactions `R_n` for the roll-call process to
@@ -401,7 +408,7 @@ mod tests {
                 .init(init.clone())
                 .seed(5)
                 .faults(plan.clone())
-                .run_one_interned()
+                .run_one()
                 .unwrap();
             assert!(report.outcome.is_silent());
             assert!(RollCall::is_complete(&report.final_config));

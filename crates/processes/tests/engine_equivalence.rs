@@ -82,7 +82,10 @@ fn batchcount_matches_the_specialized_samplers() {
             .with_sampling_mode(SamplingMode::BatchCount);
         assert!(sim.run_until_silent(BUDGET).is_silent());
         assert_eq!(sim.count_of(&EpidemicState::Infected), n as u64);
-        assert!(sim.batch_epochs() > 0, "n = 150 must engage the epoch path");
+        assert!(
+            sim.counters().get(Counter::EpochsOpened) > 0,
+            "n = 150 must engage the epoch path"
+        );
         sim.interactions().count() as f64
     });
     let specialized = run_trials(&plan, |_, seed| {
@@ -147,7 +150,7 @@ fn batched_and_exact_epidemic_agree_per_seed_on_the_verdict() {
 
 #[test]
 fn epidemic_backends_agree_across_scenario_families() {
-    // The Indexed and PresentScan backends must report the same non-null
+    // The indexed and present routes must report the same non-null
     // pair weight and silence verdict on matching configurations from every
     // seeded-epidemic corner case, for many (n, seed) pairs.
     for n in [2usize, 3, 17, 64] {
@@ -217,14 +220,14 @@ fn roll_call_engines_agree_per_seed_on_the_verdict() {
             .budget(BUDGET)
             .init(init.clone())
             .seed(seed)
-            .run_one_interned()
+            .run_one()
             .unwrap();
         let interned = RunSpec::new(protocol)
             .engine(Engine::Batched)
             .budget(BUDGET)
             .init(init)
             .seed(seed)
-            .run_one_interned()
+            .run_one()
             .unwrap();
         assert_eq!(exact.outcome.reason, interned.outcome.reason);
         assert!(exact.outcome.is_silent());
@@ -252,7 +255,7 @@ fn roll_call_silence_times_match_the_specialized_sampler_on_both_engines() {
                 .budget(BUDGET)
                 .init(protocol.initial_configuration())
                 .seed(seed ^ salt)
-                .run_one_interned()
+                .run_one()
                 .unwrap();
             assert!(report.outcome.is_silent());
             report.outcome.interactions.count() as f64

@@ -378,7 +378,7 @@ impl OptimalSilentSsr {
 ///
 /// Unsettled and resetting states interact non-trivially with *every* state
 /// (timers tick on each interaction), so there is no sparse partner
-/// structure; the batched engine uses its dense present-scan backend, which
+/// structure; the batched engine runs it on the present route, which
 /// still wins whenever the population idles in a mostly-settled
 /// configuration (e.g. waiting for the last rank collision to be noticed).
 impl EnumerableProtocol for OptimalSilentSsr {

@@ -28,8 +28,8 @@ pub mod history_tree;
 use std::collections::BTreeSet;
 
 use ppsim::{
-    Configuration, InternableProtocol, LeaderElectionProtocol, Protocol, Rank, RankingProtocol,
-    Scenario,
+    Configuration, CountProtocol, InternableProtocol, InternedStates, LeaderElectionProtocol,
+    Protocol, Rank, RankingProtocol, Scenario,
 };
 use rand::{Rng, RngCore};
 
@@ -268,11 +268,11 @@ impl SublinearTimeSsr {
     /// adversarial-initialization experiments (`exp_adversarial`). The state
     /// space is not statically enumerable (names × history trees), so these
     /// families run on the exact engine ([`ppsim::Simulation`]) or on the
-    /// batched engine's dynamically interned backend
-    /// ([`ppsim::InternedSimulation`], via
-    /// [`ppsim::Engine::run_until_interned`]) — the protocol implements
-    /// [`InternableProtocol`], and the cross-engine equivalence suite holds
-    /// both routes to the same verdicts and time distributions.
+    /// count engine's interned index ([`ppsim::InternedSimulation`], via
+    /// [`ppsim::Engine::run_until`]) — the protocol implements
+    /// [`CountProtocol`] with [`InternedStates`], and the cross-engine
+    /// equivalence suite holds both routes to the same verdicts and time
+    /// distributions.
     pub fn adversarial_scenarios() -> Vec<Scenario<Self>> {
         vec![
             Scenario::new("collision-2way", |p: &Self, rng| {
@@ -412,6 +412,10 @@ impl InternableProtocol for SublinearTimeSsr {
         // intern new ones.
         2 * self.params.n
     }
+}
+
+impl CountProtocol for SublinearTimeSsr {
+    type Index = InternedStates<Self>;
 }
 
 impl SublinearTimeSsr {

@@ -94,7 +94,7 @@ proptest! {
             .budget(BUDGET)
             .init(init)
             .seed(seed)
-            .run_one_interned()
+            .run_one()
             .unwrap();
 
         prop_assert!(batched.outcome.is_silent());
@@ -131,8 +131,8 @@ proptest! {
         prop_assert_eq!(batched.outcome.interactions, Interactions::ZERO);
     }
 
-    // Backend equivalence: the batched engine's Indexed (Fenwick) and
-    // PresentScan (dense) backends agree on the non-null pair weight and the
+    // Route equivalence: the batched engine's indexed (partner-list) and
+    // present (`ForceDense`) routes agree on the non-null pair weight and the
     // silence verdict on matching configurations drawn from every adversarial
     // scenario family, and both match the exact engine's silence check.
     #[test]
@@ -220,7 +220,7 @@ proptest! {
             .budget(BUDGET)
             .init(init)
             .seed(seed)
-            .run_one_interned()
+            .run_one()
             .unwrap();
 
         prop_assert_eq!(exact.outcome.reason, interned.outcome.reason);
@@ -232,8 +232,8 @@ proptest! {
         prop_assert!(protocol.is_correctly_ranked(&interned.final_config));
     }
 
-    // All three batched backends — indexed (Fenwick), present-scan, interned
-    // — agree on the non-null pair weight and the silence verdict on
+    // All three count configurations — indexed, present on the enumerated
+    // index, present on the interned index — agree on the non-null pair weight and the silence verdict on
     // matching configurations from every adversarial scenario family, and
     // the interned backend's incrementally maintained weight survives a
     // from-scratch audit.
@@ -392,7 +392,7 @@ fn mean_stabilization_times_match_on_the_interned_backend() {
                 .budget(BUDGET)
                 .init(config)
                 .seed(s)
-                .run_one_interned()
+                .run_one()
                 .unwrap();
             assert!(report.outcome.is_silent());
             report.parallel_time().value()
@@ -481,8 +481,8 @@ fn sublinear_scenarios_converge_equivalently_on_both_engines() {
             run_trials(&TrialPlan::new(trials, seed), |_, s| {
                 let protocol = SublinearTimeSsr::new(SublinearParams::recommended(n, h));
                 let config = scenario.configuration(&protocol, s);
-                let report = engine
-                    .run_until_interned(protocol, &config, s, budget, |c| protocol.is_correct(c));
+                let report =
+                    engine.run_until(protocol, &config, s, budget, |c| protocol.is_correct(c));
                 assert!(
                     report.outcome.condition_met(),
                     "scenario {:?} failed to converge on {engine}",
@@ -558,13 +558,8 @@ fn merged_collision_detection_times_match_across_engines() {
             let protocol = SublinearTimeSsr::new(SublinearParams::recommended(n, 0));
             let mut rng = ChaCha8Rng::seed_from_u64(s ^ 0x11AD);
             let config = protocol.merged_collision_configuration(2, &mut rng);
-            let report = engine.run_until_interned(
-                protocol,
-                &config,
-                s,
-                budget,
-                SublinearTimeSsr::any_resetting,
-            );
+            let report =
+                engine.run_until(protocol, &config, s, budget, SublinearTimeSsr::any_resetting);
             assert!(report.outcome.condition_met(), "collision was never detected on {engine}");
             report.parallel_time().value()
         })
@@ -651,7 +646,7 @@ fn mean_fault_recovery_times_match_across_engines() {
                     .init(init)
                     .seed(s)
                     .faults(plan.clone())
-                    .run_one_interned()
+                    .run_one()
                     .unwrap()
             } else {
                 RunSpec::new(protocol)

@@ -9,11 +9,11 @@
 //!    the pre-refactor engines (seed for seed) and the scheduled runs must
 //!    reproduce them exactly.
 //! 2. **`WeightedPairs` simulates one law on every backend.** The exact
-//!    per-agent engine, the indexed (Fenwick) and present-scan count
-//!    backends, and the dynamically interned backend consume randomness
-//!    differently, so their per-seed trajectories differ — but the silence
-//!    *distributions* must agree, checked on means within the repo's
-//!    1.5·t·SE allowance at n ∈ {8, 32, 128}.
+//!    per-agent engine, the count engine's indexed and present routes on
+//!    an enumerated index, and its present route on the interned index
+//!    consume randomness differently, so their per-seed trajectories
+//!    differ — but the silence *distributions* must agree, checked on
+//!    means within the repo's 1.5·t·SE allowance at n ∈ {8, 32, 128}.
 //! 3. **The weighted model checker predicts the weighted engines.** The
 //!    Gauss–Seidel solver under a pair measure must match 200-trial
 //!    count-engine means at n ∈ {2, 3, 4} within 1.5·t·SE.
@@ -68,7 +68,7 @@ fn uniform_scheduler_is_trajectory_preserving_on_every_engine() {
                     .budget(BUDGET)
                     .init(init.clone())
                     .seed(*seed)
-                    .run_one_interned()
+                    .run_one()
                     .unwrap()
             } else {
                 RunSpec::new(frat)
@@ -155,7 +155,7 @@ fn weighted_silence_distributions_agree_across_all_four_backends() {
                             .scheduler(scheduler.clone())
                             .init(init.clone())
                             .seed(seed)
-                            .run_one_interned()
+                            .run_one()
                             .unwrap()
                             .outcome
                     }
