@@ -246,3 +246,163 @@ fn churn_recovery_composes_with_scenarios_across_crates() {
         assert!(protocol.is_correctly_ranked(&report.final_config));
     }
 }
+
+/// One fired perturbation as `(at, corrupted, joined, departed,
+/// population_after, restabilization)`.
+type EventPin = (u64, usize, usize, usize, usize, Option<u64>);
+
+/// Agents corrupted per fault burst in the perturbed pins.
+const BURST: usize = 5;
+
+/// Perturbed `Fratricide::new(30)` runs from the all-leaders configuration
+/// at seed 5, one row per `(plans, engine)`: the final interaction count,
+/// the final population, and every fired event. Captured before faults and
+/// churn shared one driver, so the merge order, the engine-side victim and
+/// departure draws, and the per-event silence bookkeeping are all pinned.
+#[rustfmt::skip]
+const PERTURBED_PINS: &[(&str, &str, u64, usize, &[EventPin])] = &[
+    ("faults", "exact", 8768, 30, &[
+        (2000, 5, 0, 0, 30, Some(473)),
+        (5000, 5, 0, 0, 30, Some(232)),
+        (8000, 5, 0, 0, 30, Some(768)),
+    ]),
+    ("faults", "batched", 8348, 30, &[
+        (2000, 5, 0, 0, 30, Some(1264)),
+        (5000, 5, 0, 0, 30, Some(603)),
+        (8000, 5, 0, 0, 30, Some(348)),
+    ]),
+    ("faults", "batchcount", 8348, 30, &[
+        (2000, 5, 0, 0, 30, Some(1264)),
+        (5000, 5, 0, 0, 30, Some(603)),
+        (8000, 5, 0, 0, 30, Some(348)),
+    ]),
+    ("faults", "interned", 8392, 30, &[
+        (2000, 5, 0, 0, 30, Some(332)),
+        (5000, 5, 0, 0, 30, Some(938)),
+        (8000, 5, 0, 0, 30, Some(392)),
+    ]),
+    ("churn", "exact", 8722, 30, &[
+        (2000, 0, 4, 4, 30, Some(435)),
+        (5000, 0, 4, 4, 30, Some(1132)),
+        (8000, 0, 4, 4, 30, Some(722)),
+    ]),
+    ("churn", "batched", 8148, 30, &[
+        (2000, 0, 4, 4, 30, Some(268)),
+        (5000, 0, 4, 4, 30, Some(1895)),
+        (8000, 0, 4, 4, 30, Some(148)),
+    ]),
+    ("churn", "batchcount", 8148, 30, &[
+        (2000, 0, 4, 4, 30, Some(268)),
+        (5000, 0, 4, 4, 30, Some(1895)),
+        (8000, 0, 4, 4, 30, Some(148)),
+    ]),
+    ("churn", "interned", 8656, 30, &[
+        (2000, 0, 4, 4, 30, Some(319)),
+        (5000, 0, 4, 4, 30, Some(908)),
+        (8000, 0, 4, 4, 30, Some(656)),
+    ]),
+    ("both", "exact", 5807, 36, &[
+        (2000, 0, 3, 0, 33, Some(435)),
+        (5000, 5, 0, 0, 33, None),
+        (5000, 0, 3, 0, 36, Some(807)),
+    ]),
+    ("both", "batched", 7408, 36, &[
+        (2000, 0, 3, 0, 33, Some(560)),
+        (5000, 5, 0, 0, 33, None),
+        (5000, 0, 3, 0, 36, Some(2408)),
+    ]),
+    ("both", "batchcount", 8068, 36, &[
+        (2000, 0, 3, 0, 33, Some(560)),
+        (5000, 5, 0, 0, 33, None),
+        (5000, 0, 3, 0, 36, Some(3068)),
+    ]),
+    ("both", "interned", 6525, 36, &[
+        (2000, 0, 3, 0, 33, Some(891)),
+        (5000, 5, 0, 0, 33, None),
+        (5000, 0, 3, 0, 36, Some(1525)),
+    ]),
+];
+
+/// The perturbed spec for `plans`: `"faults"` is a periodic fault plan,
+/// `"churn"` a periodic `Replace` churn plan, and `"both"` a fault plan and
+/// a churn plan that fire at one shared index (5 000).
+fn perturbed_run<P>(protocol: P, engine: Engine, plans: &str) -> TrialReport<LeaderState>
+where
+    P: CountProtocol<State = LeaderState> + Clone + Sync,
+{
+    let leader = CorruptionTarget::Fixed(LeaderState::Leader);
+    let spec = RunSpec::new(protocol)
+        .engine(engine)
+        .budget(BUDGET)
+        .init(Configuration::uniform(LeaderState::Leader, 30))
+        .seed(5);
+    let spec = match plans {
+        "faults" => spec.faults(FaultPlan::periodic(2_000, 3_000, 3, BURST, leader)),
+        "churn" => spec.churn(ChurnPlan::periodic(
+            2_000,
+            3_000,
+            3,
+            ChurnAction::Replace { count: 4, state: leader },
+        )),
+        "both" => spec.faults(FaultPlan::one_shot(5_000, BURST, leader.clone())).churn(
+            ChurnPlan::periodic(2_000, 3_000, 2, ChurnAction::Join { count: 3, state: leader }),
+        ),
+        other => panic!("unknown plan set {other}"),
+    };
+    spec.run_one().unwrap()
+}
+
+/// Every fired event of a perturbed run, in time order.
+fn event_pins(report: &TrialReport<LeaderState>) -> Vec<EventPin> {
+    if report.churn.is_empty() {
+        let n = report.final_population();
+        report
+            .injections
+            .iter()
+            .zip(&report.recoveries)
+            .map(|(at, r)| (at.count(), BURST, 0, 0, n, r.map(|i| i.count())))
+            .collect()
+    } else {
+        report
+            .churn
+            .iter()
+            .map(|r| {
+                let rest = r.restabilization.map(|i| i.count());
+                (r.at.count(), r.corrupted, r.joined, r.departed, r.population_after, rest)
+            })
+            .collect()
+    }
+}
+
+#[test]
+fn perturbed_runs_are_pinned_seed_for_seed_on_every_engine() {
+    let frat = Fratricide::new(30);
+    let mut rows = Vec::new();
+    for plans in ["faults", "churn", "both"] {
+        for label in ["exact", "batched", "batchcount", "interned"] {
+            let report = if label == "interned" {
+                perturbed_run(AsInterned(frat), Engine::Batched, plans)
+            } else {
+                perturbed_run(frat, engine_by_label(label), plans)
+            };
+            assert!(report.outcome.is_silent(), "{plans} on {label}");
+            rows.push((
+                plans,
+                label,
+                report.outcome.interactions.count(),
+                report.final_population(),
+                event_pins(&report),
+            ));
+        }
+    }
+    assert_eq!(rows.len(), PERTURBED_PINS.len());
+    for (row, &(plans, label, interactions, population, events)) in rows.iter().zip(PERTURBED_PINS)
+    {
+        assert_eq!((row.0, row.1), (plans, label));
+        assert_eq!(
+            (row.2, row.3, row.4.as_slice()),
+            (interactions, population, events),
+            "{plans} on {label}: the perturbed trajectory moved"
+        );
+    }
+}
