@@ -207,10 +207,10 @@ fn measure_silent_cell(
             protocol.has_unique_leader(&report.final_config),
             "{ctx}: ended without a unique leader"
         );
-        bursts += report.injections.len();
-        if !report.injections.is_empty() {
+        bursts += report.events.len();
+        if !report.events.is_empty() {
             let recovery = report
-                .final_recovery()
+                .final_restabilization()
                 .unwrap_or_else(|| panic!("{ctx}: final burst not recovered from"));
             recoveries.push(recovery.to_parallel_time(n).value());
         }
@@ -275,9 +275,9 @@ fn roll_call(quick: bool, cells: &mut Vec<Cell>) {
                     RollCall::is_complete(&report.final_config),
                     "{ctx}: silenced without a complete roll call"
                 );
-                bursts += report.injections.len();
+                bursts += report.events.len();
                 let recovery = report
-                    .final_recovery()
+                    .final_restabilization()
                     .unwrap_or_else(|| panic!("{ctx}: final burst not recovered from"));
                 recoveries.push(recovery.to_parallel_time(n).value());
             }

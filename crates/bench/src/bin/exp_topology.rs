@@ -432,7 +432,7 @@ fn churn_sweep(quick: bool, cells: &mut Vec<Cell>) {
             for report in &reports {
                 let ctx = format!("{} under {sched_name} at n={n}", plan.name());
                 assert!(report.outcome.is_silent(), "{ctx}: did not re-silence within budget");
-                events += report.churn.len();
+                events += report.events.len();
                 if plan.name().contains("replace") {
                     assert_eq!(
                         report.final_population(),
@@ -447,7 +447,7 @@ fn churn_sweep(quick: bool, cells: &mut Vec<Cell>) {
                     assert!(report.final_population() >= 2, "{ctx}: churn broke the clamp");
                     assert!(report.final_population() < n, "{ctx}: departures did not shrink");
                 }
-                if !report.churn.is_empty() {
+                if !report.events.is_empty() {
                     // Events can overlap (the period is of the order of the
                     // recovery time), so only the final event's recovery is
                     // guaranteed — and required.

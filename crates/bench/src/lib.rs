@@ -872,7 +872,7 @@ mod tests {
         for report in &reports {
             assert!(report.outcome.is_silent());
             assert_eq!(report.final_population(), n);
-            assert_eq!(report.churn.len(), 2);
+            assert_eq!(report.events.len(), 2);
             assert!(report.restabilized_after_every_event());
         }
     }

@@ -1,4 +1,5 @@
-//! Mid-run transient-fault injection and recovery-time measurement.
+//! Mid-run perturbations: transient-fault injection, the one driver that
+//! runs every perturbation stream, and re-stabilization measurement.
 //!
 //! The paper's headline guarantee is *self-stabilization*: the protocols
 //! recover from an **arbitrary transient corruption at any point in the
@@ -11,6 +12,11 @@
 //! minus the injection time — which is the quantity the paper's
 //! stabilization-time theorems are actually about.
 //!
+//! To the protocol, a corrupted agent and an agent that joined or left are
+//! the same thing: a transient perturbation it must absorb. Fault plans and
+//! [`ChurnPlan`](crate::churn::ChurnPlan)s therefore resolve into one event
+//! type, [`Perturbation`], and one driver runs the merged stream.
+//!
 //! # Anatomy of a plan
 //!
 //! A plan is a [`FaultSchedule`] (one-shot burst, periodic bursts, or
@@ -18,13 +24,14 @@
 //! the states the corrupted agents are forced into (a fixed adversary-chosen
 //! state, or an independent random draw per agent). [`FaultPlan::resolve`]
 //! expands the plan deterministically from a seed into concrete
-//! [`FaultEvent`]s — times plus per-agent target states — so the *same*
-//! seeded plan injects the same corruption stream on every engine; only the
-//! victim choice below consumes engine-side randomness.
+//! [`PerturbationKind::Corrupt`] events — times plus per-agent target states
+//! — so the *same* seeded plan injects the same corruption stream on every
+//! engine; only the victim choice below consumes engine-side randomness.
 //!
 //! # Engine hooks
 //!
-//! Each engine exposes an `inject_states` hook and implements [`FaultHost`]:
+//! Each engine exposes `inject_states`, `join` and `leave` hooks and
+//! implements [`PerturbationHost`]:
 //!
 //! * [`crate::Simulation`] picks `k` **distinct agents uniformly** and
 //!   overwrites their states, restarting the exact-silence clock
@@ -36,11 +43,12 @@
 //!   (`apply_count_deltas`), so affected rows are re-audited incrementally,
 //!   never by a full recount.
 //!
-//! [`run_until_silent_with_faults`] drives any host segment by segment:
-//! run to silence (capped at the next injection index), advance the trailing
-//! null interactions to the injection index, inject, repeat; the per-event
-//! recovery times fall out of the exact silence points. Fault plans enter a
-//! workload through [`crate::RunSpec::faults`], which composes them with the
+//! [`run_until_silent_perturbed`] drives any host through one time-ordered
+//! stream, segment by segment: run to silence (capped at the next event's
+//! index), advance the trailing null interactions to the index, apply the
+//! event, repeat. The per-event re-stabilization times fall out of the exact
+//! silence points into one [`EventRecord`] log. Fault plans enter a workload
+//! through [`crate::RunSpec::faults`], which composes them with churn, the
 //! engine choice, the scheduler, and the adversarial initial families.
 //!
 //! # Example
@@ -88,10 +96,11 @@
 //!     .run_one()
 //!     .unwrap();
 //! assert!(report.outcome.is_silent());
-//! assert_eq!(report.injections.len(), 1);
+//! assert_eq!(report.events.len(), 1);
+//! assert_eq!(report.events[0].corrupted, 10);
 //! // The run re-silenced after the burst; recovery is measured from the
 //! // injection, not from the start of the run.
-//! let recovery = report.final_recovery().unwrap();
+//! let recovery = report.final_restabilization().unwrap();
 //! assert!(report.outcome.interactions.count() >= 2_000 + recovery.count());
 //! ```
 
@@ -101,13 +110,15 @@ use std::sync::Arc;
 use rand::{Rng, SeedableRng};
 
 use crate::batched::{CountSimulation, StateIndex};
-use crate::execution::{RunOutcome, Simulation, StopReason};
+use crate::execution::{RunOutcome, Simulation};
 use crate::protocol::Protocol;
 use crate::scenario::{name_salt, ScenarioRng};
 use crate::telemetry::{Counter, CounterBlock, Recorder};
 use crate::time::Interactions;
 
-/// When the bursts of a [`FaultPlan`] fire, in absolute interaction indices.
+/// When the events of a [`FaultPlan`] or a
+/// [`ChurnPlan`](crate::churn::ChurnPlan) fire, in absolute interaction
+/// indices.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub enum FaultSchedule {
     /// A single burst at interaction index `at`.
@@ -132,6 +143,59 @@ pub enum FaultSchedule {
         /// No burst fires at or beyond this interaction index.
         horizon: u64,
     },
+}
+
+impl FaultSchedule {
+    /// The schedule's part of a plan's default name, e.g. `@500` or
+    /// `·gap200·h2000`. The name seeds [`FaultPlan::resolve`], so this
+    /// format is part of every pinned trajectory.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a zero period or a zero mean gap (events must fire at
+    /// distinct indices).
+    pub(crate) fn name_suffix(self) -> String {
+        match self {
+            FaultSchedule::OneShot { at } => format!("@{at}"),
+            FaultSchedule::Periodic { start, period, bursts } => {
+                assert!(period > 0, "periodic events need a positive period");
+                format!("@{start}+i·{period}×{bursts}")
+            }
+            FaultSchedule::Poisson { mean_gap, horizon } => {
+                assert!(mean_gap > 0, "Poisson arrivals need a positive mean gap");
+                format!("·gap{mean_gap}·h{horizon}")
+            }
+        }
+    }
+
+    /// Expands the schedule into events in strictly increasing time order:
+    /// the event times are drawn first, then `kind` is called once per
+    /// event, in time order, with the same RNG.
+    pub(crate) fn expand<S>(
+        self,
+        rng: &mut ScenarioRng,
+        mut kind: impl FnMut(&mut ScenarioRng) -> PerturbationKind<S>,
+    ) -> Vec<Perturbation<S>> {
+        let times: Vec<u64> = match self {
+            FaultSchedule::OneShot { at } => vec![at],
+            FaultSchedule::Periodic { start, period, bursts } => {
+                (0..bursts as u64).map(|i| start + i * period).collect()
+            }
+            FaultSchedule::Poisson { mean_gap, horizon } => {
+                let mut times = Vec::new();
+                let mut t = 0u64;
+                loop {
+                    t = t.saturating_add(sample_exponential_gap(mean_gap, rng));
+                    if t >= horizon {
+                        break;
+                    }
+                    times.push(t);
+                }
+                times
+            }
+        };
+        times.into_iter().map(|at| Perturbation { at, kind: kind(rng) }).collect()
+    }
 }
 
 /// How the states of the corrupted agents are chosen.
@@ -165,6 +229,19 @@ impl<S> CorruptionTarget<S> {
     pub fn random(f: impl Fn(&mut ScenarioRng) -> S + Send + Sync + 'static) -> Self {
         CorruptionTarget::Random(Arc::new(f))
     }
+
+    /// Draws `count` states under the rule.
+    pub(crate) fn draw(&self, count: usize, rng: &mut ScenarioRng) -> Vec<S>
+    where
+        S: Clone,
+    {
+        (0..count)
+            .map(|_| match self {
+                CorruptionTarget::Fixed(s) => s.clone(),
+                CorruptionTarget::Random(f) => f(rng),
+            })
+            .collect()
+    }
 }
 
 /// A plan of transient corruption bursts: a schedule, a burst size, and a
@@ -179,21 +256,53 @@ pub struct FaultPlan<S> {
     target: CorruptionTarget<S>,
 }
 
-/// One resolved burst: the interaction index it fires at and the target
-/// state for each of the `k` corrupted agents.
+/// One resolved event of a perturbation stream: the interaction index it
+/// fires at and what it does there.
 #[derive(Clone, PartialEq, Debug)]
-pub struct FaultEvent<S> {
-    /// Absolute interaction index of the burst.
+pub struct Perturbation<S> {
+    /// Absolute interaction index of the event.
     pub at: u64,
-    /// Target states, one per corrupted agent.
-    pub states: Vec<S>,
+    /// What the event does to the population.
+    pub kind: PerturbationKind<S>,
+}
+
+/// What a [`Perturbation`] does.
+#[derive(Clone, PartialEq, Debug)]
+pub enum PerturbationKind<S> {
+    /// A corruption burst: one victim per listed state, the `i`-th victim
+    /// forced into the `i`-th state.
+    Corrupt(Vec<S>),
+    /// A churn event: `leaves` departures requested (the driver clamps them
+    /// so at least two agents remain), then one agent joins per listed state.
+    Resize {
+        /// States of the agents joining at this event.
+        joins: Vec<S>,
+        /// Number of departures requested at this event.
+        leaves: usize,
+    },
 }
 
 impl<S: Clone> FaultPlan<S> {
+    /// A plan with `k` corruptions per burst on any schedule, named after
+    /// the schedule (the constructors below are its three shapes).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a zero period or a zero mean gap (bursts must fire at
+    /// distinct indices).
+    pub fn new(schedule: FaultSchedule, k: usize, target: CorruptionTarget<S>) -> Self {
+        let shape = match schedule {
+            FaultSchedule::OneShot { .. } => "one-shot",
+            FaultSchedule::Periodic { .. } => "periodic",
+            FaultSchedule::Poisson { .. } => "poisson",
+        };
+        let name = format!("{shape}{}·k{k}", schedule.name_suffix());
+        FaultPlan { name, schedule, k, target }
+    }
+
     /// A plan with a single burst of `k` corruptions at interaction `at`.
     pub fn one_shot(at: u64, k: usize, target: CorruptionTarget<S>) -> Self {
-        let name = format!("one-shot@{at}·k{k}");
-        FaultPlan { name, schedule: FaultSchedule::OneShot { at }, k, target }
+        FaultPlan::new(FaultSchedule::OneShot { at }, k, target)
     }
 
     /// A plan with `bursts` bursts of `k` corruptions, `period` interactions
@@ -209,9 +318,7 @@ impl<S: Clone> FaultPlan<S> {
         k: usize,
         target: CorruptionTarget<S>,
     ) -> Self {
-        assert!(period > 0, "periodic bursts need a positive period");
-        let name = format!("periodic@{start}+i·{period}×{bursts}·k{k}");
-        FaultPlan { name, schedule: FaultSchedule::Periodic { start, period, bursts }, k, target }
+        FaultPlan::new(FaultSchedule::Periodic { start, period, bursts }, k, target)
     }
 
     /// A plan with Poisson-arrival bursts of `k` corruptions: exponential
@@ -221,9 +328,7 @@ impl<S: Clone> FaultPlan<S> {
     ///
     /// Panics if `mean_gap == 0`.
     pub fn poisson(mean_gap: u64, horizon: u64, k: usize, target: CorruptionTarget<S>) -> Self {
-        assert!(mean_gap > 0, "Poisson arrivals need a positive mean gap");
-        let name = format!("poisson·gap{mean_gap}·h{horizon}·k{k}");
-        FaultPlan { name, schedule: FaultSchedule::Poisson { mean_gap, horizon }, k, target }
+        FaultPlan::new(FaultSchedule::Poisson { mean_gap, horizon }, k, target)
     }
 
     /// Replaces the auto-generated name (used in experiment tables).
@@ -253,45 +358,18 @@ impl<S: Clone> FaultPlan<S> {
         self.schedule
     }
 
-    /// Expands the plan into concrete events for a trial seed: burst times in
-    /// strictly increasing order, each with its `k` target states.
+    /// Expands the plan into concrete [`PerturbationKind::Corrupt`] events
+    /// for a trial seed: burst times in strictly increasing order, each with
+    /// its `k` target states.
     ///
     /// Deterministic in `(plan, seed)` and independent of the engine: the RNG
     /// is seeded from the seed and the plan's name, so the same seeded plan
-    /// produces the identical corruption stream on the exact, batched, and
-    /// interned engines (only the victim draw is engine-side).
-    pub fn resolve(&self, seed: u64) -> Vec<FaultEvent<S>> {
+    /// produces the identical corruption stream on every engine and state
+    /// index (only the victim draw is engine-side).
+    pub fn resolve(&self, seed: u64) -> Vec<Perturbation<S>> {
         let mut rng = ScenarioRng::seed_from_u64(seed ^ name_salt(&self.name) ^ FAULT_PLAN_SALT);
-        let times: Vec<u64> = match self.schedule {
-            FaultSchedule::OneShot { at } => vec![at],
-            FaultSchedule::Periodic { start, period, bursts } => {
-                (0..bursts as u64).map(|i| start + i * period).collect()
-            }
-            FaultSchedule::Poisson { mean_gap, horizon } => {
-                let mut times = Vec::new();
-                let mut t = 0u64;
-                loop {
-                    t = t.saturating_add(sample_exponential_gap(mean_gap, &mut rng));
-                    if t >= horizon {
-                        break;
-                    }
-                    times.push(t);
-                }
-                times
-            }
-        };
-        times
-            .into_iter()
-            .map(|at| {
-                let states = (0..self.k)
-                    .map(|_| match &self.target {
-                        CorruptionTarget::Fixed(s) => s.clone(),
-                        CorruptionTarget::Random(f) => f(&mut rng),
-                    })
-                    .collect();
-                FaultEvent { at, states }
-            })
-            .collect()
+        self.schedule
+            .expand(&mut rng, |rng| PerturbationKind::Corrupt(self.target.draw(self.k, rng)))
     }
 }
 
@@ -299,9 +377,8 @@ const FAULT_PLAN_SALT: u64 = 0xFA01_75A1;
 pub(crate) const VICTIM_SALT: u64 = 0x7_1C71_C71C;
 
 /// A positive exponential gap with the given mean, drawn by inversion
-/// (rounded up, so consecutive bursts never share an interaction index).
-/// Shared with [`crate::churn`]'s Poisson arrival schedule.
-pub(crate) fn sample_exponential_gap(mean: u64, rng: &mut impl Rng) -> u64 {
+/// (rounded up, so consecutive events never share an interaction index).
+fn sample_exponential_gap(mean: u64, rng: &mut impl Rng) -> u64 {
     // u ∈ (0, 1]: ln is finite, and u = 1 maps to the minimal gap of 1.
     let u = ((rng.next_u64() >> 11) + 1) as f64 * (1.0 / (1u64 << 53) as f64);
     let gap = (-u.ln() * mean as f64).ceil();
@@ -312,11 +389,11 @@ pub(crate) fn sample_exponential_gap(mean: u64, rng: &mut impl Rng) -> u64 {
     }
 }
 
-/// The engine-side surface the fault driver needs: every simulation backend
-/// that can pause at an interaction index, apply a corruption burst, and
-/// resume implements this. Both engines do ([`Simulation`] and
-/// [`CountSimulation`] over either state index).
-pub trait FaultHost {
+/// The engine-side surface the perturbation driver needs: every simulation
+/// backend that can pause at an interaction index, apply a corruption burst
+/// or a resize, and resume implements this. Both engines do
+/// ([`Simulation`] and [`CountSimulation`] over either state index).
+pub trait PerturbationHost {
     /// The protocol state type.
     type State;
 
@@ -335,49 +412,85 @@ pub trait FaultHost {
     /// `i`-th victim forced into `states[i]`.
     fn inject(&mut self, states: &[Self::State], rng: &mut ScenarioRng);
 
+    /// The current population size.
+    fn population(&self) -> usize;
+
+    /// Appends one agent per state; the exact engine also rebuilds its
+    /// scheduling topology at the new size.
+    fn join(&mut self, states: &[Self::State]);
+
+    /// Removes `k` agents drawn uniformly over agents (or ∝ counts without
+    /// replacement in count space).
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer than two agents would remain (the driver clamps).
+    fn leave(&mut self, k: usize, rng: &mut ScenarioRng);
+
     /// Adds `by` events to the host's unified telemetry registry (see
-    /// [`crate::telemetry`]); the fault and churn drivers account their
-    /// bursts and membership changes through this hook. Default: dropped
-    /// (for hosts without a registry).
-    fn record_counter(&mut self, _counter: Counter, _by: u64) {}
+    /// [`crate::telemetry`]); the driver accounts bursts and membership
+    /// changes through this hook.
+    fn record_counter(&mut self, counter: Counter, by: u64);
 
-    /// A snapshot of the host's telemetry counter registry. Default: empty.
+    /// A snapshot of the host's telemetry counter registry.
+    fn counters(&self) -> CounterBlock;
+
+    /// Attaches a probe/span [`Recorder`] to the host.
+    fn attach_telemetry(&mut self, recorder: Recorder);
+
+    /// Detaches the host's recorder, if any.
+    fn take_telemetry(&mut self) -> Option<Recorder>;
+}
+
+impl<P: Protocol> PerturbationHost for Simulation<P> {
+    type State = P::State;
+
+    fn interactions_so_far(&self) -> Interactions {
+        self.interactions()
+    }
+
+    fn run_to_silence(&mut self, budget: u64) -> RunOutcome {
+        self.run_until_silent(budget)
+    }
+
+    fn advance(&mut self, budget: u64) {
+        self.run_for(budget);
+    }
+
+    fn inject(&mut self, states: &[Self::State], rng: &mut ScenarioRng) {
+        self.inject_states(states, rng);
+    }
+
+    fn population(&self) -> usize {
+        self.population_size()
+    }
+
+    fn join(&mut self, states: &[Self::State]) {
+        Simulation::join(self, states);
+    }
+
+    fn leave(&mut self, k: usize, rng: &mut ScenarioRng) {
+        Simulation::leave(self, k, rng);
+    }
+
+    fn record_counter(&mut self, counter: Counter, by: u64) {
+        self.add_counter(counter, by);
+    }
+
     fn counters(&self) -> CounterBlock {
-        CounterBlock::default()
+        self.counters()
     }
 
-    /// Attaches a probe/span [`Recorder`] to the host. Default: dropped.
-    fn attach_telemetry(&mut self, _recorder: Recorder) {}
+    fn attach_telemetry(&mut self, recorder: Recorder) {
+        self.attach_telemetry(recorder);
+    }
 
-    /// Detaches the host's recorder, if any. Default: `None`.
     fn take_telemetry(&mut self) -> Option<Recorder> {
-        None
+        self.take_telemetry()
     }
 }
 
-/// Shared boilerplate: every engine already carries the registry and sink,
-/// so its `FaultHost` telemetry hooks delegate to the inherent methods.
-macro_rules! fault_host_telemetry {
-    () => {
-        fn record_counter(&mut self, counter: Counter, by: u64) {
-            self.add_counter(counter, by);
-        }
-
-        fn counters(&self) -> CounterBlock {
-            self.counters()
-        }
-
-        fn attach_telemetry(&mut self, recorder: Recorder) {
-            self.attach_telemetry(recorder);
-        }
-
-        fn take_telemetry(&mut self) -> Option<Recorder> {
-            self.take_telemetry()
-        }
-    };
-}
-
-impl<P: Protocol> FaultHost for Simulation<P> {
+impl<P: Protocol, X: StateIndex<P>> PerturbationHost for CountSimulation<P, X> {
     type State = P::State;
 
     fn interactions_so_far(&self) -> Interactions {
@@ -396,143 +509,147 @@ impl<P: Protocol> FaultHost for Simulation<P> {
         self.inject_states(states, rng);
     }
 
-    fault_host_telemetry!();
+    fn population(&self) -> usize {
+        self.population_size()
+    }
+
+    fn join(&mut self, states: &[Self::State]) {
+        CountSimulation::join(self, states);
+    }
+
+    fn leave(&mut self, k: usize, rng: &mut ScenarioRng) {
+        CountSimulation::leave(self, k, rng);
+    }
+
+    fn record_counter(&mut self, counter: Counter, by: u64) {
+        self.add_counter(counter, by);
+    }
+
+    fn counters(&self) -> CounterBlock {
+        self.counters()
+    }
+
+    fn attach_telemetry(&mut self, recorder: Recorder) {
+        self.attach_telemetry(recorder);
+    }
+
+    fn take_telemetry(&mut self) -> Option<Recorder> {
+        self.take_telemetry()
+    }
 }
 
-impl<P: Protocol, X: StateIndex<P>> FaultHost for CountSimulation<P, X> {
-    type State = P::State;
-
-    fn interactions_so_far(&self) -> Interactions {
-        self.interactions()
-    }
-
-    fn run_to_silence(&mut self, budget: u64) -> RunOutcome {
-        self.run_until_silent(budget)
-    }
-
-    fn advance(&mut self, budget: u64) {
-        self.run_for(budget);
-    }
-
-    fn inject(&mut self, states: &[Self::State], rng: &mut ScenarioRng) {
-        self.inject_states(states, rng);
-    }
-
-    fault_host_telemetry!();
+/// The record of one fired event (a corruption burst or a churn event):
+/// what it did and how long the protocol took to re-stabilize afterwards.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub struct EventRecord {
+    /// Absolute interaction index of the event.
+    pub at: Interactions,
+    /// Agents that joined at this event.
+    pub joined: usize,
+    /// Agents that departed (after clamping so ≥ 2 remain).
+    pub departed: usize,
+    /// Agents corrupted at this event (0 for churn events).
+    pub corrupted: usize,
+    /// Population size immediately after the event.
+    pub population_after: usize,
+    /// The **re-stabilization time**: the exact silence point re-reached
+    /// after this event and before the next one (or the end of the run),
+    /// minus the event time. `None` when the next event (or budget
+    /// exhaustion) arrived before silence did.
+    pub restabilization: Option<Interactions>,
 }
 
-/// What a faulted run measured, independent of the final configuration
+/// What a perturbed run measured, independent of the final configuration
 /// (see [`crate::TrialReport`] for the spec-level result that includes it).
 #[derive(Clone, PartialEq, Debug)]
-pub struct FaultOutcome {
-    /// Why and when the run finally stopped. For [`StopReason::Silent`] the
+pub struct PerturbedRun {
+    /// Why and when the run finally stopped. For silent stops the
     /// interaction count is the exact silence point of the last segment.
     pub outcome: RunOutcome,
-    /// The interaction index of every burst that fired (bursts scheduled at
-    /// or beyond the budget never fire and are not listed).
-    pub injections: Vec<Interactions>,
-    /// The exact silence point reached before the first burst, if the run
-    /// silenced before it (the adversarial-initialization stabilization
-    /// time; not a recovery).
+    /// The exact silence point reached before the first event, if the run
+    /// silenced before it (with no events, the silence point of the run).
     pub initial_silence: Option<Interactions>,
-    /// Per fired burst, the **recovery time**: the exact silence point
-    /// re-reached after the burst and before the next one (or the end of the
-    /// run), minus the injection time. `None` when the next burst (or budget
-    /// exhaustion) arrived before silence did.
-    pub recoveries: Vec<Option<Interactions>>,
+    /// One record per fired event, in time order (events scheduled at or
+    /// beyond the budget never fire and are not listed).
+    pub events: Vec<EventRecord>,
 }
 
-/// The recovery time of the last burst, if it fired and the run re-silenced
-/// after it (shared by [`FaultOutcome`] and [`crate::TrialReport`], which
-/// mirror each other's measurement fields by construction).
-pub(crate) fn last_recovery(recoveries: &[Option<Interactions>]) -> Option<Interactions> {
-    recoveries.last().copied().flatten()
-}
-
-/// Whether every fired burst was recovered from before the next one (see
-/// [`last_recovery`] for the sharing rationale).
-pub(crate) fn all_bursts_recovered(recoveries: &[Option<Interactions>]) -> bool {
-    !recoveries.is_empty() && recoveries.iter().all(|r| r.is_some())
-}
-
-impl FaultOutcome {
-    /// The recovery time of the **last** burst, if it fired and the run
-    /// re-silenced after it — the paper's "stabilization time from the final
-    /// transient corruption".
-    pub fn final_recovery(&self) -> Option<Interactions> {
-        last_recovery(&self.recoveries)
-    }
-
-    /// Whether every fired burst was recovered from before the next one.
-    pub fn recovered_after_every_burst(&self) -> bool {
-        all_bursts_recovered(&self.recoveries)
-    }
-}
-
-/// Drives a [`FaultHost`] to silence through a resolved corruption stream:
-/// for each event, runs to silence capped at the event's interaction index
-/// (recording the recovery of the previous burst if silence arrived first),
-/// advances the trailing null interactions to the index, injects, and
-/// finally runs the last segment to silence or budget exhaustion.
+/// Drives a [`PerturbationHost`] to silence through one resolved event
+/// stream: for each event, runs to silence capped at the event's index
+/// (recording the re-stabilization of the previous event, or the initial
+/// silence, if silence arrived first), advances the trailing null
+/// interactions to the index, applies the event, and finally runs the last
+/// segment to silence or budget exhaustion. With no events this is one run
+/// to silence.
 ///
-/// Events must be in strictly increasing time order (as produced by
-/// [`FaultPlan::resolve`]); events at or beyond `budget` never fire.
-pub fn run_until_silent_with_faults<H: FaultHost>(
+/// A `Corrupt` event draws its victims from `victim_rng`; a `Resize` event
+/// applies its departures (clamped so at least two agents remain), drawn
+/// from `departure_rng`, then its joins.
+///
+/// Events must be in non-decreasing time order (as produced by merging the
+/// plans' `resolve` streams); events at or beyond `budget` never fire.
+pub fn run_until_silent_perturbed<H: PerturbationHost>(
     host: &mut H,
-    events: &[FaultEvent<H::State>],
+    events: &[Perturbation<H::State>],
     victim_rng: &mut ScenarioRng,
+    departure_rng: &mut ScenarioRng,
     budget: u64,
-) -> FaultOutcome {
-    let mut injections: Vec<Interactions> = Vec::new();
-    let mut initial_silence = None;
-    let mut recoveries: Vec<Option<Interactions>> = Vec::new();
-
-    let mut record_silence =
-        |out: &RunOutcome,
-         injections: &[Interactions],
-         recoveries: &mut Vec<Option<Interactions>>| {
-            if out.reason != StopReason::Silent {
-                return;
-            }
-            match injections.last() {
-                Some(&at) => {
-                    let slot = recoveries.last_mut().expect("one recovery slot per injection");
-                    if slot.is_none() {
-                        *slot = Some(out.interactions - at);
-                    }
-                }
-                None => {
-                    if initial_silence.is_none() {
-                        initial_silence = Some(out.interactions);
-                    }
-                }
-            }
-        };
-
-    for event in events {
-        if event.at >= budget {
-            break;
+) -> PerturbedRun {
+    // A silent segment end re-stabilizes the latest event, or, before any
+    // event, is the initial silence; only the first silence point counts.
+    fn note_silence(out: &RunOutcome, initial: &mut Option<Interactions>, log: &mut [EventRecord]) {
+        if out.is_silent() {
+            let (slot, since) = match log.last_mut() {
+                Some(record) => (&mut record.restabilization, record.at),
+                None => (initial, Interactions::ZERO),
+            };
+            slot.get_or_insert(out.interactions - since);
         }
+    }
+
+    let mut initial_silence = None;
+    let mut log: Vec<EventRecord> = Vec::new();
+    for event in events.iter().take_while(|e| e.at < budget) {
         let now = host.interactions_so_far().count();
-        debug_assert!(now <= event.at, "fault events must be in increasing time order");
+        debug_assert!(now <= event.at, "events must be in increasing time order");
         let out = host.run_to_silence(event.at - now);
-        record_silence(&out, &injections, &mut recoveries);
+        note_silence(&out, &mut initial_silence, &mut log);
         // The host may have stopped short of the index (silence detected, or
         // an exact-engine check chunk ended early): pad with null
-        // interactions so the burst lands exactly at its scheduled index.
+        // interactions so the event lands exactly at its scheduled index.
         let now = host.interactions_so_far().count();
         host.advance(event.at - now);
-        host.inject(&event.states, victim_rng);
-        host.record_counter(Counter::FaultBursts, 1);
-        host.record_counter(Counter::FaultVictims, event.states.len() as u64);
-        injections.push(Interactions::new(event.at));
-        recoveries.push(None);
+        let (corrupted, joined, departed) = match &event.kind {
+            PerturbationKind::Corrupt(states) => {
+                host.inject(states, victim_rng);
+                host.record_counter(Counter::FaultBursts, 1);
+                host.record_counter(Counter::FaultVictims, states.len() as u64);
+                (states.len(), 0, 0)
+            }
+            PerturbationKind::Resize { joins, leaves } => {
+                let departed = (*leaves).min(host.population().saturating_sub(2));
+                host.leave(departed, departure_rng);
+                host.join(joins);
+                host.record_counter(Counter::ChurnEvents, 1);
+                host.record_counter(Counter::ChurnJoined, joins.len() as u64);
+                host.record_counter(Counter::ChurnDeparted, departed as u64);
+                (0, joins.len(), departed)
+            }
+        };
+        log.push(EventRecord {
+            at: Interactions::new(event.at),
+            joined,
+            departed,
+            corrupted,
+            population_after: host.population(),
+            restabilization: None,
+        });
     }
 
     let now = host.interactions_so_far().count();
     let outcome = host.run_to_silence(budget.saturating_sub(now));
-    record_silence(&outcome, &injections, &mut recoveries);
-    FaultOutcome { outcome, injections, initial_silence, recoveries }
+    note_silence(&outcome, &mut initial_silence, &mut log);
+    PerturbedRun { outcome, initial_silence, events: log }
 }
 
 #[cfg(test)]
@@ -588,6 +705,11 @@ mod tests {
         c.iter().filter(|&&s| s == 0).count()
     }
 
+    /// The interaction index of every fired event.
+    fn fired_at(report: &TrialReport<u8>) -> Vec<u64> {
+        report.events.iter().map(|r| r.at.count()).collect()
+    }
+
     /// One faulty run through the unified spec, seed taken verbatim.
     fn run_faulty<P>(
         engine: Engine,
@@ -614,7 +736,7 @@ mod tests {
     fn resolve_is_deterministic_and_increasing() {
         let fixed = FaultPlan::one_shot(500, 3, CorruptionTarget::Fixed(0u8));
         assert_eq!(fixed.resolve(1), fixed.resolve(1));
-        assert_eq!(fixed.resolve(1)[0].states, vec![0, 0, 0]);
+        assert_eq!(fixed.resolve(1)[0].kind, PerturbationKind::Corrupt(vec![0, 0, 0]));
         assert_eq!(fixed.burst_size(), 3);
 
         let periodic = FaultPlan::periodic(100, 50, 4, 2, CorruptionTarget::Fixed(0u8));
@@ -638,7 +760,7 @@ mod tests {
             FaultPlan::one_shot(10, 8, CorruptionTarget::random(|rng| rng.gen_range(0..2u8)));
         let a = plan.resolve(3);
         assert_eq!(a, plan.resolve(3));
-        assert_eq!(a[0].states.len(), 8);
+        assert!(matches!(&a[0].kind, PerturbationKind::Corrupt(states) if states.len() == 8));
     }
 
     #[test]
@@ -660,9 +782,9 @@ mod tests {
                 .unwrap();
             for report in [&exact, &batched, &dense, &interned] {
                 assert!(report.outcome.is_silent());
-                assert_eq!(report.injections, vec![Interactions::new(3_000)]);
+                assert_eq!(fired_at(report), vec![3_000]);
                 assert_eq!(leaders(&report.final_config), 1, "seed {seed}");
-                assert!(report.recovered_after_every_burst());
+                assert!(report.restabilized_after_every_event());
                 // Silence after the burst lies beyond the injection index.
                 assert!(report.outcome.interactions.count() >= 3_000);
             }
@@ -695,8 +817,8 @@ mod tests {
             };
             // The initial configuration was already silent at interaction 0.
             assert_eq!(report.initial_silence, Some(Interactions::ZERO));
-            assert_eq!(report.injections, vec![Interactions::new(10_000)]);
-            let recovery = report.final_recovery().expect("the burst is recovered from");
+            assert_eq!(fired_at(&report), vec![10_000]);
+            let recovery = report.final_restabilization().expect("the burst is recovered from");
             // The clock restarted: the reported recovery is the silence point
             // *minus the injection time* — with 5 leaders to merge it is
             // positive yet far smaller than the absolute silence point.
@@ -723,7 +845,7 @@ mod tests {
             // followers only; when it hits the leader the configuration is
             // still all-null (leader count 0 or 1). Either way silence is
             // re-reported at the injection index.
-            assert_eq!(report.final_recovery(), Some(Interactions::ZERO));
+            assert_eq!(report.final_restabilization(), Some(Interactions::ZERO));
             assert_eq!(report.outcome.interactions.count(), 1_000);
         }
     }
@@ -734,8 +856,7 @@ mod tests {
         let plan = FaultPlan::periodic(1_000, 1_000, 5, 3, CorruptionTarget::Fixed(0u8));
         let report = run_faulty(Engine::Batched, Frat { n: 30 }, &init, 1, 2_500, &plan);
         // Only the bursts at 1000 and 2000 fit inside the budget of 2500.
-        assert_eq!(report.injections.len(), 2);
-        assert_eq!(report.recoveries.len(), 2);
+        assert_eq!(fired_at(&report), vec![1_000, 2_000]);
     }
 
     #[test]
@@ -747,9 +868,9 @@ mod tests {
         let plan = FaultPlan::periodic(10, 10, 10, 10, CorruptionTarget::Fixed(0u8));
         let report = run_faulty(Engine::Exact, Frat { n: 100 }, &init, 5, BUDGET, &plan);
         assert!(report.outcome.is_silent());
-        assert_eq!(report.injections.len(), 10);
-        assert!(report.recoveries[..9].iter().any(|r| r.is_none()));
-        assert!(report.final_recovery().is_some());
+        assert_eq!(report.events.len(), 10);
+        assert!(report.events[..9].iter().any(|r| r.restabilization.is_none()));
+        assert!(report.final_restabilization().is_some());
         assert_eq!(leaders(&report.final_config), 1);
     }
 

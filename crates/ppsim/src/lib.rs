@@ -116,14 +116,14 @@ pub use batched::{
     sample_null_run, BatchedSimulation, CountProtocol, CountSimulation, Engine, EngineReport,
     EnumerableProtocol, EnumeratedStates, ForceDense, SamplingMode, StateIndex,
 };
-pub use churn::{
-    run_until_silent_with_churn, run_until_silent_with_churn_and_faults, ChurnAction, ChurnEvent,
-    ChurnHost, ChurnOutcome, ChurnPlan, ChurnRecord,
-};
+pub use churn::{ChurnAction, ChurnPlan};
 pub use config::Configuration;
 pub use error::SimError;
 pub use execution::{ConvergenceOutcome, RunOutcome, Simulation, StopReason};
-pub use faults::{CorruptionTarget, FaultEvent, FaultHost, FaultPlan, FaultSchedule};
+pub use faults::{
+    run_until_silent_perturbed, CorruptionTarget, EventRecord, FaultPlan, FaultSchedule,
+    Perturbation, PerturbationHost, PerturbationKind, PerturbedRun,
+};
 pub use interned::{
     AsInterned, InternableProtocol, InternedSimulation, InternedStates, StateInterner,
 };
@@ -154,14 +154,14 @@ pub mod prelude {
         BatchedSimulation, CountProtocol, CountSimulation, Engine, EngineReport,
         EnumerableProtocol, EnumeratedStates, ForceDense, SamplingMode, StateIndex,
     };
-    pub use crate::churn::{
-        run_until_silent_with_churn, run_until_silent_with_churn_and_faults, ChurnAction,
-        ChurnEvent, ChurnHost, ChurnOutcome, ChurnPlan, ChurnRecord,
-    };
+    pub use crate::churn::{ChurnAction, ChurnPlan};
     pub use crate::config::Configuration;
     pub use crate::error::SimError;
     pub use crate::execution::{ConvergenceOutcome, RunOutcome, Simulation, StopReason};
-    pub use crate::faults::{CorruptionTarget, FaultEvent, FaultHost, FaultPlan, FaultSchedule};
+    pub use crate::faults::{
+        run_until_silent_perturbed, CorruptionTarget, EventRecord, FaultPlan, FaultSchedule,
+        Perturbation, PerturbationHost, PerturbationKind, PerturbedRun,
+    };
     pub use crate::interned::{
         AsInterned, InternableProtocol, InternedSimulation, InternedStates, StateInterner,
     };

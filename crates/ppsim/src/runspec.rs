@@ -23,11 +23,12 @@
 //! ```
 //!
 //! Every trial produces the same unified [`TrialReport`], whatever axes were
-//! active: plain runs leave the fault and churn fields empty, faulted runs
-//! fill `injections`/`recoveries`, churned runs fill `churn`. The count
-//! engines key their tables by the protocol's [`CountProtocol::Index`]: the
-//! enumerated space of an [`crate::EnumerableProtocol`], or the interned index
-//! of an open-state-space protocol (see [`crate::InternedStates`]).
+//! active: the fault and churn plans resolve into one time-ordered stream,
+//! one driver runs it, and every fired event lands in one `events` log
+//! (empty for plain runs). The count engines key their tables by the
+//! protocol's [`CountProtocol::Index`]: the enumerated space of an
+//! [`crate::EnumerableProtocol`], or the interned index of an
+//! open-state-space protocol (see [`crate::InternedStates`]).
 //!
 //! # Seeding
 //!
@@ -42,16 +43,12 @@ use std::sync::Arc;
 use rand::SeedableRng;
 
 use crate::batched::{CountProtocol, CountSimulation, Engine, EngineReport};
-use crate::churn::{
-    all_events_restabilized, final_restabilization, run_until_silent_with_churn_and_faults,
-    ChurnOutcome, ChurnPlan, ChurnRecord, DEPARTURE_SALT,
-};
+use crate::churn::{ChurnPlan, DEPARTURE_SALT};
 use crate::config::Configuration;
 use crate::error::SimError;
 use crate::execution::{RunOutcome, Simulation};
 use crate::faults::{
-    all_bursts_recovered, last_recovery, run_until_silent_with_faults, FaultOutcome, FaultPlan,
-    VICTIM_SALT,
+    run_until_silent_perturbed, EventRecord, FaultPlan, PerturbationHost, VICTIM_SALT,
 };
 use crate::protocol::Protocol;
 use crate::runner::{run_trials, TrialPlan};
@@ -371,12 +368,13 @@ impl<P: CountProtocol + Clone + Sync> ReadyRun<P> {
     }
 }
 
-/// Drives one constructed simulation through the spec's fault/churn axes.
+/// Drives one constructed simulation through the spec's perturbation stream.
 ///
 /// Shared by the exact and count engines: the host type differs, but the
-/// event-stream logic is identical. `final_config` extracts the final
-/// configuration once the run stops (a closure because the exact engine
-/// borrows it while the count engines materialize it).
+/// event-stream logic is identical. The fault and churn plans resolve into
+/// one time-ordered stream; a plain run is the empty stream. `final_config`
+/// extracts the final configuration once the run stops (a closure because
+/// the exact engine borrows it while the count engines materialize it).
 fn drive<P, H, F>(
     spec: &RunSpec<P>,
     seed: u64,
@@ -385,55 +383,45 @@ fn drive<P, H, F>(
 ) -> TrialReport<P::State>
 where
     P: Protocol,
-    H: crate::churn::ChurnHost<State = P::State>,
+    H: PerturbationHost<State = P::State>,
     F: Fn(&H) -> Configuration<P::State>,
 {
     if spec.probe {
         sim.attach_telemetry(Recorder::new());
     }
-    let mut report = match (&spec.churn, &spec.faults) {
-        (None, None) => {
-            let outcome = sim.run_to_silence(spec.budget);
-            TrialReport::from_engine(outcome, final_config(sim))
-        }
-        (None, Some(plan)) => {
-            let events = plan.resolve(seed);
-            let mut victim_rng = ScenarioRng::seed_from_u64(seed ^ VICTIM_SALT);
-            let out = run_until_silent_with_faults(sim, &events, &mut victim_rng, spec.budget);
-            TrialReport::from_faults(out, final_config(sim))
-        }
-        (Some(churn), faults) => {
-            let churn_events = churn.resolve(seed);
-            let fault_events = faults.as_ref().map(|p| p.resolve(seed)).unwrap_or_default();
-            let mut departure_rng = ScenarioRng::seed_from_u64(seed ^ DEPARTURE_SALT);
-            let mut victim_rng = ScenarioRng::seed_from_u64(seed ^ VICTIM_SALT);
-            let out = run_until_silent_with_churn_and_faults(
-                sim,
-                &churn_events,
-                &fault_events,
-                &mut departure_rng,
-                &mut victim_rng,
-                spec.budget,
-            );
-            TrialReport::from_churn(out, final_config(sim))
-        }
-    };
-    report.counters = sim.counters();
-    report.telemetry = sim.take_telemetry().map(|mut recorder| {
+    // Each plan keeps its own stream (and engine-side RNG); the stable sort
+    // merges them so a burst fires before a churn event at the same index.
+    let faults = spec.faults.iter().flat_map(|plan| plan.resolve(seed));
+    let churn = spec.churn.iter().flat_map(|plan| plan.resolve(seed));
+    let mut events: Vec<_> = faults.chain(churn).collect();
+    events.sort_by_key(|e| e.at);
+    let mut victim_rng = ScenarioRng::seed_from_u64(seed ^ VICTIM_SALT);
+    let mut departure_rng = ScenarioRng::seed_from_u64(seed ^ DEPARTURE_SALT);
+    let run =
+        run_until_silent_perturbed(sim, &events, &mut victim_rng, &mut departure_rng, spec.budget);
+    let final_config = final_config(sim);
+    let counters = sim.counters();
+    let telemetry = sim.take_telemetry().map(|mut recorder| {
         // Freeze the counter registry into the recorder so a serialized
         // recorder is self-contained.
-        recorder.counters = report.counters;
+        recorder.counters = counters;
         Box::new(recorder)
     });
-    report
+    TrialReport {
+        outcome: run.outcome,
+        final_config,
+        initial_silence: run.initial_silence,
+        events: run.events,
+        counters,
+        telemetry,
+    }
 }
 
 /// The unified result of one [`RunSpec`] trial, whatever axes were active.
 ///
-/// Plain runs leave `injections`/`recoveries`/`churn` empty; faulted runs
-/// fill the first two; churned runs record every fired event (including
-/// merged fault bursts) in `churn`. This subsumes the former `EngineReport`-,
-/// `FaultReport`-, and `ChurnReport`-shaped results.
+/// Every fired fault burst and churn event has one [`EventRecord`] in
+/// `events`, in time order; plain runs leave it empty. This subsumes the
+/// former `EngineReport`-, `FaultReport`-, and `ChurnReport`-shaped results.
 #[derive(Clone, PartialEq, Debug)]
 pub struct TrialReport<S> {
     /// Why and when the run finally stopped. For silent stops the
@@ -445,16 +433,8 @@ pub struct TrialReport<S> {
     /// The exact silence point reached before the first fault/churn event —
     /// for plain runs, the silence point of the whole run, if silent.
     pub initial_silence: Option<Interactions>,
-    /// The interaction index of every fault burst that fired (empty when the
-    /// spec had no fault plan, or when churn merged the bursts into
-    /// [`TrialReport::churn`]).
-    pub injections: Vec<Interactions>,
-    /// Per fired burst, the recovery time: the silence point re-reached
-    /// after the burst and before the next event, minus the injection time.
-    pub recoveries: Vec<Option<Interactions>>,
-    /// One record per fired churn or fault event when a churn plan was
-    /// active, in time order.
-    pub churn: Vec<ChurnRecord>,
+    /// One record per fired fault burst or churn event, in time order.
+    pub events: Vec<EventRecord>,
     /// The engine's unified counter registry at the end of the trial.
     /// Always populated (counters are RNG-free and cost one array of
     /// increments whether or not telemetry is attached).
@@ -465,46 +445,6 @@ pub struct TrialReport<S> {
 }
 
 impl<S> TrialReport<S> {
-    fn from_engine(outcome: RunOutcome, final_config: Configuration<S>) -> Self {
-        let initial_silence = outcome.is_silent().then_some(outcome.interactions);
-        TrialReport {
-            outcome,
-            final_config,
-            initial_silence,
-            injections: Vec::new(),
-            recoveries: Vec::new(),
-            churn: Vec::new(),
-            counters: CounterBlock::default(),
-            telemetry: None,
-        }
-    }
-
-    fn from_faults(out: FaultOutcome, final_config: Configuration<S>) -> Self {
-        TrialReport {
-            outcome: out.outcome,
-            final_config,
-            initial_silence: out.initial_silence,
-            injections: out.injections,
-            recoveries: out.recoveries,
-            churn: Vec::new(),
-            counters: CounterBlock::default(),
-            telemetry: None,
-        }
-    }
-
-    fn from_churn(out: ChurnOutcome, final_config: Configuration<S>) -> Self {
-        TrialReport {
-            outcome: out.outcome,
-            final_config,
-            initial_silence: out.initial_silence,
-            injections: Vec::new(),
-            recoveries: Vec::new(),
-            churn: out.events,
-            counters: CounterBlock::default(),
-            telemetry: None,
-        }
-    }
-
     /// The final population size (the length of the final configuration;
     /// differs from the initial size only under churn).
     pub fn final_population(&self) -> usize {
@@ -522,39 +462,23 @@ impl<S> TrialReport<S> {
         self.initial_silence.map(|i| i.to_parallel_time(self.final_config.len()))
     }
 
-    /// The recovery time of the last fault burst, if the run re-silenced
-    /// after it — the paper's "stabilization time from the final transient
-    /// corruption".
-    pub fn final_recovery(&self) -> Option<Interactions> {
-        last_recovery(&self.recoveries)
-    }
-
-    /// The last burst's recovery expressed as parallel time.
-    pub fn final_recovery_parallel_time(&self) -> Option<ParallelTime> {
-        self.final_recovery().map(|i| i.to_parallel_time(self.final_config.len()))
-    }
-
-    /// Whether every fired fault burst was recovered from before the next.
-    pub fn recovered_after_every_burst(&self) -> bool {
-        all_bursts_recovered(&self.recoveries)
-    }
-
-    /// The re-stabilization time of the last churn event, if the run
-    /// re-silenced after it.
+    /// The re-stabilization time of the last event, if the run re-silenced
+    /// after it — for a fault plan, the paper's "stabilization time from
+    /// the final transient corruption".
     pub fn final_restabilization(&self) -> Option<Interactions> {
-        final_restabilization(&self.churn)
+        self.events.last().and_then(|r| r.restabilization)
     }
 
-    /// The last churn event's re-stabilization expressed as parallel time
-    /// **at the final population size**.
+    /// The last event's re-stabilization expressed as parallel time **at the
+    /// final population size**.
     pub fn final_restabilization_parallel_time(&self) -> Option<ParallelTime> {
         self.final_restabilization().map(|i| i.to_parallel_time(self.final_config.len()))
     }
 
-    /// Whether every fired churn event was re-stabilized from before the
-    /// next one.
+    /// Whether at least one event fired and every fired event was
+    /// re-stabilized from before the next one.
     pub fn restabilized_after_every_event(&self) -> bool {
-        all_events_restabilized(&self.churn)
+        !self.events.is_empty() && self.events.iter().all(|r| r.restabilization.is_some())
     }
 
     /// The plain engine-level view (outcome + final configuration) of the
@@ -683,7 +607,7 @@ mod tests {
             for report in &reports {
                 assert!(report.outcome.is_silent());
                 assert_eq!(report.final_config.count_matching(|&s| s == 0), 1, "{engine}");
-                assert!(report.injections.is_empty() && report.churn.is_empty());
+                assert!(report.events.is_empty());
             }
         }
     }
@@ -717,10 +641,10 @@ mod tests {
             .unwrap();
         for report in &reports {
             assert!(report.outcome.is_silent());
-            assert_eq!(report.injections.len(), 3);
-            assert!(report.recovered_after_every_burst());
-            assert!(report.final_recovery().is_some());
-            assert!(report.churn.is_empty());
+            assert_eq!(report.events.len(), 3);
+            assert!(report.events.iter().all(|r| r.corrupted == 4 && r.joined == 0));
+            assert!(report.restabilized_after_every_event());
+            assert!(report.final_restabilization().is_some());
         }
     }
 
@@ -743,7 +667,7 @@ mod tests {
             assert!(report.outcome.is_silent());
             assert_eq!(report.final_population(), 25);
             assert!(report.restabilized_after_every_event());
-            assert!(report.injections.is_empty());
+            assert!(report.events.iter().all(|r| r.corrupted == 0));
         }
     }
 
@@ -762,9 +686,9 @@ mod tests {
             .run_one()
             .unwrap();
         assert!(report.outcome.is_silent());
-        assert_eq!(report.churn.len(), 2);
-        assert_eq!(report.churn[0].joined, 3);
-        assert_eq!(report.churn[1].corrupted, 2);
+        assert_eq!(report.events.len(), 2);
+        assert_eq!(report.events[0].joined, 3);
+        assert_eq!(report.events[1].corrupted, 2);
         assert_eq!(report.final_population(), 23);
     }
 

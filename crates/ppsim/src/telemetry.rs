@@ -1,6 +1,6 @@
 //! Unified instrumentation layer: one counter registry, convergence-progress
 //! probes, and begin/end span recording shared by every engine, the
-//! fault/churn drivers, the model checker, and (through `TrialReport`) the
+//! perturbation driver, the model checker, and (through `TrialReport`) the
 //! `ppsimd` daemon.
 //!
 //! The layer has three costs, and they are paid very differently:
@@ -40,9 +40,9 @@ use std::time::Instant;
 /// Every event class the unified registry counts, across all layers.
 ///
 /// Engine counters are deterministic in the seed; `drivers.*` counters are
-/// maintained by the fault/churn drivers through the
-/// [`FaultHost`](crate::faults::FaultHost) surface; `mcheck.*` counters are
-/// filled in by the model checker's reports.
+/// maintained by the perturbation driver through the
+/// [`PerturbationHost`](crate::faults::PerturbationHost) surface; `mcheck.*`
+/// counters are filled in by the model checker's reports.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 #[repr(usize)]
 pub enum Counter {

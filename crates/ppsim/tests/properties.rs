@@ -299,7 +299,9 @@ proptest! {
             let events = plan.resolve(seed);
             prop_assert_eq!(&events, &plan.resolve(seed), "plan {}", plan.name());
             prop_assert!(events.windows(2).all(|w| w[0].at < w[1].at));
-            prop_assert!(events.iter().all(|e| e.states.len() == k));
+            prop_assert!(events
+                .iter()
+                .all(|e| matches!(&e.kind, PerturbationKind::Corrupt(states) if states.len() == k)));
         }
         prop_assert_eq!(plans[1].resolve(seed).len(), bursts as usize);
     }
@@ -473,7 +475,7 @@ proptest! {
                 .run_one()
                 .unwrap();
             let mut expected = n;
-            for record in &report.churn {
+            for record in &report.events {
                 expected = expected + record.joined - record.departed;
                 prop_assert_eq!(record.population_after, expected, "{}", engine);
             }

@@ -18,8 +18,8 @@ use ppsim::mcheck::{
 };
 use ppsim::telemetry::{CounterBlock, Recorder};
 use ppsim::{
-    ChurnAction, ChurnPlan, Configuration, CorruptionTarget, FaultPlan, InteractionScheduler,
-    Interactions, Protocol, Scenario, SimError, Topology, TrialPlan,
+    ChurnAction, ChurnPlan, Configuration, CorruptionTarget, FaultPlan, FaultSchedule,
+    InteractionScheduler, Protocol, Scenario, SimError, Topology, TrialPlan, TrialReport,
 };
 use processes::{Coupon, Epidemic, Fratricide, LeaderState};
 use rand::Rng;
@@ -191,20 +191,25 @@ fn resolve_state<P: EnumerableProtocol>(
     Ok(protocol.state_from_index(index))
 }
 
+/// The simulation-side schedule of a wire schedule. Fault and churn plans
+/// are both built from it and named after it, and the name seeds the plan's
+/// event stream.
+fn fault_schedule(spec: ScheduleSpec) -> FaultSchedule {
+    match spec {
+        ScheduleSpec::OneShot { at } => FaultSchedule::OneShot { at },
+        ScheduleSpec::Periodic { start, period, events } => {
+            FaultSchedule::Periodic { start, period, bursts: events }
+        }
+        ScheduleSpec::Poisson { mean_gap, horizon } => FaultSchedule::Poisson { mean_gap, horizon },
+    }
+}
+
 fn build_fault_plan<P: EnumerableProtocol>(
     protocol: &P,
     spec: &FaultSpec,
 ) -> Result<FaultPlan<P::State>, WireError> {
     let target = CorruptionTarget::Fixed(resolve_state(protocol, spec.state, "fault state")?);
-    Ok(match spec.schedule {
-        ScheduleSpec::OneShot { at } => FaultPlan::one_shot(at, spec.k, target),
-        ScheduleSpec::Periodic { start, period, events } => {
-            FaultPlan::periodic(start, period, events, spec.k, target)
-        }
-        ScheduleSpec::Poisson { mean_gap, horizon } => {
-            FaultPlan::poisson(mean_gap, horizon, spec.k, target)
-        }
-    })
+    Ok(FaultPlan::new(fault_schedule(spec.schedule), spec.k, target))
 }
 
 fn build_churn_plan<P: EnumerableProtocol>(
@@ -226,15 +231,7 @@ fn build_churn_plan<P: EnumerableProtocol>(
             ChurnAction::Replace { count: spec.count, state: state.expect("validated at parse") }
         }
     };
-    Ok(match spec.schedule {
-        ScheduleSpec::OneShot { at } => ChurnPlan::one_shot(at, action),
-        ScheduleSpec::Periodic { start, period, events } => {
-            ChurnPlan::periodic(start, period, events, action)
-        }
-        ScheduleSpec::Poisson { mean_gap, horizon } => {
-            ChurnPlan::poisson(mean_gap, horizon, action)
-        }
-    })
+    Ok(ChurnPlan::new(fault_schedule(spec.schedule), action))
 }
 
 fn sim_err(err: SimError) -> WireError {
@@ -262,21 +259,35 @@ struct RunAccumulator {
     silent_trials: usize,
     total_interactions: f64,
     total_parallel: f64,
-    // Fault aggregates (populated only for fault runs).
+    // Fault aggregates (rendered only for fault runs).
     recovered_trials: usize,
     final_recovery_parallel: Vec<Json>,
-    // Churn aggregates (populated only for churn runs).
+    // Churn aggregates (rendered only for churn runs).
     final_population: Vec<Json>,
     restabilized_trials: usize,
 }
 
 impl RunAccumulator {
-    fn record(&mut self, outcome_interactions: Interactions, silent: bool, final_n: usize) {
-        let count = outcome_interactions.count();
+    fn record<S>(&mut self, report: &TrialReport<S>) {
+        let count = report.outcome.interactions.count();
+        let final_n = report.final_population();
         self.interactions.push(Json::Num(count as f64));
-        self.silent_trials += usize::from(silent);
+        self.silent_trials += usize::from(report.outcome.is_silent());
         self.total_interactions += count as f64;
         self.total_parallel += count as f64 / final_n as f64;
+        // The fault plan's bursts are the records that corrupted agents (the
+        // wire requires k >= 1); churn events in between do not count.
+        let bursts = || report.events.iter().filter(|r| r.corrupted > 0);
+        let recovered = bursts().next().is_some() && bursts().all(|r| r.restabilization.is_some());
+        self.recovered_trials += usize::from(recovered);
+        self.final_recovery_parallel.push(
+            bursts()
+                .next_back()
+                .and_then(|r| r.restabilization)
+                .map_or(Json::Null, |i| Json::Num(i.to_parallel_time(final_n).value())),
+        );
+        self.final_population.push(Json::Num(final_n as f64));
+        self.restabilized_trials += usize::from(report.restabilized_after_every_event());
     }
 }
 
@@ -317,12 +328,6 @@ fn run_protocol<P: EnumerableProtocol + Copy + Sync>(
 ) -> Result<(Json, CounterBlock), WireError> {
     let scenario = resolve_scenario(scenarios, &spec.scenario, spec.protocol)?;
     let scheduler = build_scheduler::<P::State>(spec.scheduler, spec.n, spec.seed)?;
-    if spec.faults.is_some() && spec.churn.is_none() && spec.scheduler != SchedulerSpec::Uniform {
-        return Err(WireError::new(
-            ErrorKind::Unsupported,
-            "fault plans without churn are only supported under the uniform scheduler",
-        ));
-    }
     let fault_plan = spec.faults.as_ref().map(|f| build_fault_plan(&protocol, f)).transpose()?;
     let churn_plan = spec.churn.as_ref().map(|c| build_churn_plan(&protocol, c)).transpose()?;
     let plan = TrialPlan::new(spec.trials, spec.seed);
@@ -357,37 +362,7 @@ fn run_protocol<P: EnumerableProtocol + Copy + Sync>(
             spans.extend(trace_spans(recorder, trial as u64 + 1));
             dropped_spans += recorder.dropped_spans;
         }
-        match (&fault_plan, &churn_plan) {
-            (None, None) => {
-                acc.record(
-                    report.outcome.interactions,
-                    report.outcome.is_silent(),
-                    report.final_config.len(),
-                );
-            }
-            (Some(_), None) => {
-                acc.record(
-                    report.outcome.interactions,
-                    report.outcome.is_silent(),
-                    report.final_config.len(),
-                );
-                acc.recovered_trials += usize::from(report.recovered_after_every_burst());
-                acc.final_recovery_parallel.push(
-                    report
-                        .final_recovery_parallel_time()
-                        .map_or(Json::Null, |t| Json::Num(t.value())),
-                );
-            }
-            (_, Some(_)) => {
-                acc.record(
-                    report.outcome.interactions,
-                    report.outcome.is_silent(),
-                    report.final_population(),
-                );
-                acc.final_population.push(Json::Num(report.final_population() as f64));
-                acc.restabilized_trials += usize::from(report.restabilized_after_every_event());
-            }
-        }
+        acc.record(&report);
     }
 
     let mut map = BTreeMap::new();

@@ -173,6 +173,47 @@ fn seeds_beyond_the_float_safe_range_are_rejected() {
 }
 
 // ---------------------------------------------------------------------------
+// Fault and churn aggregates of executed `run` requests
+// ---------------------------------------------------------------------------
+
+/// Executes one request line in-process and returns its result payload.
+fn run_ok(line: &str) -> Json {
+    let request = Request::parse_line(line).expect("request parses");
+    match ppsimd::exec::execute(&request).0 {
+        Response::Ok { result, .. } => result,
+        Response::Err(err) => panic!("request should succeed: {err:?}"),
+    }
+}
+
+#[test]
+fn fault_aggregates_count_bursts_in_a_churned_run() {
+    // The burst at 2000 and the join at 8000 are far enough apart for
+    // fratricide at n = 30 to re-silence after each.
+    let result = run_ok(
+        r#"{"type":"run","protocol":"fratricide","n":30,"engine":"batched","scenario":"all-leader","trials":3,"seed":4,"faults":{"schedule":"one-shot","at":2000,"k":5,"state":0},"churn":{"schedule":"one-shot","at":8000,"action":"join","count":3,"state":0}}"#,
+    );
+    let faults = result.get("faults").expect("fault aggregates");
+    let finals = faults.get("final-recovery-parallel").and_then(Json::as_array).unwrap();
+    assert_eq!(finals.len(), 3, "one final recovery per trial: {faults:?}");
+    assert!(finals.iter().all(|t| t.as_f64().is_some_and(|t| t >= 0.0)), "{faults:?}");
+    let recovered = faults.get("recovered-trials").and_then(Json::as_f64).unwrap();
+    assert!(recovered > 0.0, "re-silenced trials must count as recovered: {faults:?}");
+    let churn = result.get("churn").expect("churn aggregates");
+    assert_eq!(churn.get("restabilized-trials").and_then(Json::as_f64), Some(3.0));
+}
+
+#[test]
+fn fault_plans_run_under_graph_schedulers_on_the_exact_engine() {
+    let result = run_ok(
+        r#"{"type":"run","protocol":"fratricide","n":20,"engine":"exact","scheduler":"ring","scenario":"all-leader","trials":3,"seed":2,"faults":{"schedule":"one-shot","at":3000,"k":4,"state":0}}"#,
+    );
+    assert_eq!(result.get("silent-trials").and_then(Json::as_f64), Some(3.0), "{result:?}");
+    let faults = result.get("faults").expect("fault aggregates");
+    let finals = faults.get("final-recovery-parallel").and_then(Json::as_array).unwrap();
+    assert_eq!(finals.len(), 3, "{faults:?}");
+}
+
+// ---------------------------------------------------------------------------
 // Wire-level framing errors against a live server
 // ---------------------------------------------------------------------------
 

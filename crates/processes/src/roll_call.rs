@@ -412,9 +412,9 @@ mod tests {
                 .unwrap();
             assert!(report.outcome.is_silent());
             assert!(RollCall::is_complete(&report.final_config));
-            assert_eq!(report.injections.len(), 2);
+            assert_eq!(report.events.len(), 2);
             // Both wipes land post-completion, so both are recovered from.
-            assert!(report.recovered_after_every_burst());
+            assert!(report.restabilized_after_every_event());
         }
     }
 

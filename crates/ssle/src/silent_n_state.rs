@@ -456,8 +456,8 @@ mod tests {
                 // Started silent: the pre-burst silence is at t = 0, and any
                 // fired burst is eventually recovered from.
                 assert_eq!(report.initial_silence, Some(ppsim::Interactions::ZERO));
-                if !report.injections.is_empty() {
-                    assert!(report.final_recovery().is_some());
+                if !report.events.is_empty() {
+                    assert!(report.final_restabilization().is_some());
                 }
             }
         }

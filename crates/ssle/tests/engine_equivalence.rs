@@ -660,7 +660,7 @@ fn mean_fault_recovery_times_match_across_engines() {
             };
             assert!(report.outcome.is_silent());
             assert!(protocol.is_correctly_ranked(&report.final_config));
-            let recovery = report.final_recovery().expect("the burst is recovered from");
+            let recovery = report.final_restabilization().expect("the burst is recovered from");
             recovery.to_parallel_time(n).value()
         })
     };

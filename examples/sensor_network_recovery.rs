@@ -75,7 +75,7 @@ fn main() {
         .expect("churn composes with graph topologies on the exact engine");
     assert!(churned.outcome.is_silent());
     assert_eq!(churned.final_population(), n, "replacement churn keeps the fleet size");
-    for (i, event) in churned.churn.iter().enumerate() {
+    for (i, event) in churned.events.iter().enumerate() {
         println!(
             "  maintenance event {}: {} sensors swapped at t = {}, fleet size {}",
             i + 1,
@@ -124,7 +124,7 @@ fn main() {
     // swap injects fresh mass that the fleet then burns back down.
     let recorder = complete.telemetry.as_ref().expect("probe(true) yields a recorder");
     println!("\nconvergence timeline (log-spaced probes; active pairs -> 0 is silence):");
-    let mut events = complete.churn.iter().enumerate().peekable();
+    let mut events = complete.events.iter().enumerate().peekable();
     for probe in &recorder.probes {
         while let Some(&(i, event)) = events.peek() {
             if event.at.count() > probe.interactions {

@@ -242,7 +242,7 @@ fn churn_recovery_composes_with_scenarios_across_crates() {
     for report in &reports {
         assert!(report.outcome.is_silent());
         assert_eq!(report.final_population(), n);
-        assert_eq!(report.churn.len(), 2);
+        assert_eq!(report.events.len(), 2);
         assert!(protocol.is_correctly_ranked(&report.final_config));
     }
 }
@@ -354,24 +354,14 @@ where
 
 /// Every fired event of a perturbed run, in time order.
 fn event_pins(report: &TrialReport<LeaderState>) -> Vec<EventPin> {
-    if report.churn.is_empty() {
-        let n = report.final_population();
-        report
-            .injections
-            .iter()
-            .zip(&report.recoveries)
-            .map(|(at, r)| (at.count(), BURST, 0, 0, n, r.map(|i| i.count())))
-            .collect()
-    } else {
-        report
-            .churn
-            .iter()
-            .map(|r| {
-                let rest = r.restabilization.map(|i| i.count());
-                (r.at.count(), r.corrupted, r.joined, r.departed, r.population_after, rest)
-            })
-            .collect()
-    }
+    report
+        .events
+        .iter()
+        .map(|r| {
+            let rest = r.restabilization.map(|i| i.count());
+            (r.at.count(), r.corrupted, r.joined, r.departed, r.population_after, rest)
+        })
+        .collect()
 }
 
 #[test]
