@@ -4,26 +4,26 @@
 //!
 //! Six sweeps, all **asserted**, not just printed:
 //!
-//! * **Dense verification** — `ppsim::mcheck::check_self_stabilization`
-//!   enumerates the full `C(n + |S| − 1, |S| − 1)` configuration lattice
-//!   and proves, for `Silent-n-state-SSR` (n ≤ 8), `Optimal-Silent-SSR`
+//! * **Dense verification** — `ppsim::mcheck::check_convergence` on the
+//!   lattice source, unquotiented (`use_symmetry: false`), classifies every
+//!   configuration of the full `C(n + |S| − 1, |S| − 1)` lattice and proves, for `Silent-n-state-SSR` (n ≤ 8), `Optimal-Silent-SSR`
 //!   with the tiny `mcheck` timers (n ≤ 6, a 14-million-configuration
 //!   lattice), the epidemic, the coupon collector and fratricide (n ≤ 64):
 //!   every configuration reaches a correct silent configuration, and
 //!   silent ⟺ correct — the self-stabilization theorem, decided
 //!   exhaustively.
-//! * **Quotient verification** — `check_self_stabilization_quotient` pushes
-//!   the same full-lattice proof past the dense wall by classifying only
-//!   canonical orbit representatives of each protocol's declared state
-//!   symmetry: `Silent-n-state-SSR` to n = 12 (a 1 352 078-configuration
+//! * **Quotient verification** — the same `check_convergence` pass with the
+//!   default `use_symmetry: true` pushes the full-lattice proof past the
+//!   dense wall by classifying only canonical orbit representatives of each
+//!   protocol's declared state symmetry: `Silent-n-state-SSR` to n = 12 (a 1 352 078-configuration
 //!   lattice proved from 112 720 Z/12-orbits), plus the
 //!   `Optimal-Silent-SSR` n = 5 cross-check of a non-cyclic (block-swap)
 //!   group against the dense sweep's verdict on the same lattice.
 //! * **Closure convergence** — past *both* lattice guards
 //!   (`Optimal-Silent-SSR` at n = 8 has a ~1.65 × 10⁹-configuration
-//!   lattice), `check_convergence_from` proves every configuration
-//!   reachable from the adversarial starts convergent on the compressed,
-//!   quotiented closure.
+//!   lattice), `check_convergence` on the closure source proves every
+//!   configuration reachable from the adversarial starts convergent on the
+//!   compressed, quotiented closure.
 //! * **Exact expected silence times** — the absorbing-chain solve reproduces
 //!   `(n − 1)·C(n, 2)` for `Silent-n-state-SSR`'s worst case (Theorem 2.4,
 //!   up to the n = 12 flagship on the quotient), `(n − 1)·H_{n−1}` for the
@@ -58,8 +58,8 @@ use analysis::theory::{
 };
 use analysis::{t_quantile_975, Summary, Table};
 use ppsim::mcheck::{
-    check_convergence_from, check_fault_plan_closure, check_self_stabilization,
-    check_self_stabilization_quotient, expected_silence_time_exact, lattice_size, MCheckOptions,
+    check_convergence, check_fault_plan_closure, expected_silence_time_exact, lattice_size,
+    ConvergenceReport, ConvergenceSource, MCheckOptions,
 };
 use ppsim::prelude::*;
 use processes::{Coupon, Epidemic, Fratricide, LeaderState};
@@ -72,7 +72,7 @@ struct VerifyCell {
     protocol: &'static str,
     n: usize,
     states: usize,
-    configurations: u64,
+    configurations: u128,
     silent: u64,
     wall_s: f64,
 }
@@ -97,8 +97,8 @@ struct ClosureCell {
     protocol: &'static str,
     n: usize,
     seeds: usize,
-    states: usize,
-    silent: usize,
+    states: u64,
+    silent: u64,
     wall_s: f64,
 }
 
@@ -134,18 +134,22 @@ fn main() {
         println!("(quick mode: reduced n sweep)\n");
     }
     let options = MCheckOptions::default();
+    // The dense sweep, the fault closures and the falsification demo
+    // classify every configuration, so the verify rows and the gate row
+    // built from them time the unquotiented pass.
+    let dense = MCheckOptions { use_symmetry: false, ..options.clone() };
     let mut verify_cells = Vec::new();
     let mut quotient_cells = Vec::new();
     let mut closure_cells = Vec::new();
     let mut time_cells = Vec::new();
     let mut fault_cells = Vec::new();
 
-    verify_sweep(quick, &options, &mut verify_cells);
+    verify_sweep(quick, &dense, &mut verify_cells);
     quotient_sweep(quick, &options, &mut quotient_cells);
     closure_sweep(quick, &options, &mut closure_cells);
     exact_time_sweep(quick, &options, &mut time_cells);
-    fault_closure_sweep(&options, &mut fault_cells);
-    falsification_demo(&options);
+    fault_closure_sweep(&dense, &mut fault_cells);
+    falsification_demo(&dense);
     let cost_ratio = cost_ratio_cell(&verify_cells);
     let quotient_ratio = quotient_ratio_cell(&quotient_cells);
 
@@ -200,7 +204,8 @@ fn run_verify_cell<P: EnumerableProtocol + CorrectnessOracle>(
 ) {
     let states = protocol.num_states();
     let start = Instant::now();
-    let report = check_self_stabilization(protocol, options).expect("lattice within capacity");
+    let report = check_convergence(protocol, ConvergenceSource::Lattice, options)
+        .expect("lattice within capacity");
     let wall_s = start.elapsed().as_secs_f64();
     assert!(
         report.verified(),
@@ -210,7 +215,7 @@ fn run_verify_cell<P: EnumerableProtocol + CorrectnessOracle>(
         report.non_convergent,
         report.configurations,
     );
-    assert_eq!(report.configurations as u128, lattice_size(n, states).unwrap());
+    assert_eq!(report.configurations, lattice_size(n, states).unwrap());
     table.add_row(vec![
         name.to_owned(),
         n.to_string(),
@@ -246,7 +251,7 @@ fn quotient_sweep(quick: bool, options: &MCheckOptions, cells: &mut Vec<Quotient
         let protocol = SilentNStateSsr::new(n);
         let states = protocol.num_states();
         let start = Instant::now();
-        let report = check_self_stabilization_quotient(protocol, options)
+        let report = check_convergence(protocol, ConvergenceSource::Lattice, options)
             .expect("quotient enumeration within the guards");
         let wall_s = start.elapsed().as_secs_f64();
         assert!(
@@ -257,7 +262,7 @@ fn quotient_sweep(quick: bool, options: &MCheckOptions, cells: &mut Vec<Quotient
         );
         assert_eq!(report.configurations, lattice_size(n, states).unwrap());
         assert_eq!(report.group_order, n as u128, "Z/n rotation");
-        assert!(u128::from(report.orbits) < report.configurations);
+        assert!(u128::from(report.states) < report.configurations);
         push_quotient_cell(cells, &mut table, "SilentNStateSsr", n, states, &report, wall_s);
     }
 
@@ -271,31 +276,31 @@ fn quotient_sweep(quick: bool, options: &MCheckOptions, cells: &mut Vec<Quotient
         let protocol = OptimalSilentSsr::new(OptimalSilentParams::mcheck(n));
         let states = protocol.num_states();
         let start = Instant::now();
-        let report = check_self_stabilization_quotient(protocol, options)
+        let report = check_convergence(protocol, ConvergenceSource::Lattice, options)
             .expect("quotient enumeration within the guards");
         let wall_s = start.elapsed().as_secs_f64();
         assert!(report.verified(), "OptimalSilentSsr n = {n} quotient");
         assert_eq!(report.configurations, lattice_size(n, states).unwrap());
-        assert!(u128::from(report.orbits) < report.configurations);
+        assert!(u128::from(report.states) < report.configurations);
         push_quotient_cell(cells, &mut table, "OptimalSilentSsr", n, states, &report, wall_s);
     }
     println!("{}", table.to_plain_text());
 }
 
-fn push_quotient_cell<S>(
+fn push_quotient_cell<P: EnumerableProtocol>(
     cells: &mut Vec<QuotientCell>,
     table: &mut Table,
     name: &'static str,
     n: usize,
     states: usize,
-    report: &ppsim::mcheck::QuotientStabilizationReport<S>,
+    report: &ConvergenceReport<P>,
     wall_s: f64,
 ) {
     table.add_row(vec![
         name.to_owned(),
         n.to_string(),
         report.configurations.to_string(),
-        report.orbits.to_string(),
+        report.states.to_string(),
         report.group_order.to_string(),
         "proved".to_owned(),
         format!("{wall_s:.2}s"),
@@ -305,7 +310,7 @@ fn push_quotient_cell<S>(
         n,
         states,
         configurations: report.configurations,
-        orbits: report.orbits,
+        orbits: report.states,
         group_order: report.group_order,
         silent: report.silent,
         wall_s,
@@ -335,8 +340,8 @@ fn closure_sweep(quick: bool, options: &MCheckOptions, cells: &mut Vec<ClosureCe
         // store + the spill threshold, not the guard).
         let opts = MCheckOptions { max_reachable: 16_000_000, ..options.clone() };
         let start = Instant::now();
-        let report =
-            check_convergence_from(protocol, &seeds, &opts).expect("closure within the guard");
+        let report = check_convergence(protocol, ConvergenceSource::Closure(&seeds), &opts)
+            .expect("closure within the guard");
         let wall_s = start.elapsed().as_secs_f64();
         assert!(
             report.verified(),
@@ -727,8 +732,12 @@ fn falsification_demo(options: &MCheckOptions) {
         }
     }
 
-    let report = check_self_stabilization(FratricideAsSsle(Fratricide::new(16)), options)
-        .expect("tiny lattice");
+    let report = check_convergence(
+        FratricideAsSsle(Fratricide::new(16)),
+        ConvergenceSource::Lattice,
+        options,
+    )
+    .expect("tiny lattice");
     assert!(!report.verified(), "the strict oracle must be refuted");
     assert_eq!(report.silent_incorrect, 1);
     let witness = report.non_convergent_witness.as_ref().expect("leaderless witness");

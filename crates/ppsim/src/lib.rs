@@ -128,11 +128,10 @@ pub use interned::{
     AsInterned, InternableProtocol, InternedSimulation, InternedStates, StateInterner,
 };
 pub use mcheck::{
-    check_convergence_from, check_fault_plan_closure, check_self_stabilization,
-    check_self_stabilization_quotient, expected_silence_time_exact, expected_silence_time_probed,
-    expected_silence_time_scheduled, explore_reachable, CorrectnessOracle, ExactSilenceTime,
-    FaultClosureReport, MCheckError, MCheckOptions, ModelChecker, QuotientStabilizationReport,
-    ReachabilityReport, ReachableSpace, StabilizationReport,
+    check_convergence, check_fault_plan_closure, expected_silence_time_exact,
+    expected_silence_time_probed, expected_silence_time_scheduled, explore_reachable,
+    ConvergenceReport, ConvergenceSource, CorrectnessOracle, ExactSilenceTime, FaultClosureReport,
+    MCheckError, MCheckOptions, ModelChecker, ReachableSpace,
 };
 pub use protocol::{LeaderElectionProtocol, Protocol, Rank, RankingProtocol};
 pub use runner::{fold_counters, run_trials, run_trials_sequential, TrialPlan};
@@ -166,11 +165,10 @@ pub mod prelude {
         AsInterned, InternableProtocol, InternedSimulation, InternedStates, StateInterner,
     };
     pub use crate::mcheck::{
-        check_convergence_from, check_fault_plan_closure, check_self_stabilization,
-        check_self_stabilization_quotient, expected_silence_time_exact,
+        check_convergence, check_fault_plan_closure, expected_silence_time_exact,
         expected_silence_time_probed, expected_silence_time_scheduled, explore_reachable,
-        CorrectnessOracle, ExactSilenceTime, FaultClosureReport, MCheckError, MCheckOptions,
-        ModelChecker, QuotientStabilizationReport, ReachabilityReport, StabilizationReport,
+        ConvergenceReport, ConvergenceSource, CorrectnessOracle, ExactSilenceTime,
+        FaultClosureReport, MCheckError, MCheckOptions, ModelChecker,
     };
     pub use crate::protocol::{LeaderElectionProtocol, Protocol, Rank, RankingProtocol};
     pub use crate::runner::{fold_counters, run_trials, run_trials_sequential, TrialPlan};

@@ -12,17 +12,27 @@
 //! `c_i · (c_j − [i = j]) / (n(n−1))`. On this chain the paper's universally
 //! quantified theorems are *decidable*:
 //!
-//! * **Self-stabilization** ([`check_self_stabilization`]): enumerate the
-//!   full lattice, classify every configuration as silent (no non-null
-//!   ordered pair) and/or correct (per-protocol [`CorrectnessOracle`]), and
-//!   run a backward reachability pass from the correct silent configurations
-//!   over the exact predecessor relation. Silent configurations are absorbing
-//!   by construction, so if **every** configuration can reach a correct
-//!   silent one and **silent ⟺ correct**, the chain is absorbed into a
-//!   correct configuration with probability 1 from every initial
-//!   configuration — which is precisely the self-stabilization property,
-//!   machine-checked over *all* `C(n + |S| − 1, |S| − 1)` configurations
-//!   instead of a few hundred sampled trajectories.
+//! * **Self-stabilization** ([`check_convergence`] on
+//!   [`ConvergenceSource::Lattice`]): walk the full lattice, classify every
+//!   configuration as silent (no non-null ordered pair) and/or correct
+//!   (per-protocol [`CorrectnessOracle`]), and run a backward reachability
+//!   pass from the correct silent configurations over the exact predecessor
+//!   relation. Silent configurations are absorbing by construction, so if
+//!   **every** configuration can reach a correct silent one and **silent ⟺
+//!   correct**, the chain is absorbed into a correct configuration with
+//!   probability 1 from every initial configuration — which is precisely the
+//!   self-stabilization property, machine-checked over *all*
+//!   `C(n + |S| − 1, |S| − 1)` configurations instead of a few hundred
+//!   sampled trajectories. With [`MCheckOptions::use_symmetry`] the same
+//!   pass runs on the quotient by the protocol's validated
+//!   [`StateSymmetry`]: only canonical orbit representatives are classified
+//!   and every predecessor is canonicalized before it is indexed, so the
+//!   unquotiented check is exactly the identity-group case.
+//! * **Seeded convergence** ([`check_convergence`] on
+//!   [`ConvergenceSource::Closure`]): the same verdict restricted to the
+//!   reachable closure of some seed configurations — the fallback past the
+//!   lattice guards, proving every configuration *reachable from the seeds*
+//!   convergent rather than every configuration outright.
 //! * **Exact expected silence times** ([`expected_silence_time_exact`]):
 //!   explore the reachable closure of an initial configuration (a sparse,
 //!   hash-indexed subset of the lattice — usually far smaller) and solve the
@@ -48,21 +58,23 @@
 //! could evade it; the synthetic-coin construction of Section 6 is the
 //! principled derandomization for protocols that genuinely need
 //! randomness), and failed verifications come with counterexample
-//! configurations and [`Trace`]s
-//! ([`StabilizationReport::counterexample_trace`]).
+//! configurations and [`Trace`]s ([`ConvergenceReport::counterexample_trace`]).
 //!
-//! Dense vs sparse indexing: full-space verification uses **dense canonical
-//! indexing** (the combinatorial number system over the multiset lattice)
-//! guarded by [`MCheckOptions::max_configurations`]; reachable-set workloads
-//! (expected times, seeded convergence checks for state spaces whose full
-//! lattice exceeds the guard) use the **sparse hash-indexed** exploration of
+//! Dense vs sparse indexing: the lattice source uses **dense indexing** (the
+//! combinatorial number system over the multiset lattice, one bit per
+//! configuration) guarded by [`MCheckOptions::max_configurations`] and
+//! [`MCheckOptions::max_resident_bytes`]; reachable-set workloads (expected
+//! times, the closure source for state spaces whose full lattice exceeds the
+//! guards) use the **sparse hash-indexed** exploration of
 //! [`explore_reachable`]. `ARCHITECTURE.md` draws the decision tree between
 //! exhaustive verification and the simulation engines.
 //!
 //! # Example
 //!
 //! ```
-//! use ppsim::mcheck::{check_self_stabilization, expected_silence_time_exact, MCheckOptions};
+//! use ppsim::mcheck::{
+//!     check_convergence, expected_silence_time_exact, ConvergenceSource, MCheckOptions,
+//! };
 //! use ppsim::prelude::*;
 //! use rand::RngCore;
 //!
@@ -105,7 +117,9 @@
 //! }
 //!
 //! // Prove convergence over all C(5 + 1, 1) = 6 configurations…
-//! let report = check_self_stabilization(Frat { n: 5 }, &MCheckOptions::default()).unwrap();
+//! let report =
+//!     check_convergence(Frat { n: 5 }, ConvergenceSource::Lattice, &MCheckOptions::default())
+//!         .unwrap();
 //! assert!(report.verified());
 //! // …and solve the absorbing chain exactly: E = (n − 1)² interactions from
 //! // all leaders (the closed form of Lemma 4.2's proof).
@@ -118,7 +132,7 @@
 mod store;
 
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::path::PathBuf;
 
@@ -155,10 +169,12 @@ pub trait CorrectnessOracle: Protocol {
 /// Tuning knobs and capacity guards for the model checker.
 #[derive(Clone, PartialEq, Debug)]
 pub struct MCheckOptions {
-    /// Dense-lattice capacity guard: [`check_self_stabilization`] refuses
-    /// state spaces whose full lattice exceeds this many configurations
-    /// (use [`check_self_stabilization_quotient`] or the sparse
-    /// [`check_convergence_from`] for those).
+    /// Lattice time guard: [`check_convergence`] on
+    /// [`ConvergenceSource::Lattice`] refuses lattices of more than this many
+    /// configurations, times the symmetry group's order when
+    /// [`MCheckOptions::use_symmetry`] quotients (only orbit representatives
+    /// are classified, but the odometer still walks every configuration).
+    /// Past it, use [`ConvergenceSource::Closure`].
     pub max_configurations: u64,
     /// Sparse-exploration capacity guard: reachable-closure workloads refuse
     /// to grow beyond this many configurations (orbit representatives when
@@ -169,13 +185,17 @@ pub struct MCheckOptions {
     /// Sweep budget of the Gauss–Seidel solve.
     pub max_sweeps: usize,
     /// Whether to quotient the configuration space by the protocol's
-    /// declared [`StateSymmetry`] (validated, never trusted). Only the
-    /// uniform scheduler is quotiented — pair rates can break a state
-    /// symmetry, so weighted explorations always run unquotiented.
+    /// declared [`StateSymmetry`] (validated, never trusted): the lattice
+    /// source then classifies only canonical orbit representatives, and
+    /// reachable closures store only representatives. Only the uniform
+    /// scheduler is quotiented — pair rates can break a state symmetry, so
+    /// weighted explorations always run unquotiented.
     pub use_symmetry: bool,
-    /// Resident-set bound (in bytes) for the successor-edge store of
-    /// reachable-closure workloads; past it, edges spill to a self-deleting
-    /// temp file and the distance/solve passes stream from disk.
+    /// Resident-memory bound in bytes. The lattice source refuses
+    /// ([`MCheckError::SpaceTooLarge`]) a lattice whose one-bit-per-
+    /// configuration convergent set would exceed it; reachable-closure
+    /// workloads spill their successor-edge store to a self-deleting temp
+    /// file past it, and the distance/solve passes stream from disk.
     pub max_resident_bytes: usize,
     /// Directory for spill files; `None` uses [`std::env::temp_dir`].
     pub spill_dir: Option<PathBuf>,
@@ -198,11 +218,14 @@ impl Default for MCheckOptions {
 /// Why the model checker could not produce a verdict.
 #[derive(Clone, PartialEq, Debug)]
 pub enum MCheckError {
-    /// The full lattice exceeds [`MCheckOptions::max_configurations`].
+    /// The full lattice exceeds the lattice guard: the time guard
+    /// [`MCheckOptions::max_configurations`] (times the group order on the
+    /// quotient) or the memory guard of one bit per configuration within
+    /// [`MCheckOptions::max_resident_bytes`], whichever is smaller.
     SpaceTooLarge {
         /// Exact lattice size `C(n + |S| − 1, |S| − 1)`.
         configurations: u128,
-        /// The configured guard.
+        /// The guard that tripped, in configurations.
         limit: u64,
     },
     /// The reachable closure exceeds [`MCheckOptions::max_reachable`].
@@ -348,7 +371,6 @@ fn binomial_u128(n: u128, k: u128) -> Option<u128> {
 /// `k` summing to `n`, ranked lexicographically (ascending in `c_0`, then
 /// `c_1`, …) via the combinatorial number system. Encode and decode are
 /// `O(n + k)`.
-#[derive(Clone, Debug)]
 struct Lattice {
     n: usize,
     k: usize,
@@ -366,26 +388,14 @@ impl Lattice {
         }
         let mut combos = vec![vec![0u64; k + 1]; n + 1];
         combos[0].fill(1); // the empty sum
-
         for s in 1..=n {
-            combos[s][0] = 0;
             for m in 1..=k {
-                // C(s + m − 1, m − 1) = C(s − 1 + m − 1, m − 1) + C(s + m − 2, m − 2):
-                // either the last coordinate is ≥ 1 or the first is fixed… the
-                // standard stars-and-bars recurrence over (s, m).
+                // Stars and bars: the first coordinate is 0 (sum s over the
+                // other m − 1) or ≥ 1 (sum s − 1 over all m).
                 combos[s][m] = combos[s - 1][m].saturating_add(combos[s][m - 1]);
             }
         }
         Ok(Lattice { n, k, combos, size: size as u64 })
-    }
-
-    fn size(&self) -> u64 {
-        self.size
-    }
-
-    /// Number of count vectors of length `m` summing to `s`.
-    fn block(&self, s: usize, m: usize) -> u64 {
-        self.combos[s][m]
     }
 
     /// Rank of a count vector in the lexicographic enumeration.
@@ -395,7 +405,7 @@ impl Lattice {
         let mut rem = self.n;
         for (i, &c) in counts.iter().enumerate().take(self.k - 1) {
             for v in 0..c as usize {
-                idx += self.block(rem - v, self.k - 1 - i);
+                idx += self.combos[rem - v][self.k - 1 - i];
             }
             rem -= c as usize;
         }
@@ -410,7 +420,7 @@ impl Lattice {
         for (i, slot) in out.iter_mut().enumerate().take(k - 1) {
             let mut v = 0usize;
             loop {
-                let block = self.block(rem - v, k - 1 - i);
+                let block = self.combos[rem - v][k - 1 - i];
                 if idx < block {
                     break;
                 }
@@ -451,8 +461,7 @@ impl Lattice {
     }
 }
 
-/// A growable bitset over dense configuration indices.
-#[derive(Clone, Debug)]
+/// A fixed-size bitset over dense configuration indices.
 struct BitSet {
     words: Vec<u64>,
 }
@@ -476,16 +485,16 @@ impl BitSet {
 }
 
 /// The exact transition structure of an [`EnumerableProtocol`] over its
-/// enumerated state space: the null matrix, the deterministic move of every
-/// non-null ordered state pair, and the reverse move index used by the
-/// backward reachability pass. Shared by every entry point of this module.
+/// enumerated state space: the deterministic move of every non-null ordered
+/// state pair and the reverse move index used by the backward reachability
+/// pass. Shared by every entry point of this module.
 pub struct ModelChecker<P: EnumerableProtocol> {
     protocol: P,
     n: usize,
     k: usize,
     decoded: Vec<P::State>,
-    null: Vec<bool>,
-    /// `moves[i * k + j]` for non-null `(i, j)`.
+    /// `moves[i * k + j]`: the state pair the ordered pair `(i, j)` moves
+    /// to, `None` when the pair is null.
     moves: Vec<Option<(u32, u32)>>,
     /// Source pairs grouped by their target pair, for predecessor walks.
     moves_by_target: HashMap<(u32, u32), Vec<(u32, u32)>>,
@@ -513,7 +522,6 @@ impl<P: EnumerableProtocol> ModelChecker<P> {
         let n = protocol.population_size();
         let k = protocol.num_states();
         let decoded: Vec<P::State> = (0..k).map(|i| protocol.state_from_index(i)).collect();
-        let mut null = vec![false; k * k];
         let mut moves = vec![None; k * k];
         let mut moves_by_target: HashMap<(u32, u32), Vec<(u32, u32)>> = HashMap::new();
         for i in 0..k {
@@ -543,7 +551,6 @@ impl<P: EnumerableProtocol> ModelChecker<P> {
                     if out1 != (a.clone(), b.clone()) {
                         return Err(MCheckError::UnsoundNull { i, j });
                     }
-                    null[i * k + j] = true;
                 } else {
                     let i2 = protocol.state_index(&out1.0) as u32;
                     let j2 = protocol.state_index(&out1.1) as u32;
@@ -553,64 +560,26 @@ impl<P: EnumerableProtocol> ModelChecker<P> {
             }
         }
         let symmetry = protocol.state_symmetry();
-        if let Err(detail) = symmetry.validate_shape(k) {
-            return Err(MCheckError::UnsoundSymmetry { detail });
-        }
+        symmetry.validate_shape(k).map_err(|detail| MCheckError::UnsoundSymmetry { detail })?;
+        // One comparison per pair covers both equivariances: σ·δ(i, j) =
+        // δ(σ·i, σ·j), where a null pair's move and its image are `None`.
         for (g, perm) in symmetry.generators(k).iter().enumerate() {
-            let mut seen = vec![false; k];
-            for &image in perm {
-                if image >= k || std::mem::replace(&mut seen[image], true) {
-                    return Err(MCheckError::UnsoundSymmetry {
-                        detail: format!("generator {g} is not a permutation of 0..{k}"),
-                    });
-                }
-            }
             for i in 0..k {
                 for j in 0..k {
-                    let (pi, pj) = (perm[i], perm[j]);
-                    if null[i * k + j] != null[pi * k + pj] {
+                    let image = moves[i * k + j]
+                        .map(|(i2, j2)| (perm[i2 as usize] as u32, perm[j2 as usize] as u32));
+                    if moves[perm[i] * k + perm[j]] != image {
                         return Err(MCheckError::UnsoundSymmetry {
                             detail: format!(
-                                "generator {g} breaks null-equivariance on state pair \
-                                 ({i}, {j}) ↦ ({pi}, {pj})"
+                                "generator {g} does not commute with the transition or the null \
+                                 predicate on state pair ({i}, {j}): σ·δ(i, j) ≠ δ(σ·i, σ·j)"
                             ),
                         });
                     }
-                    if let Some((i2, j2)) = moves[i * k + j] {
-                        let image = Some((perm[i2 as usize] as u32, perm[j2 as usize] as u32));
-                        if moves[pi * k + pj] != image {
-                            return Err(MCheckError::UnsoundSymmetry {
-                                detail: format!(
-                                    "generator {g} breaks transition-equivariance on state \
-                                     pair ({i}, {j}): σ·δ(i, j) ≠ δ(σ·i, σ·j)"
-                                ),
-                            });
-                        }
-                    }
                 }
             }
         }
-        Ok(ModelChecker { protocol, n, k, decoded, null, moves, moves_by_target, symmetry })
-    }
-
-    /// The protocol's validated state symmetry.
-    pub fn symmetry(&self) -> &StateSymmetry {
-        &self.symmetry
-    }
-
-    /// The protocol under verification.
-    pub fn protocol(&self) -> &P {
-        &self.protocol
-    }
-
-    /// The population size `n`.
-    pub fn population_size(&self) -> usize {
-        self.n
-    }
-
-    /// The enumerated state-space size `|S|`.
-    pub fn num_states(&self) -> usize {
-        self.k
+        Ok(ModelChecker { protocol, n, k, decoded, moves, moves_by_target, symmetry })
     }
 
     /// The count vector of a per-agent configuration.
@@ -618,7 +587,7 @@ impl<P: EnumerableProtocol> ModelChecker<P> {
     /// # Panics
     ///
     /// Panics if the configuration size differs from the population size.
-    pub fn counts_of_configuration(&self, config: &Configuration<P::State>) -> Vec<u32> {
+    fn counts_of_configuration(&self, config: &Configuration<P::State>) -> Vec<u32> {
         assert_eq!(config.len(), self.n, "configuration size must match the population");
         let mut counts = vec![0u32; self.k];
         for s in config.iter() {
@@ -628,7 +597,7 @@ impl<P: EnumerableProtocol> ModelChecker<P> {
     }
 
     /// Materializes the canonical per-agent configuration of a count vector.
-    pub fn configuration_of_counts(&self, counts: &[u32]) -> Configuration<P::State> {
+    fn configuration_of_counts(&self, counts: &[u32]) -> Configuration<P::State> {
         let mut states = Vec::with_capacity(self.n);
         for (i, &c) in counts.iter().enumerate() {
             for _ in 0..c {
@@ -638,39 +607,30 @@ impl<P: EnumerableProtocol> ModelChecker<P> {
         Configuration::from_states(states)
     }
 
-    /// The number of non-null ordered agent pairs of a count vector (the
-    /// quantity `A` of the batched engine's cost model).
-    pub fn active_pairs(&self, counts: &[u32], present: &[u32]) -> u64 {
-        let mut active = 0u64;
-        for &i in present {
-            let ci = counts[i as usize] as u64;
-            for &j in present {
-                if !self.null[i as usize * self.k + j as usize] {
-                    active += ci * (counts[j as usize] as u64 - u64::from(i == j));
-                }
-            }
-        }
-        active
-    }
-
-    /// Whether a count vector is silent (no non-null ordered pair).
-    pub fn is_silent(&self, counts: &[u32]) -> bool {
+    /// Whether a count vector is silent: no ordered pair of two agents is
+    /// non-null.
+    fn is_silent(&self, counts: &[u32]) -> bool {
         let present = present_states(counts);
-        self.active_pairs(counts, &present) == 0
+        present.iter().all(|&i| {
+            present.iter().all(|&j| {
+                self.moves[i as usize * self.k + j as usize].is_none()
+                    || (i == j && counts[i as usize] < 2)
+            })
+        })
     }
 
-    /// Checks that the correctness oracle gives the same verdict on `counts`
-    /// and on its image under every generator in `gens` — the orbit-
-    /// invariance a sound quotient proof needs (transition equivariance is
-    /// already validated in [`ModelChecker::new`]; the oracle can only be
-    /// probed on the configurations the caller actually classifies).
-    /// `image` is `k`-length scratch.
-    fn oracle_invariant_under(
+    /// The oracle's verdict on `counts`, checked to be the same on its image
+    /// under every generator in `gens` — the orbit-invariance a sound
+    /// quotient proof needs (transition equivariance is already validated in
+    /// [`ModelChecker::new`]; the oracle can only be probed on the
+    /// configurations the caller actually classifies). With no generators
+    /// this is one oracle call. `image` is `k`-length scratch.
+    fn is_correct_invariantly(
         &self,
         counts: &[u32],
         gens: &[Vec<usize>],
         image: &mut [u32],
-    ) -> Result<(), MCheckError>
+    ) -> Result<bool, MCheckError>
     where
         P: CorrectnessOracle,
     {
@@ -687,7 +647,7 @@ impl<P: EnumerableProtocol> ModelChecker<P> {
                 });
             }
         }
-        Ok(())
+        Ok(verdict)
     }
 
     /// Calls `f(i, j, weight, successor_counts)` for every distinct successor
@@ -698,13 +658,13 @@ impl<P: EnumerableProtocol> ModelChecker<P> {
     fn for_each_successor(
         &self,
         counts: &[u32],
-        present: &[u32],
         scratch: &mut [u32],
         mut f: impl FnMut(u32, u32, u64, &[u32]),
     ) {
-        for &i in present {
+        let present = present_states(counts);
+        for &i in &present {
             let ci = counts[i as usize] as u64;
-            for &j in present {
+            for &j in &present {
                 let w = ci * (counts[j as usize] as u64 - u64::from(i == j));
                 if w == 0 {
                     continue;
@@ -726,27 +686,53 @@ fn present_states(counts: &[u32]) -> Vec<u32> {
     counts.iter().enumerate().filter(|(_, &c)| c > 0).map(|(i, _)| i as u32).collect()
 }
 
-/// The verdict of an exhaustive self-stabilization check over the **full**
-/// configuration lattice, with enough structure retained to answer
-/// membership queries ([`StabilizationReport::is_convergent`]) and to build
-/// counterexample traces.
-pub struct StabilizationReport<P: EnumerableProtocol> {
+/// What [`check_convergence`] proves convergence over.
+#[derive(Clone, Copy, Debug)]
+pub enum ConvergenceSource<'a, S> {
+    /// Every configuration of the full lattice — the self-stabilization
+    /// theorem itself ("from any initial configuration").
+    Lattice,
+    /// Every configuration reachable from these seeds — the fallback past
+    /// the lattice guards.
+    Closure(&'a [Configuration<S>]),
+}
+
+/// The verdict of [`check_convergence`], with enough structure retained to
+/// build counterexample traces.
+///
+/// On the lattice source the verdict is about **every** configuration; on
+/// the symmetry quotient it is computed on orbit representatives, but
+/// because the quotient chain is an exact lumping of the full chain (the
+/// group is validated to commute with the transition structure, and the
+/// oracle is probed for orbit-invariance on every classified state), the
+/// statement is the same — only the working set shrinks. The per-state
+/// counts (`states`, `silent`, …) count what was classified: lattice
+/// configurations, orbit representatives, or closure states.
+pub struct ConvergenceReport<P: EnumerableProtocol> {
     checker: ModelChecker<P>,
-    lattice: Lattice,
-    /// Configurations that can reach a correct silent configuration.
-    convergent: BitSet,
-    /// Total configurations in the lattice.
-    pub configurations: u64,
-    /// Silent configurations.
+    /// The symmetry the states were canonicalized by (the identity when
+    /// unquotiented).
+    symmetry: StateSymmetry,
+    proof: Proof,
+    /// Configurations the verdict covers: the full lattice size
+    /// `C(n + k − 1, k − 1)` on the lattice source; on a closure, the
+    /// closure's size (in orbit representatives when `group_order > 1`).
+    pub configurations: u128,
+    /// States classified: lattice configurations, orbit representatives, or
+    /// closure states.
+    pub states: u64,
+    /// Order of the symmetry group the states were quotiented by (1 when
+    /// unquotiented).
+    pub group_order: u128,
+    /// Silent states (silence is orbit-invariant by null-equivariance).
     pub silent: u64,
-    /// Correct configurations (per the protocol's [`CorrectnessOracle`]).
+    /// Correct states (per the protocol's [`CorrectnessOracle`]).
     pub correct: u64,
-    /// Silent configurations that are **not** correct (0 when verified).
+    /// Silent states that are **not** correct (0 when verified).
     pub silent_incorrect: u64,
-    /// Correct configurations that are **not** silent (0 when verified).
+    /// Correct states that are **not** silent (0 when verified).
     pub correct_nonsilent: u64,
-    /// Configurations that cannot reach a correct silent configuration
-    /// (0 when verified).
+    /// States that cannot reach a correct silent state (0 when verified).
     pub non_convergent: u64,
     /// A silent-but-incorrect witness, if any.
     pub silent_incorrect_witness: Option<Configuration<P::State>>,
@@ -754,31 +740,47 @@ pub struct StabilizationReport<P: EnumerableProtocol> {
     pub correct_nonsilent_witness: Option<Configuration<P::State>>,
     /// A non-convergent witness, if any.
     pub non_convergent_witness: Option<Configuration<P::State>>,
+    /// The checker's slice of the unified counter registry: states expanded
+    /// (frontier pops of the backward pass on the lattice, of the closure
+    /// exploration otherwise) and successor-store spill bytes.
+    pub counters: CounterBlock,
 }
 
-impl<P: EnumerableProtocol> StabilizationReport<P> {
-    /// Whether self-stabilization is proved: silent ⟺ correct, and every
-    /// configuration reaches a correct silent configuration (hence, silent
-    /// configurations being absorbing, is absorbed into one with
-    /// probability 1).
+/// The source-specific part of a [`ConvergenceReport`].
+enum Proof {
+    /// The lattice and its convergent set, one bit per rank (only canonical
+    /// ranks are ever set).
+    Lattice { lattice: Lattice, convergent: BitSet },
+    /// The closure's discovery path (representative count vectors, seed
+    /// first) into the trace witness; empty when verified.
+    Closure { witness_path: Vec<Vec<u32>> },
+}
+
+impl<P: EnumerableProtocol> ConvergenceReport<P> {
+    /// Whether convergence is proved: silent ⟺ correct, and every state
+    /// reaches a correct silent state (hence, silent configurations being
+    /// absorbing, is absorbed into one with probability 1).
     pub fn verified(&self) -> bool {
         self.silent_incorrect == 0 && self.correct_nonsilent == 0 && self.non_convergent == 0
     }
 
-    /// Whether a configuration can reach a correct silent configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration size differs from the population size.
-    pub fn is_convergent(&self, config: &Configuration<P::State>) -> bool {
-        let counts = self.checker.counts_of_configuration(config);
-        self.convergent.get(self.lattice.index_of(&counts))
+    /// Whether the lattice proof marks the orbit of `counts` convergent
+    /// (`counts` is canonicalized in place).
+    fn lattice_convergent(&self, counts: &mut [u32]) -> bool {
+        let Proof::Lattice { lattice, convergent } = &self.proof else {
+            unreachable!("membership queries need the lattice source")
+        };
+        self.symmetry.canonicalize(counts);
+        convergent.get(lattice.index_of(counts))
     }
 
-    /// A counterexample [`Trace`] for a failed verification: a shortest
-    /// forward path (one snapshot per configuration, step-indexed) from some
-    /// live configuration into the witness, demonstrating how the chain
-    /// reaches it. For an isolated witness the trace is the single snapshot.
+    /// A counterexample [`Trace`] for a failed verification: a path of
+    /// concrete configurations, one non-null interaction apart, ending in
+    /// the witness's orbit (the non-convergent witness first, then the
+    /// silent-incorrect, then the correct-non-silent one) — on the lattice
+    /// from the farthest configuration that reaches the witness along a
+    /// shortest path, on a closure from the seed the witness was discovered
+    /// from. For an isolated witness the trace is the single snapshot.
     /// `None` when the verification succeeded.
     pub fn counterexample_trace(&self) -> Option<Trace<P::State>> {
         let witness = self
@@ -786,56 +788,85 @@ impl<P: EnumerableProtocol> StabilizationReport<P> {
             .as_ref()
             .or(self.silent_incorrect_witness.as_ref())
             .or(self.correct_nonsilent_witness.as_ref())?;
-        let target = self.checker.counts_of_configuration(witness);
-        let target_idx = self.lattice.index_of(&target);
-        // Backward BFS from the witness over predecessors, then unwind the
-        // parent chain into a forward path ending at the witness.
-        let mut parent: HashMap<u64, u64> = HashMap::new();
-        let mut queue = VecDeque::new();
-        queue.push_back(target_idx);
-        parent.insert(target_idx, target_idx);
+        let path = match &self.proof {
+            Proof::Lattice { lattice, .. } => {
+                self.lattice_path_into(lattice, &self.checker.counts_of_configuration(witness))
+            }
+            Proof::Closure { witness_path } => witness_path.clone(),
+        };
+        // Lift the representative path forward: equivariance guarantees
+        // that every concrete member of a representative's orbit has a
+        // successor in the next representative's orbit.
+        let mut concrete = path[0].clone();
+        let mut scratch = vec![0u32; self.checker.k];
+        let mut canon = vec![0u32; self.checker.k];
+        let mut trace = Trace::new();
+        trace.snapshot(Interactions::new(0), self.checker.configuration_of_counts(&concrete));
+        for (step, next) in path.iter().enumerate().skip(1) {
+            let mut lifted = None;
+            self.checker.for_each_successor(&concrete, &mut scratch, |_, _, _, succ| {
+                canon.copy_from_slice(succ);
+                self.symmetry.canonicalize(&mut canon);
+                if lifted.is_none() && canon == *next {
+                    lifted = Some(succ.to_vec());
+                }
+            });
+            concrete = lifted.expect("an equivariant quotient edge lifts to a concrete one");
+            let config = self.checker.configuration_of_counts(&concrete);
+            trace.snapshot(Interactions::new(step as u64), config);
+        }
+        let steps = path.len() - 1;
+        trace.record(
+            Interactions::new(steps as u64),
+            "counterexample",
+            format!("path of {steps} non-null transitions into the witness configuration"),
+        );
+        Some(trace)
+    }
+
+    /// A shortest representative path into `target` from the farthest
+    /// lattice state that reaches it: a backward BFS over canonicalized
+    /// predecessors, unwound forward.
+    fn lattice_path_into(&self, lattice: &Lattice, target: &[u32]) -> Vec<Vec<u32>> {
+        let target_idx = lattice.index_of(target);
+        let mut parent: HashMap<u64, u64> = HashMap::from([(target_idx, target_idx)]);
+        let mut queue = VecDeque::from([target_idx]);
         let mut farthest = target_idx;
         let mut counts = vec![0u32; self.checker.k];
         let mut scratch = vec![0u32; self.checker.k];
         while let Some(idx) = queue.pop_front() {
-            self.lattice.counts_of(idx, &mut counts);
+            lattice.counts_of(idx, &mut counts);
             farthest = idx;
-            for_each_predecessor(&self.checker, &self.lattice, &counts, &mut scratch, |pidx| {
+            for_each_predecessor(&self.checker, &counts, &mut scratch, |pred| {
+                self.symmetry.canonicalize(pred);
+                let pidx = lattice.index_of(pred);
                 if let Entry::Vacant(e) = parent.entry(pidx) {
                     e.insert(idx);
                     queue.push_back(pidx);
                 }
             });
         }
-        let mut trace = Trace::new();
+        let mut path = Vec::new();
         let mut at = farthest;
-        let mut step = 0u64;
         loop {
-            self.lattice.counts_of(at, &mut counts);
-            trace.snapshot(Interactions::new(step), self.checker.configuration_of_counts(&counts));
+            lattice.counts_of(at, &mut counts);
+            path.push(counts.clone());
             if at == target_idx {
-                break;
+                return path;
             }
             at = parent[&at];
-            step += 1;
         }
-        trace.record(
-            Interactions::new(step),
-            "counterexample",
-            format!("path of {step} non-null transitions into the witness configuration"),
-        );
-        Some(trace)
     }
 }
 
 /// Enumerates the predecessors of `counts` under one non-null interaction,
-/// calling `f` with each predecessor's dense index (possibly repeatedly).
+/// calling `f` with each predecessor's count vector (in `scratch`, which the
+/// callback may rewrite; possibly repeatedly for one predecessor).
 fn for_each_predecessor<P: EnumerableProtocol>(
     checker: &ModelChecker<P>,
-    lattice: &Lattice,
     counts: &[u32],
     scratch: &mut [u32],
-    mut f: impl FnMut(u64),
+    mut f: impl FnMut(&mut [u32]),
 ) {
     // A predecessor fires some move (i, j) → (i2, j2) with both targets
     // present here, so only present target pairs need their source lists
@@ -853,336 +884,229 @@ fn for_each_predecessor<P: EnumerableProtocol>(
                 scratch[b as usize] -= 1;
                 scratch[i as usize] += 1;
                 scratch[j as usize] += 1;
-                f(lattice.index_of(scratch));
+                f(scratch);
             }
         }
     }
 }
 
-/// Exhaustively verifies self-stabilization over the **entire**
-/// configuration lattice of the protocol: classifies every configuration as
-/// silent/correct, checks silent ⟺ correct, and proves by backward
-/// reachability that every configuration can reach a correct silent
-/// configuration (equivalently, is absorbed into one with probability 1).
-///
-/// # Errors
-///
-/// [`MCheckError::SpaceTooLarge`] when the lattice exceeds
-/// [`MCheckOptions::max_configurations`] (fall back to the seeded
-/// [`check_convergence_from`]), plus the construction errors of
-/// [`ModelChecker::new`].
-pub fn check_self_stabilization<P: EnumerableProtocol + CorrectnessOracle>(
-    protocol: P,
-    options: &MCheckOptions,
-) -> Result<StabilizationReport<P>, MCheckError> {
-    let checker = ModelChecker::new(protocol)?;
-    let lattice = Lattice::new(checker.n, checker.k, options.max_configurations)?;
-    let total = lattice.size();
-
-    // Pass 1: classify every configuration by an odometer sweep in rank
-    // order (no per-configuration decode).
-    let mut silent_set = BitSet::new(total);
-    let mut targets = BitSet::new(total);
-    let mut silent = 0u64;
-    let mut correct = 0u64;
-    let mut silent_incorrect = 0u64;
-    let mut correct_nonsilent = 0u64;
-    let mut silent_incorrect_witness = None;
-    let mut correct_nonsilent_witness = None;
-    let mut counts = vec![0u32; checker.k];
-    lattice.first(&mut counts);
-    let mut idx = 0u64;
-    loop {
-        let present = present_states(&counts);
-        let is_silent = checker.active_pairs(&counts, &present) == 0;
-        let is_correct = checker.protocol.is_correct(&checker.configuration_of_counts(&counts));
-        if is_silent {
-            silent += 1;
-            silent_set.set(idx);
-        }
-        if is_correct {
-            correct += 1;
-        }
-        if is_silent && is_correct {
-            targets.set(idx);
-        }
-        if is_silent && !is_correct {
-            silent_incorrect += 1;
-            if silent_incorrect_witness.is_none() {
-                silent_incorrect_witness = Some(checker.configuration_of_counts(&counts));
-            }
-        }
-        if is_correct && !is_silent {
-            correct_nonsilent += 1;
-            if correct_nonsilent_witness.is_none() {
-                correct_nonsilent_witness = Some(checker.configuration_of_counts(&counts));
-            }
-        }
-        idx += 1;
-        if !lattice.advance(&mut counts) {
-            break;
-        }
-    }
-    debug_assert_eq!(idx, total);
-
-    // Pass 2: backward reachability from the correct silent configurations.
-    let mut convergent = BitSet::new(total);
-    let mut queue: VecDeque<u64> = VecDeque::new();
-    for word in 0..targets.words.len() {
-        let mut bits = targets.words[word];
-        while bits != 0 {
-            let bit = bits.trailing_zeros() as u64;
-            let t = word as u64 * 64 + bit;
-            convergent.set(t);
-            queue.push_back(t);
-            bits &= bits - 1;
-        }
-    }
-    let mut scratch = vec![0u32; checker.k];
-    while let Some(c) = queue.pop_front() {
-        lattice.counts_of(c, &mut counts);
-        for_each_predecessor(&checker, &lattice, &counts, &mut scratch, |pidx| {
-            if !convergent.get(pidx) {
-                convergent.set(pidx);
-                queue.push_back(pidx);
-            }
-        });
-    }
-    let reached = convergent.count();
-    let non_convergent = total - reached;
-    let mut non_convergent_witness = None;
-    if non_convergent > 0 {
-        for i in 0..total {
-            if !convergent.get(i) {
-                lattice.counts_of(i, &mut counts);
-                non_convergent_witness = Some(checker.configuration_of_counts(&counts));
-                break;
-            }
-        }
-    }
-
-    Ok(StabilizationReport {
-        checker,
-        lattice,
-        convergent,
-        configurations: total,
-        silent,
-        correct,
-        silent_incorrect,
-        correct_nonsilent,
-        non_convergent,
-        silent_incorrect_witness,
-        correct_nonsilent_witness,
-        non_convergent_witness,
-    })
+/// The classification counts and first witnesses (as count vectors) shared
+/// by both sources.
+#[derive(Default)]
+struct Tally {
+    states: u64,
+    silent: u64,
+    correct: u64,
+    silent_incorrect: u64,
+    correct_nonsilent: u64,
+    non_convergent: u64,
+    silent_incorrect_witness: Option<Vec<u32>>,
+    correct_nonsilent_witness: Option<Vec<u32>>,
+    non_convergent_witness: Option<Vec<u32>>,
 }
 
-/// The verdict of an exhaustive self-stabilization proof over the **full**
-/// configuration lattice, computed on the quotient by the protocol's
-/// validated [`StateSymmetry`]; see [`check_self_stabilization_quotient`].
-///
-/// Because the quotient chain is an exact lumping of the full chain (the
-/// group is validated to commute with the transition structure, and the
-/// oracle is probed for orbit-invariance on every classified orbit), the
-/// verdict is a statement about **every** configuration, exactly as with
-/// [`check_self_stabilization`] — only the working set shrinks, from
-/// `C(n + k − 1, k − 1)` configurations to the orbit count.
-#[derive(Clone, PartialEq, Debug)]
-pub struct QuotientStabilizationReport<S> {
-    /// Full-lattice size `C(n + k − 1, k − 1)` the verdict covers.
-    pub configurations: u128,
-    /// Orbit representatives actually enumerated and classified.
-    pub orbits: u64,
-    /// Order of the validated symmetry group.
-    pub group_order: u128,
-    /// Silent orbits (silence is orbit-invariant by null-equivariance).
-    pub silent: u64,
-    /// Correct orbits (the oracle is probed for orbit-invariance).
-    pub correct: u64,
-    /// Orbits that are silent but not correct.
-    pub silent_incorrect: u64,
-    /// Orbits that are correct but not silent.
-    pub correct_nonsilent: u64,
-    /// Orbits that cannot reach a correct silent orbit.
-    pub non_convergent: u64,
-    /// A silent-but-incorrect representative, if any.
-    pub silent_incorrect_witness: Option<Configuration<S>>,
-    /// A correct-but-nonsilent representative, if any.
-    pub correct_nonsilent_witness: Option<Configuration<S>>,
-    /// A representative that cannot converge, if any.
-    pub non_convergent_witness: Option<Configuration<S>>,
-    /// The checker's slice of the unified counter registry: orbit
-    /// expansions (as frontier pops) and successor-store spill bytes.
-    pub counters: CounterBlock,
-}
-
-impl<S> QuotientStabilizationReport<S> {
-    /// Whether the protocol is verified: over the full lattice, silent ⟺
-    /// correct and every configuration converges.
-    pub fn verified(&self) -> bool {
-        self.silent_incorrect == 0 && self.correct_nonsilent == 0 && self.non_convergent == 0
-    }
-}
-
-/// Proves self-stabilization over the **full** configuration lattice on the
-/// symmetry quotient: enumerates only canonical orbit representatives
-/// (odometer sweep, skipping non-canonical vectors in place), classifies
-/// each orbit, builds the quotient successor relation, and runs the
-/// backward-reachability pass from the correct silent orbits. With the
-/// identity symmetry this degenerates to a (compressed) dense check.
-///
-/// Capacity guards: the enumeration still *walks* the full lattice once, so
-/// its size is guarded by `max_configurations × |G|` (time); the orbit
-/// count — the actual working set — is guarded by `max_reachable` (memory),
-/// and the quotient successor store spills past `max_resident_bytes`.
-///
-/// # Errors
-///
-/// [`MCheckError::SpaceTooLarge`] / [`MCheckError::ReachableTooLarge`] past
-/// the guards, [`MCheckError::UnsoundSymmetry`] if the oracle is not
-/// orbit-invariant (transition equivariance is validated by
-/// [`ModelChecker::new`]), plus the construction errors of
-/// [`ModelChecker::new`].
-pub fn check_self_stabilization_quotient<P: EnumerableProtocol + CorrectnessOracle>(
-    protocol: P,
-    options: &MCheckOptions,
-) -> Result<QuotientStabilizationReport<P::State>, MCheckError> {
-    let checker = ModelChecker::new(protocol)?;
-    let k = checker.k;
-    let n = checker.n;
-    let group_order = checker.symmetry.order(k);
-    // Time guard: the odometer touches every lattice point once (amortized
-    // O(1) plus an is-canonical test), so allow the full size to exceed
-    // the dense guard by up to the group order — the quotient's win is that
-    // only canonical representatives are stored and classified.
-    let budget = (options.max_configurations as u128)
-        .saturating_mul(group_order)
-        .min(u64::MAX as u128) as u64;
-    let lattice = Lattice::new(n, k, budget)?;
-    let symmetry = checker.symmetry.clone();
-    let gens = symmetry.generators(k);
-
-    // Pass 1: enumerate canonical representatives into the compressed store.
-    let mut store = ConfigStore::new(k);
-    let mut index = HashIndex::new();
-    let mut counts = vec![0u32; k];
-    let mut cmp = vec![0u32; k];
-    lattice.first(&mut counts);
-    loop {
-        if symmetry.is_canonical(&counts) {
-            if store.len() >= options.max_reachable {
-                return Err(MCheckError::ReachableTooLarge { limit: options.max_reachable });
-            }
-            let id = store.push(&counts);
-            index.insert(hash_counts(&counts), id);
-        }
-        if !lattice.advance(&mut counts) {
-            break;
-        }
-    }
-    let orbits = store.len() as u64;
-
-    // Pass 2: classify every orbit and build the quotient successor lists.
-    let mut succ = EdgeStore::new(options.max_resident_bytes, options.spill_dir.clone());
-    let mut active: Vec<u64> = Vec::with_capacity(store.len());
-    let mut targets = vec![false; store.len()];
-    let mut silent = 0u64;
-    let mut correct = 0u64;
-    let mut silent_incorrect = 0u64;
-    let mut correct_nonsilent = 0u64;
-    let mut silent_incorrect_witness = None;
-    let mut correct_nonsilent_witness = None;
-    let mut scratch = vec![0u32; k];
-    let mut canon = vec![0u32; k];
-    let mut image = vec![0u32; k];
-    let mut local: Vec<(u32, u64)> = Vec::new();
-    for id in 0..store.len() as u32 {
-        store.get(id, &mut counts);
-        checker.oracle_invariant_under(&counts, &gens, &mut image)?;
-        let present = present_states(&counts);
-        local.clear();
-        checker.for_each_successor(&counts, &present, &mut scratch, |_, _, w, succ_counts| {
-            canon.copy_from_slice(succ_counts);
-            symmetry.canonicalize(&mut canon);
-            let t = index
-                .lookup(hash_counts(&canon), |cand| {
-                    store.get(cand, &mut cmp);
-                    cmp[..] == canon[..]
-                })
-                .expect("every canonical successor was enumerated in pass 1");
-            match local.iter_mut().find(|(s, _)| *s == t) {
-                Some((_, acc)) => *acc += w,
-                None => local.push((t, w)),
-            }
-        });
-        let a: u64 = local.iter().map(|&(_, w)| w).sum();
-        debug_assert_eq!(a, checker.active_pairs(&counts, &present));
-        let is_silent = a == 0;
-        let is_correct = checker.protocol.is_correct(&checker.configuration_of_counts(&counts));
-        if is_silent {
-            silent += 1;
-        }
-        if is_correct {
-            correct += 1;
-        }
-        match (is_silent, is_correct) {
-            (true, true) => targets[id as usize] = true,
+impl Tally {
+    /// Counts one classified state; returns whether it is a correct silent
+    /// target of the backward pass.
+    fn record(&mut self, counts: &[u32], silent: bool, correct: bool) -> bool {
+        self.states += 1;
+        self.silent += u64::from(silent);
+        self.correct += u64::from(correct);
+        match (silent, correct) {
             (true, false) => {
-                silent_incorrect += 1;
-                if silent_incorrect_witness.is_none() {
-                    silent_incorrect_witness = Some(checker.configuration_of_counts(&counts));
-                }
+                self.silent_incorrect += 1;
+                self.silent_incorrect_witness.get_or_insert_with(|| counts.to_vec());
             }
             (false, true) => {
-                correct_nonsilent += 1;
-                if correct_nonsilent_witness.is_none() {
-                    correct_nonsilent_witness = Some(checker.configuration_of_counts(&counts));
-                }
+                self.correct_nonsilent += 1;
+                self.correct_nonsilent_witness.get_or_insert_with(|| counts.to_vec());
             }
-            (false, false) => {}
+            _ => {}
         }
-        active.push(a);
-        succ.push_state(&local).map_err(MCheckError::from_spill)?;
+        silent && correct
     }
-    succ.seal().map_err(MCheckError::from_spill)?;
 
-    // Pass 3: backward reachability from the correct silent orbits, reusing
-    // the reachable-space machinery (resident reverse BFS or spilled
-    // fixpoint scans).
-    let quotient = !symmetry.is_identity();
-    // The quotient sweep expands each orbit exactly once in pass 2 — the
-    // same unit of work a BFS frontier pop represents.
-    let space = ReachableSpace {
+    fn into_report<P: EnumerableProtocol>(
+        self,
+        checker: ModelChecker<P>,
+        symmetry: StateSymmetry,
+        proof: Proof,
+        configurations: u128,
+        counters: CounterBlock,
+    ) -> ConvergenceReport<P> {
+        let config = |w: Option<Vec<u32>>| w.map(|c| checker.configuration_of_counts(&c));
+        ConvergenceReport {
+            silent_incorrect_witness: config(self.silent_incorrect_witness),
+            correct_nonsilent_witness: config(self.correct_nonsilent_witness),
+            non_convergent_witness: config(self.non_convergent_witness),
+            configurations,
+            states: self.states,
+            group_order: symmetry.order(checker.k),
+            silent: self.silent,
+            correct: self.correct,
+            silent_incorrect: self.silent_incorrect,
+            correct_nonsilent: self.correct_nonsilent,
+            non_convergent: self.non_convergent,
+            counters,
+            checker,
+            symmetry,
+            proof,
+        }
+    }
+}
+
+/// Proves convergence over `source`: classifies every state as silent
+/// and/or correct, checks silent ⟺ correct, and proves by backward
+/// reachability from the correct silent states that every state can reach
+/// one (equivalently, is absorbed into one with probability 1).
+///
+/// * [`ConvergenceSource::Lattice`] walks the full lattice once by odometer,
+///   classifies its canonical ranks (every rank when unquotiented), and runs
+///   one backward BFS over the exact predecessor relation, canonicalizing
+///   each predecessor before indexing it. Lumpability makes the canonical
+///   predecessors of a representative exactly its predecessor orbits.
+/// * [`ConvergenceSource::Closure`] explores the seeds' reachable closure
+///   ([`explore_reachable`]) and runs the backward pass over its stored
+///   successor edges.
+///
+/// [`MCheckOptions::use_symmetry`] quotients both by the protocol's
+/// validated [`StateSymmetry`].
+///
+/// # Errors
+///
+/// [`MCheckError::SpaceTooLarge`] when the lattice exceeds its guards (fall
+/// back to the closure source), [`MCheckError::UnsoundSymmetry`] if the
+/// oracle is not orbit-invariant on a classified state, plus the errors of
+/// [`ModelChecker::new`] and, for closures, [`explore_reachable`].
+pub fn check_convergence<P: EnumerableProtocol + CorrectnessOracle>(
+    protocol: P,
+    source: ConvergenceSource<'_, P::State>,
+    options: &MCheckOptions,
+) -> Result<ConvergenceReport<P>, MCheckError> {
+    match source {
+        ConvergenceSource::Lattice => check_lattice(ModelChecker::new(protocol)?, options),
+        ConvergenceSource::Closure(seeds) => {
+            check_closure(explore_reachable(protocol, seeds, options)?)
+        }
+    }
+}
+
+fn check_lattice<P: EnumerableProtocol + CorrectnessOracle>(
+    checker: ModelChecker<P>,
+    options: &MCheckOptions,
+) -> Result<ConvergenceReport<P>, MCheckError> {
+    let k = checker.k;
+    let symmetry =
+        if options.use_symmetry { checker.symmetry.clone() } else { StateSymmetry::Identity };
+    // Time guard: the odometer touches every lattice point once (amortized
+    // O(1) plus an is-canonical test), so a group raises it by its order —
+    // only representatives are classified. Memory guard: the convergent set
+    // holds one bit per lattice point.
+    let time = (options.max_configurations as u128).saturating_mul(symmetry.order(k));
+    let memory = (options.max_resident_bytes / 8) as u128 * 64;
+    let lattice = Lattice::new(checker.n, k, time.min(memory).min(u64::MAX as u128) as u64)?;
+    let gens = symmetry.generators(k);
+
+    // Pass 1: classify every canonical rank in odometer order (no
+    // per-configuration decode), seeding the backward pass with the correct
+    // silent ones.
+    let mut tally = Tally::default();
+    let mut convergent = BitSet::new(lattice.size);
+    let mut queue: VecDeque<u64> = VecDeque::new();
+    let mut counts = vec![0u32; k];
+    let mut image = vec![0u32; k];
+    lattice.first(&mut counts);
+    let mut rank = 0u64;
+    loop {
+        if symmetry.is_canonical(&counts) {
+            let silent = checker.is_silent(&counts);
+            let correct = checker.is_correct_invariantly(&counts, &gens, &mut image)?;
+            if tally.record(&counts, silent, correct) {
+                convergent.set(rank);
+                queue.push_back(rank);
+            }
+        }
+        rank += 1;
+        if !lattice.advance(&mut counts) {
+            break;
+        }
+    }
+
+    // Pass 2: backward reachability from the correct silent states.
+    let mut scratch = vec![0u32; k];
+    let mut frontier_pops = 0u64;
+    while let Some(c) = queue.pop_front() {
+        frontier_pops += 1;
+        lattice.counts_of(c, &mut counts);
+        for_each_predecessor(&checker, &counts, &mut scratch, |pred| {
+            symmetry.canonicalize(pred);
+            let p = lattice.index_of(pred);
+            if !convergent.get(p) {
+                convergent.set(p);
+                queue.push_back(p);
+            }
+        });
+    }
+    tally.non_convergent = tally.states - convergent.count();
+    if tally.non_convergent > 0 {
+        lattice.first(&mut counts);
+        let mut rank = 0u64;
+        while convergent.get(rank) || !symmetry.is_canonical(&counts) {
+            rank += 1;
+            lattice.advance(&mut counts);
+        }
+        tally.non_convergent_witness = Some(counts);
+    }
+    let mut counters = CounterBlock::default();
+    counters.set(Counter::McheckFrontierPops, frontier_pops);
+    let configurations = lattice_size(checker.n, k).unwrap_or(u128::MAX);
+    Ok(tally.into_report(
         checker,
-        store,
-        succ,
-        active,
-        totals: None,
-        quotient,
-        frontier_pops: orbits,
-    };
-    let mut reached = targets;
-    space.extend_reverse_reachable(&mut reached)?;
-    let non_convergent = reached.iter().filter(|&&r| !r).count() as u64;
-    let non_convergent_witness = reached.iter().position(|&r| !r).map(|s| {
-        space.counts_into(s as u32, &mut counts);
-        space.checker.configuration_of_counts(&counts)
-    });
+        symmetry,
+        Proof::Lattice { lattice, convergent },
+        configurations,
+        counters,
+    ))
+}
 
-    Ok(QuotientStabilizationReport {
-        counters: space.counters(),
-        configurations: lattice_size(n, k).unwrap_or(u128::MAX),
-        orbits,
-        group_order,
-        silent,
-        correct,
-        silent_incorrect,
-        correct_nonsilent,
-        non_convergent,
-        silent_incorrect_witness,
-        correct_nonsilent_witness,
-        non_convergent_witness,
-    })
+fn check_closure<P: EnumerableProtocol + CorrectnessOracle>(
+    space: ReachableSpace<P>,
+) -> Result<ConvergenceReport<P>, MCheckError> {
+    let k = space.checker.k;
+    let symmetry =
+        if space.quotient { space.checker.symmetry.clone() } else { StateSymmetry::Identity };
+    let gens = symmetry.generators(k);
+    let mut image = vec![0u32; k];
+    let mut tally = Tally::default();
+    let mut targets = Vec::with_capacity(space.len());
+    let mut result = Ok(());
+    space.store.for_each(|s, counts| {
+        let silent = space.active[s as usize] == 0;
+        match space.checker.is_correct_invariantly(counts, &gens, &mut image) {
+            Ok(correct) => targets.push(tally.record(counts, silent, correct)),
+            Err(e) => result = Err(e),
+        }
+    });
+    result?;
+    let dist = space.distance_to(|s| targets[s])?;
+    tally.non_convergent = dist.iter().filter(|&&d| d == u32::MAX).count() as u64;
+    if let Some(s) = dist.iter().position(|&d| d == u32::MAX) {
+        let mut counts = vec![0u32; k];
+        space.store.get(s as u32, &mut counts);
+        tally.non_convergent_witness = Some(counts);
+    }
+    // The trace witness's discovery path, found while the edges exist.
+    let trace_witness = (tally.non_convergent_witness.as_ref())
+        .or(tally.silent_incorrect_witness.as_ref())
+        .or(tally.correct_nonsilent_witness.as_ref());
+    let witness_path = match trace_witness {
+        Some(witness) => space.discovery_path(witness)?,
+        None => Vec::new(),
+    };
+    let counters = space.counters();
+    let configurations = u128::from(tally.states);
+    let proof = Proof::Closure { witness_path };
+    Ok(tally.into_report(space.checker, symmetry, proof, configurations, counters))
 }
 
 /// The compressed reachable closure of a seed set — the checker's default
@@ -1208,57 +1132,23 @@ pub struct ReachableSpace<P: EnumerableProtocol> {
     /// Whether states are canonical orbit representatives of the declared
     /// symmetry's quotient (uniform scheduler + nontrivial validated group).
     quotient: bool,
-    /// States expanded during construction (frontier pops in the BFS
-    /// closure; one expansion per orbit in the quotient sweep).
-    frontier_pops: u64,
 }
 
 impl<P: EnumerableProtocol> ReachableSpace<P> {
-    /// Number of reachable configurations (orbit representatives when
-    /// [`ReachableSpace::quotient`] is true).
-    pub fn len(&self) -> usize {
+    /// Number of reachable states (orbit representatives when quotiented).
+    fn len(&self) -> usize {
         self.active.len()
     }
 
-    /// Whether the closure is empty (it never is — seeds are included).
-    pub fn is_empty(&self) -> bool {
-        self.active.is_empty()
-    }
-
-    /// Number of silent reachable configurations.
-    pub fn silent_count(&self) -> usize {
-        self.active.iter().filter(|&&a| a == 0).count()
-    }
-
-    /// The checker this closure was built with.
-    pub fn checker(&self) -> &ModelChecker<P> {
-        &self.checker
-    }
-
-    /// Whether the closure was built on the symmetry quotient (states are
-    /// orbit representatives rather than raw configurations).
-    pub fn quotient(&self) -> bool {
-        self.quotient
-    }
-
-    /// Whether the successor store spilled to disk.
-    pub fn spilled(&self) -> bool {
-        self.succ.is_spilled()
-    }
-
     /// The closure's slice of the unified counter registry:
-    /// [`Counter::McheckFrontierPops`] (states expanded during construction)
-    /// and [`Counter::McheckSpillBytes`] (spill-file bytes, zero while
-    /// resident).
+    /// [`Counter::McheckFrontierPops`] (states expanded during construction:
+    /// every state, once) and [`Counter::McheckSpillBytes`] (spill-file
+    /// bytes, zero while resident).
     pub fn counters(&self) -> CounterBlock {
         let mut block = CounterBlock::default();
-        block.set(Counter::McheckFrontierPops, self.frontier_pops);
+        block.set(Counter::McheckFrontierPops, self.len() as u64);
         block.set(Counter::McheckSpillBytes, self.succ.spilled_bytes());
         block
-    }
-
-    fn counts_into(&self, state: u32, out: &mut [u32]) {
-        self.store.get(state, out);
     }
 
     /// Total pair weight of a state: the numerator of the expected null-run
@@ -1274,45 +1164,37 @@ impl<P: EnumerableProtocol> ReachableSpace<P> {
         }
     }
 
-    /// BFS distances to the nearest silent state over the *forward* relation
-    /// (i.e. along the arrow of time), `u32::MAX` for states that cannot
-    /// reach silence.
+    /// BFS distances along the arrow of time from every state to the
+    /// nearest state marked by `source` (distance 0), `u32::MAX` for states
+    /// that cannot reach one. The closure verdict marks the correct silent
+    /// states; the solver marks every silent state.
     ///
     /// Resident stores build the reverse adjacency by counting sort and run
-    /// one multi-source BFS; spilled stores cannot afford the reverse edge
-    /// array, so they run sequential relaxation scans to a fixpoint (at most
-    /// `max-distance + 1` passes over the edge file).
-    fn distance_to_silence(&self) -> Result<Vec<u32>, MCheckError> {
+    /// one multi-source reverse BFS; spilled stores cannot afford the reverse
+    /// edge array, so they run sequential relaxation scans to a fixpoint (at
+    /// most `max-distance + 1` passes over the edge file).
+    fn distance_to(&self, source: impl Fn(usize) -> bool) -> Result<Vec<u32>, MCheckError> {
         let states = self.len();
-        let mut dist = vec![u32::MAX; states];
-        for (s, &a) in self.active.iter().enumerate() {
-            if a == 0 {
-                dist[s] = 0;
-            }
-        }
+        let mut dist: Vec<u32> =
+            (0..states).map(|s| if source(s) { 0 } else { u32::MAX }).collect();
         if self.succ.is_spilled() {
             loop {
                 let mut changed = false;
                 self.succ
                     .for_each_state(|s, edges| {
-                        if self.active[s as usize] == 0 {
-                            return;
-                        }
-                        let mut best = u32::MAX;
-                        for &(t, _) in edges {
-                            best = best.min(dist[t as usize]);
-                        }
-                        if best != u32::MAX && best.saturating_add(1) < dist[s as usize] {
-                            dist[s as usize] = best + 1;
-                            changed = true;
+                        let best = edges.iter().map(|&(t, _)| dist[t as usize]).min();
+                        if let Some(best) = best.filter(|&d| d != u32::MAX) {
+                            if best + 1 < dist[s as usize] {
+                                dist[s as usize] = best + 1;
+                                changed = true;
+                            }
                         }
                     })
                     .map_err(MCheckError::from_spill)?;
                 if !changed {
-                    break;
+                    return Ok(dist);
                 }
             }
-            return Ok(dist);
         }
         // Reverse adjacency by counting sort over the forward edges.
         let edge_count = self.succ.edge_count() as usize;
@@ -1337,12 +1219,8 @@ impl<P: EnumerableProtocol> ReachableSpace<P> {
                 }
             })
             .map_err(MCheckError::from_spill)?;
-        let mut queue = VecDeque::new();
-        for (s, &d) in dist.iter().enumerate() {
-            if d == 0 {
-                queue.push_back(s as u32);
-            }
-        }
+        let mut queue: VecDeque<u32> =
+            (0..states as u32).filter(|&s| dist[s as usize] == 0).collect();
         while let Some(t) = queue.pop_front() {
             let d = dist[t as usize] + 1;
             for &s in &rev[indegree[t as usize] as usize..indegree[t as usize + 1] as usize] {
@@ -1355,64 +1233,41 @@ impl<P: EnumerableProtocol> ReachableSpace<P> {
         Ok(dist)
     }
 
-    /// Marks every state that can reach a state marked in `reached` (which
-    /// is extended in place): resident stores run a reverse BFS over a
-    /// counting-sorted reverse adjacency; spilled stores run sequential
-    /// fixpoint scans.
-    fn extend_reverse_reachable(&self, reached: &mut [bool]) -> Result<(), MCheckError> {
-        let states = self.len();
-        if self.succ.is_spilled() {
-            loop {
-                let mut changed = false;
-                self.succ
-                    .for_each_state(|s, edges| {
-                        if reached[s as usize] {
-                            return;
-                        }
-                        if edges.iter().any(|&(t, _)| reached[t as usize]) {
-                            reached[s as usize] = true;
-                            changed = true;
-                        }
-                    })
-                    .map_err(MCheckError::from_spill)?;
-                if !changed {
-                    return Ok(());
-                }
+    /// The count vectors along the BFS discovery path from a seed to the
+    /// state holding `target`, seed first. States are numbered in discovery
+    /// order, so a non-seed state's discoverer is its lowest-numbered
+    /// predecessor, which one scan over the edges finds; following
+    /// discoverers strictly lowers the state id until a seed is reached.
+    fn discovery_path(&self, target: &[u32]) -> Result<Vec<Vec<u32>>, MCheckError> {
+        let mut parent = vec![u32::MAX; self.len()];
+        let mut at = None;
+        let mut counts = vec![0u32; self.checker.k];
+        self.store.for_each(|s, c| {
+            if c == target {
+                at.get_or_insert(s);
             }
-        }
-        let edge_count = self.succ.edge_count() as usize;
-        let mut indegree = vec![0u32; states + 1];
-        self.succ
-            .for_each_state(|_, edges| {
-                for &(t, _) in edges {
-                    indegree[t as usize + 1] += 1;
-                }
-            })
-            .map_err(MCheckError::from_spill)?;
-        for i in 0..states {
-            indegree[i + 1] += indegree[i];
-        }
-        let mut rev = vec![0u32; edge_count];
-        let mut cursor = indegree.clone();
+        });
         self.succ
             .for_each_state(|s, edges| {
                 for &(t, _) in edges {
-                    rev[cursor[t as usize] as usize] = s;
-                    cursor[t as usize] += 1;
+                    if parent[t as usize] == u32::MAX {
+                        parent[t as usize] = s;
+                    }
                 }
             })
             .map_err(MCheckError::from_spill)?;
-        let mut queue: VecDeque<u32> =
-            reached.iter().enumerate().filter(|(_, &r)| r).map(|(s, _)| s as u32).collect();
-        while let Some(t) = queue.pop_front() {
-            for &s in &rev[indegree[t as usize] as usize..indegree[t as usize + 1] as usize] {
-                if !reached[s as usize] {
-                    reached[s as usize] = true;
-                    queue.push_back(s);
-                }
+        let mut at = at.expect("the witness is a closure state");
+        let mut path = Vec::new();
+        loop {
+            self.store.get(at, &mut counts);
+            path.push(counts.clone());
+            if parent[at as usize] >= at {
+                break;
             }
+            at = parent[at as usize];
         }
-        Ok(())
+        path.reverse();
+        Ok(path)
     }
 }
 
@@ -1455,13 +1310,13 @@ fn explore_reachable_with_rates<P: EnumerableProtocol>(
     let mut succ = EdgeStore::new(options.max_resident_bytes, options.spill_dir.clone());
     let mut active: Vec<u64> = Vec::new();
     let mut totals: Option<Vec<u64>> = rates.as_ref().map(|_| Vec::new());
-    let mut frontier: VecDeque<u32> = VecDeque::new();
     let mut cmp = vec![0u32; k];
 
+    // States are numbered in discovery order, so the BFS frontier is every
+    // id past the last expanded one.
     let intern = |counts: &[u32],
                   store: &mut ConfigStore,
                   index: &mut HashIndex,
-                  frontier: &mut VecDeque<u32>,
                   cmp: &mut [u32]|
      -> Result<u32, MCheckError> {
         let hash = hash_counts(counts);
@@ -1477,7 +1332,6 @@ fn explore_reachable_with_rates<P: EnumerableProtocol>(
         }
         let id = store.push(counts);
         index.insert(hash, id);
-        frontier.push_back(id);
         Ok(id)
     };
 
@@ -1486,21 +1340,19 @@ fn explore_reachable_with_rates<P: EnumerableProtocol>(
         if quotient {
             checker.symmetry.canonicalize(&mut counts);
         }
-        intern(&counts, &mut store, &mut index, &mut frontier, &mut cmp)?;
+        intern(&counts, &mut store, &mut index, &mut cmp)?;
     }
     let mut scratch = vec![0u32; k];
     let mut canon = vec![0u32; k];
     let mut counts = vec![0u32; k];
     let mut counts64 = vec![0u64; k];
     let mut local: Vec<(u32, u64)> = Vec::new();
-    let mut frontier_pops = 0u64;
-    while let Some(id) = frontier.pop_front() {
-        frontier_pops += 1;
+    let mut id = 0u32;
+    while (id as usize) < store.len() {
         store.get(id, &mut counts);
-        let present = present_states(&counts);
         local.clear();
         let mut error = None;
-        checker.for_each_successor(&counts, &present, &mut scratch, |i, j, w, succ_counts| {
+        checker.for_each_successor(&counts, &mut scratch, |i, j, w, succ_counts| {
             if error.is_some() {
                 return;
             }
@@ -1522,7 +1374,7 @@ fn explore_reachable_with_rates<P: EnumerableProtocol>(
             } else {
                 succ_counts
             };
-            match intern(target, &mut store, &mut index, &mut frontier, &mut cmp) {
+            match intern(target, &mut store, &mut index, &mut cmp) {
                 Ok(t) => match local.iter_mut().find(|(s, _)| *s == t) {
                     Some((_, acc)) => *acc += w,
                     None => local.push((t, w)),
@@ -1534,11 +1386,6 @@ fn explore_reachable_with_rates<P: EnumerableProtocol>(
             return Err(e);
         }
         let a: u64 = local.iter().map(|&(_, w)| w).sum();
-        debug_assert!(
-            rates.is_some() || a == checker.active_pairs(&counts, &present),
-            "uniform edge weights sum to the active-pair count"
-        );
-        debug_assert_eq!(id as usize, active.len(), "BFS order matches state ids");
         active.push(a);
         if let (Some(totals), Some(r)) = (totals.as_mut(), rates.as_ref()) {
             for (dst, &c) in counts64.iter_mut().zip(counts.iter()) {
@@ -1549,9 +1396,10 @@ fn explore_reachable_with_rates<P: EnumerableProtocol>(
             totals.push(w);
         }
         succ.push_state(&local).map_err(MCheckError::from_spill)?;
+        id += 1;
     }
     succ.seal().map_err(MCheckError::from_spill)?;
-    Ok(ReachableSpace { checker, store, succ, active, totals, quotient, frontier_pops })
+    Ok(ReachableSpace { checker, store, succ, active, totals, quotient })
 }
 
 /// The exact expected silence time of an initial configuration, solved from
@@ -1665,7 +1513,7 @@ fn solve_silence_time<P: EnumerableProtocol>(
     sink: &mut TelemetrySink,
 ) -> Result<ExactSilenceTime, MCheckError> {
     let n = space.checker.n as f64;
-    let dist = space.distance_to_silence()?;
+    let dist = space.distance_to(|s| space.active[s] == 0)?;
     if dist.contains(&u32::MAX) {
         return Err(MCheckError::NonConvergent);
     }
@@ -1727,90 +1575,9 @@ fn solve_silence_time<P: EnumerableProtocol>(
         sweeps,
         residual,
         quotient: space.quotient,
-        spilled: space.spilled(),
+        spilled: space.succ.is_spilled(),
         counters,
     })
-}
-
-/// The verdict of a seeded convergence check on a sparse reachable closure —
-/// the fallback when the full lattice exceeds the dense capacity guard. It
-/// proves a weaker statement than [`check_self_stabilization`]: every
-/// configuration **reachable from the seeds** converges (and reachable
-/// silence ⟺ correctness), rather than every configuration outright.
-#[derive(Clone, PartialEq, Debug)]
-pub struct ReachabilityReport<S> {
-    /// Configurations in the reachable closure.
-    pub states: usize,
-    /// Silent configurations in the closure.
-    pub silent: usize,
-    /// Silent-but-incorrect configurations in the closure.
-    pub silent_incorrect: usize,
-    /// Configurations in the closure that cannot reach a correct silent one.
-    pub non_convergent: usize,
-    /// A witness for either failure mode, if any.
-    pub witness: Option<Configuration<S>>,
-}
-
-impl<S> ReachabilityReport<S> {
-    /// Whether every reachable configuration converges to a correct silent
-    /// configuration and every reachable silent configuration is correct.
-    pub fn verified(&self) -> bool {
-        self.silent_incorrect == 0 && self.non_convergent == 0
-    }
-}
-
-/// Verifies convergence on the reachable closure of `seeds`: every
-/// reachable configuration can reach a **correct** silent configuration,
-/// and every reachable silent configuration is correct.
-///
-/// # Errors
-///
-/// The errors of [`explore_reachable`].
-pub fn check_convergence_from<P: EnumerableProtocol + CorrectnessOracle>(
-    protocol: P,
-    seeds: &[Configuration<P::State>],
-    options: &MCheckOptions,
-) -> Result<ReachabilityReport<P::State>, MCheckError> {
-    let space = explore_reachable(protocol, seeds, options)?;
-    let states = space.len();
-    let k = space.checker.k;
-    // A quotient proof additionally needs the oracle to be orbit-invariant;
-    // transition equivariance was validated when the checker was built, so
-    // the oracle is probed here on every classified (silent) representative.
-    let gens = if space.quotient { space.checker.symmetry.generators(k) } else { Vec::new() };
-    let mut image = vec![0u32; k];
-    let mut counts = vec![0u32; k];
-    // Reverse reachability from the *correct* silent states over the
-    // forward relation.
-    let mut silent = 0usize;
-    let mut silent_incorrect = 0usize;
-    let mut witness = None;
-    let mut reached = vec![false; states];
-    for (s, slot) in reached.iter_mut().enumerate() {
-        if space.active[s] == 0 {
-            silent += 1;
-            space.counts_into(s as u32, &mut counts);
-            space.checker.oracle_invariant_under(&counts, &gens, &mut image)?;
-            let config = space.checker.configuration_of_counts(&counts);
-            if space.checker.protocol.is_correct(&config) {
-                *slot = true;
-            } else {
-                silent_incorrect += 1;
-                if witness.is_none() {
-                    witness = Some(config);
-                }
-            }
-        }
-    }
-    space.extend_reverse_reachable(&mut reached)?;
-    let non_convergent = reached.iter().filter(|&&r| !r).count();
-    if witness.is_none() {
-        if let Some(s) = reached.iter().position(|&r| !r) {
-            space.counts_into(s as u32, &mut counts);
-            witness = Some(space.checker.configuration_of_counts(&counts));
-        }
-    }
-    Ok(ReachabilityReport { states, silent, silent_incorrect, non_convergent, witness })
 }
 
 /// The verdict of an exhaustive fault-closure check: see
@@ -1864,90 +1631,71 @@ impl<S> FaultClosureReport<S> {
 /// count is genuine information — bursts can escape the set, and the
 /// report names the first escaping configuration.
 ///
+/// The full-space verdict comes from [`check_convergence`] on the lattice
+/// source — on the symmetry quotient when [`MCheckOptions::use_symmetry`]
+/// asks for it, in which case only the membership query canonicalizes.
+///
 /// # Errors
 ///
-/// The errors of [`check_self_stabilization`] (this check needs the dense
-/// full-space verdict for membership queries).
+/// The errors of [`check_convergence`] on [`ConvergenceSource::Lattice`]
+/// (this check needs the full-space verdict for membership queries).
 pub fn check_fault_plan_closure<P: EnumerableProtocol + CorrectnessOracle>(
     protocol: P,
     plan: &FaultPlan<P::State>,
     seeds: &[Configuration<P::State>],
     options: &MCheckOptions,
 ) -> Result<FaultClosureReport<P::State>, MCheckError> {
-    let report = check_self_stabilization(protocol, options)?;
+    let report = check_convergence(protocol, ConvergenceSource::Lattice, options)?;
     let checker = &report.checker;
-    let lattice = &report.lattice;
-    let k_states = checker.k;
     let burst = plan.burst_size().min(checker.n);
-    // Target state indices a burst can force victims into.
-    let target_states: Vec<u32> = match plan.target() {
-        CorruptionTarget::Fixed(s) => vec![checker.protocol.state_index(s) as u32],
-        CorruptionTarget::Random(_) => (0..k_states as u32).collect(),
-    };
+    // Per-state multiplicity caps of the burst's target multiset.
+    let mut target_caps = vec![0u32; checker.k];
+    match plan.target() {
+        CorruptionTarget::Fixed(s) => target_caps[checker.protocol.state_index(s)] = burst as u32,
+        CorruptionTarget::Random(_) => target_caps.fill(burst as u32),
+    }
 
-    // Forward BFS over dense indices from the seeds.
-    let mut visited = BitSet::new(lattice.size());
-    let mut queue = VecDeque::new();
+    // Forward BFS over concrete configurations from the seeds, whatever the
+    // symmetry: a `Fixed` target is not orbit-invariant, so the bursts must
+    // be enumerated on concrete configurations, never on representatives.
+    let mut reachable: Vec<Vec<u32>> = Vec::new();
+    let mut seen: HashSet<Vec<u32>> = HashSet::new();
     for seed in seeds {
         let counts = checker.counts_of_configuration(seed);
-        let idx = lattice.index_of(&counts);
-        if !visited.get(idx) {
-            visited.set(idx);
-            queue.push_back(idx);
+        if seen.insert(counts.clone()) {
+            reachable.push(counts);
         }
     }
-    let mut counts = vec![0u32; k_states];
-    let mut scratch = vec![0u32; k_states];
-    let mut reachable: Vec<u64> = Vec::new();
-    while let Some(idx) = queue.pop_front() {
-        reachable.push(idx);
-        lattice.counts_of(idx, &mut counts);
-        let present = present_states(&counts);
-        checker.for_each_successor(&counts, &present, &mut scratch, |_, _, _, succ| {
-            let sidx = lattice.index_of(succ);
-            if !visited.get(sidx) {
-                visited.set(sidx);
-                queue.push_back(sidx);
+    let mut scratch = vec![0u32; checker.k];
+    let mut next = 0;
+    while next < reachable.len() {
+        let counts = reachable[next].clone();
+        checker.for_each_successor(&counts, &mut scratch, |_, _, _, succ| {
+            if seen.insert(succ.to_vec()) {
+                reachable.push(succ.to_vec());
             }
         });
+        next += 1;
     }
 
-    // Enumerate every burst outcome of every reachable configuration.
+    // Enumerate every burst outcome of every reachable configuration: each
+    // victim multiset leaves its states, then each target multiset joins.
     let mut perturbations = 0u64;
     let mut violations = 0u64;
     let mut witness = None;
-    let mut victims = Vec::with_capacity(burst);
-    let mut targets_buf = Vec::with_capacity(burst);
-    for &idx in &reachable {
-        lattice.counts_of(idx, &mut counts);
+    let mut canon = vec![0u32; checker.k];
+    for counts in &reachable {
         let mut corrupted = counts.clone();
-        enumerate_victim_multisets(&counts, burst, 0, &mut victims, &mut |victims, counts| {
-            let mut apply_targets = |targets: &[u32], corrupted: &mut [u32]| {
-                corrupted.copy_from_slice(counts);
-                for &v in victims.iter() {
-                    corrupted[v as usize] -= 1;
-                }
-                for &t in targets {
-                    corrupted[t as usize] += 1;
-                }
+        let mut victim_caps = counts.clone();
+        for_each_multiset(&mut victim_caps, burst, 0, &mut corrupted, -1, &mut |survivors| {
+            for_each_multiset(&mut target_caps, burst, 0, survivors, 1, &mut |outcome| {
                 perturbations += 1;
-                let cidx = lattice.index_of(corrupted);
-                if !report.convergent.get(cidx) {
+                canon.copy_from_slice(outcome);
+                if !report.lattice_convergent(&mut canon) {
                     violations += 1;
-                    if witness.is_none() {
-                        witness = Some(checker.configuration_of_counts(corrupted));
-                    }
+                    witness.get_or_insert_with(|| checker.configuration_of_counts(outcome));
                 }
-            };
-            enumerate_target_multisets(
-                &target_states,
-                burst,
-                0,
-                &mut targets_buf,
-                &mut |targets| {
-                    apply_targets(targets, &mut corrupted);
-                },
-            );
+            });
         });
     }
     Ok(FaultClosureReport {
@@ -1959,47 +1707,29 @@ pub fn check_fault_plan_closure<P: EnumerableProtocol + CorrectnessOracle>(
     })
 }
 
-/// Enumerates the multisets of `remaining` victims drawable from `counts`
-/// (never more victims from a state than agents in it), in nondecreasing
-/// state order. `victims` carries the partial choice.
-fn enumerate_victim_multisets(
-    counts: &[u32],
-    remaining: usize,
+/// Calls `f` once per multiset of `size` states holding at most `caps[s]`
+/// copies of each state `s` (states `≥ from` only, so every multiset comes
+/// once, in nondecreasing order), with `counts` shifted in place by `delta`
+/// per chosen copy.
+fn for_each_multiset(
+    caps: &mut [u32],
+    size: usize,
     from: usize,
-    victims: &mut Vec<u32>,
-    f: &mut impl FnMut(&[u32], &[u32]),
+    counts: &mut [u32],
+    delta: i32,
+    f: &mut impl FnMut(&mut [u32]),
 ) {
-    if remaining == 0 {
-        f(victims, counts);
-        return;
+    if size == 0 {
+        return f(counts);
     }
-    for s in from..counts.len() {
-        let already = victims.iter().filter(|&&v| v as usize == s).count() as u32;
-        if counts[s] > already {
-            victims.push(s as u32);
-            enumerate_victim_multisets(counts, remaining - 1, s, victims, f);
-            victims.pop();
+    for s in from..caps.len() {
+        if caps[s] > 0 {
+            caps[s] -= 1;
+            counts[s] = counts[s].wrapping_add_signed(delta);
+            for_each_multiset(caps, size - 1, s, counts, delta, f);
+            counts[s] = counts[s].wrapping_add_signed(-delta);
+            caps[s] += 1;
         }
-    }
-}
-
-/// Enumerates the multisets of `remaining` target states from `targets`, in
-/// nondecreasing order.
-fn enumerate_target_multisets(
-    targets: &[u32],
-    remaining: usize,
-    from: usize,
-    buf: &mut Vec<u32>,
-    f: &mut impl FnMut(&[u32]),
-) {
-    if remaining == 0 {
-        f(buf);
-        return;
-    }
-    for (pos, &t) in targets.iter().enumerate().skip(from) {
-        buf.push(t);
-        enumerate_target_multisets(targets, remaining - 1, pos, buf, f);
-        buf.pop();
     }
 }
 
@@ -2107,7 +1837,7 @@ mod tests {
                     break;
                 }
             }
-            assert_eq!(idx, lattice.size(), "enumeration covers the lattice exactly once");
+            assert_eq!(idx, lattice.size, "enumeration covers the lattice exactly once");
             assert_eq!(idx as u128, lattice_size(n, k).unwrap());
         }
     }
@@ -2118,13 +1848,15 @@ mod tests {
             Err(MCheckError::SpaceTooLarge { configurations, limit: 1000 }) => {
                 assert!(configurations > 1000);
             }
-            other => panic!("expected SpaceTooLarge, got {:?}", other.map(|l| l.size())),
+            other => panic!("expected SpaceTooLarge, got {:?}", other.map(|l| l.size)),
         }
     }
 
     #[test]
     fn fratricide_self_stabilizes_to_at_most_one_leader() {
-        let report = check_self_stabilization(Frat { n: 6 }, &MCheckOptions::default()).unwrap();
+        let report =
+            check_convergence(Frat { n: 6 }, ConvergenceSource::Lattice, &MCheckOptions::default())
+                .unwrap();
         assert!(report.verified());
         assert_eq!(report.configurations, 7);
         // Silent ⟺ at most one leader: 2 of the 7 configurations.
@@ -2135,8 +1867,12 @@ mod tests {
 
     #[test]
     fn strict_leader_oracle_is_falsified_with_a_witness() {
-        let report =
-            check_self_stabilization(FratStrict { n: 5 }, &MCheckOptions::default()).unwrap();
+        let report = check_convergence(
+            FratStrict { n: 5 },
+            ConvergenceSource::Lattice,
+            &MCheckOptions::default(),
+        )
+        .unwrap();
         assert!(!report.verified());
         // The all-followers configuration is silent but leaderless, and
         // nothing can reach a leader from it.
@@ -2179,15 +1915,23 @@ mod tests {
     #[test]
     fn seeded_convergence_check_agrees_with_the_full_space() {
         let seeds = [Configuration::uniform(0u8, 6), Configuration::uniform(1u8, 6)];
+        let options = MCheckOptions::default();
         let report =
-            check_convergence_from(Frat { n: 6 }, &seeds, &MCheckOptions::default()).unwrap();
+            check_convergence(Frat { n: 6 }, ConvergenceSource::Closure(&seeds), &options).unwrap();
         assert!(report.verified());
         assert!(report.states >= 2);
+        assert!(report.counterexample_trace().is_none());
         let strict =
-            check_convergence_from(FratStrict { n: 6 }, &seeds[1..], &MCheckOptions::default())
+            check_convergence(FratStrict { n: 6 }, ConvergenceSource::Closure(&seeds), &options)
                 .unwrap();
         assert!(!strict.verified());
         assert_eq!(strict.silent_incorrect, 1);
+        // The closure trace starts at a seed and ends in the leaderless trap.
+        let trace = strict.counterexample_trace().unwrap();
+        let (_, first) = trace.snapshots().first().unwrap();
+        assert!(seeds.contains(first));
+        let (_, last) = trace.last_snapshot().unwrap();
+        assert!(last.iter().all(|&s| s == 1));
     }
 
     #[test]

@@ -131,6 +131,21 @@ impl ConfigStore {
             }
         }
     }
+
+    /// Calls `f(id, counts)` for every vector in id order, decoding each
+    /// block once instead of once per [`ConfigStore::get`].
+    pub(crate) fn for_each(&self, mut f: impl FnMut(u32, &[u32])) {
+        let mut pos = 0usize;
+        let mut counts = vec![0u32; self.k];
+        for id in 0..self.len {
+            let absolute = id.is_multiple_of(BLOCK);
+            for slot in counts.iter_mut() {
+                let v = read_varint(&self.bytes, &mut pos);
+                *slot = if absolute { v as u32 } else { (i64::from(*slot) + unzigzag(v)) as u32 };
+            }
+            f(id as u32, &counts);
+        }
+    }
 }
 
 /// A 64-bit hash of a count vector: word-wise FNV-1a with a final
@@ -477,6 +492,13 @@ mod tests {
             store.get(i as u32, &mut out);
             assert_eq!(&out, v, "vector {i} roundtrips");
         }
+        // The sequential scan decodes the same vectors in id order.
+        let mut scanned = Vec::new();
+        store.for_each(|id, v| {
+            assert_eq!(id as usize, scanned.len());
+            scanned.push(v.to_vec());
+        });
+        assert_eq!(scanned, vectors);
         // Delta encoding actually compresses near-identical neighbours.
         assert!(store.byte_len() < vectors.len() * k * 4);
     }

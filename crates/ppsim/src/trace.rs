@@ -16,11 +16,10 @@
 //! "Traces and counterexamples").
 //!
 //! The type's load-bearing consumer is the model checker:
-//! [`crate::mcheck`] returns **counterexample traces** — shortest forward
-//! paths of non-null transitions into a witness configuration, one snapshot
-//! per step — from
-//! [`crate::mcheck::StabilizationReport::counterexample_trace`] when a
-//! verification fails. There the step-indexed snapshot sequence is exactly
+//! [`crate::mcheck`] returns **counterexample traces** — forward paths of
+//! non-null transitions into a witness configuration, one snapshot per
+//! step — from [`crate::mcheck::ConvergenceReport::counterexample_trace`]
+//! when a verification fails. There the step-indexed snapshot sequence is exactly
 //! the right format, because the checker reasons in applied transitions,
 //! not wall-clock interactions.
 

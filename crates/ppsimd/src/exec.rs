@@ -13,8 +13,8 @@ use std::panic::{self, AssertUnwindSafe};
 use bench::perf::{chrome_trace, Json, TraceSpan};
 use ppsim::batched::EnumerableProtocol;
 use ppsim::mcheck::{
-    check_self_stabilization_quotient, expected_silence_time_exact, CorrectnessOracle, MCheckError,
-    MCheckOptions,
+    check_convergence, expected_silence_time_exact, ConvergenceSource, CorrectnessOracle,
+    MCheckError, MCheckOptions,
 };
 use ppsim::telemetry::{CounterBlock, Recorder};
 use ppsim::{
@@ -433,16 +433,15 @@ fn expect_protocol<P: EnumerableProtocol + Copy>(
 fn verify_protocol<P: EnumerableProtocol + CorrectnessOracle + Copy>(
     protocol: P,
 ) -> Result<(Json, CounterBlock), WireError> {
-    // The quotient checker covers the same full lattice (exact lumping by
-    // the protocol's validated symmetry) while holding only orbit
-    // representatives; with the identity symmetry it degenerates to the
-    // dense check, so this is a strict capacity upgrade for the service.
-    let report = check_self_stabilization_quotient(protocol, &MCheckOptions::default())
+    // The default options quotient the lattice by the protocol's validated
+    // symmetry: the verdict covers the same full lattice (exact lumping)
+    // while classifying only orbit representatives, reported as `orbits`.
+    let report = check_convergence(protocol, ConvergenceSource::Lattice, &MCheckOptions::default())
         .map_err(mcheck_err)?;
     let mut map = BTreeMap::new();
     map.insert("verified".to_owned(), Json::Bool(report.verified()));
     map.insert("configurations".to_owned(), Json::Num(report.configurations as f64));
-    map.insert("orbits".to_owned(), Json::Num(report.orbits as f64));
+    map.insert("orbits".to_owned(), Json::Num(report.states as f64));
     map.insert("group-order".to_owned(), Json::Num(report.group_order as f64));
     map.insert("silent".to_owned(), Json::Num(report.silent as f64));
     map.insert("correct".to_owned(), Json::Num(report.correct as f64));

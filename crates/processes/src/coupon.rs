@@ -140,7 +140,7 @@ impl EnumerableProtocol for Coupon {
     }
 }
 
-/// The verification target for [`ppsim::mcheck::check_self_stabilization`]:
+/// The verification target for [`ppsim::mcheck::check_convergence`]:
 /// full participation (no fresh agent left). Silence ⟺ completion, since
 /// any fresh agent keeps a non-null pair alive; the model checker proves
 /// convergence from every configuration and solves the pairwise

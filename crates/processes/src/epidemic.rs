@@ -167,7 +167,7 @@ impl EnumerableProtocol for Epidemic {
     }
 }
 
-/// The verification target for [`ppsim::mcheck::check_self_stabilization`]:
+/// The verification target for [`ppsim::mcheck::check_convergence`]:
 /// **consensus** on the infection status. Silence ⟺ everyone agrees (a
 /// mixed population always holds a non-null `(Infected, Susceptible)`
 /// pair), and the exact expected silence time from a single source is

@@ -126,7 +126,7 @@ impl EnumerableProtocol for Fratricide {
     }
 }
 
-/// The verification target for [`ppsim::mcheck::check_self_stabilization`]:
+/// The verification target for [`ppsim::mcheck::check_convergence`]:
 /// **at most** one leader — deliberately not "exactly one". Fratricide
 /// cannot create leaders, so the all-followers configuration is silent and
 /// leaderless; judged by the strict unique-leader oracle the model checker

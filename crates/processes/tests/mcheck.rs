@@ -7,7 +7,7 @@
 use analysis::theory::{epidemic_expected_interactions, fratricide_expected_interactions};
 use analysis::{t_quantile_975, Summary};
 use ppsim::mcheck::{
-    check_self_stabilization, expected_silence_time_exact, MCheckError, MCheckOptions,
+    check_convergence, expected_silence_time_exact, ConvergenceSource, MCheckError, MCheckOptions,
 };
 use ppsim::{run_trials, Configuration, CorrectnessOracle, Simulation, TrialPlan};
 use processes::{Coupon, Epidemic, Fratricide, LeaderState};
@@ -40,18 +40,20 @@ where
 #[test]
 fn epidemic_coupon_and_fratricide_verify_exhaustively_up_to_n32() {
     for n in [2usize, 3, 5, 8, 16, 32] {
-        let epidemic = check_self_stabilization(Epidemic::new(n), &MCheckOptions::default())
+        let options = MCheckOptions::default();
+        let epidemic = check_convergence(Epidemic::new(n), ConvergenceSource::Lattice, &options)
             .expect("epidemic lattice is n + 1 configurations");
         assert!(epidemic.verified(), "epidemic n = {n}");
         assert_eq!(epidemic.configurations as usize, n + 1);
         assert_eq!(epidemic.silent, 2, "all-susceptible and all-infected consensus");
 
-        let coupon = check_self_stabilization(Coupon::new(n), &MCheckOptions::default()).unwrap();
+        let coupon =
+            check_convergence(Coupon::new(n), ConvergenceSource::Lattice, &options).unwrap();
         assert!(coupon.verified(), "coupon n = {n}");
         assert_eq!(coupon.silent, 1, "only full participation is silent");
 
         let fratricide =
-            check_self_stabilization(Fratricide::new(n), &MCheckOptions::default()).unwrap();
+            check_convergence(Fratricide::new(n), ConvergenceSource::Lattice, &options).unwrap();
         assert!(fratricide.verified(), "fratricide n = {n}");
         assert_eq!(fratricide.silent, 2, "zero or one leader");
     }
@@ -185,9 +187,12 @@ fn fratricide_under_the_strict_oracle_is_falsified_with_the_leaderless_witness()
         }
     }
 
-    let report =
-        check_self_stabilization(FratricideAsSsle(Fratricide::new(8)), &MCheckOptions::default())
-            .unwrap();
+    let report = check_convergence(
+        FratricideAsSsle(Fratricide::new(8)),
+        ConvergenceSource::Lattice,
+        &MCheckOptions::default(),
+    )
+    .unwrap();
     assert!(!report.verified());
     assert_eq!(report.silent_incorrect, 1, "the all-followers configuration");
     assert_eq!(report.non_convergent, 1, "nothing escapes it");

@@ -497,7 +497,7 @@ impl LeaderElectionProtocol for OptimalSilentSsr {
     }
 }
 
-/// The verification target for [`ppsim::mcheck::check_self_stabilization`]:
+/// The verification target for [`ppsim::mcheck::check_convergence`]:
 /// a valid ranking (every agent settled, every rank exactly once). With the
 /// deliberately tiny timers of
 /// [`crate::params::OptimalSilentParams::mcheck`] the model checker proves

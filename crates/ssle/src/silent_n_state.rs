@@ -276,7 +276,7 @@ impl LeaderElectionProtocol for SilentNStateSsr {
     }
 }
 
-/// The verification target for [`ppsim::mcheck::check_self_stabilization`]:
+/// The verification target for [`ppsim::mcheck::check_convergence`]:
 /// a valid ranking (every rank exactly once). At small `n` the model checker
 /// proves silent ⟺ correctly ranked over the **entire**
 /// `C(2n − 1, n)`-configuration lattice and reproduces Theorem 2.4's exact

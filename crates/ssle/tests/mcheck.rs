@@ -5,10 +5,13 @@
 
 use analysis::{t_quantile_975, Summary};
 use ppsim::mcheck::{
-    check_fault_plan_closure, check_self_stabilization, check_self_stabilization_quotient,
-    expected_silence_time_exact, MCheckOptions,
+    check_convergence, check_fault_plan_closure, expected_silence_time_exact, ConvergenceSource,
+    MCheckError, MCheckOptions,
 };
-use ppsim::{run_trials, Configuration, Engine, RunSpec, Simulation, TrialPlan};
+use ppsim::{
+    run_trials, Configuration, CorrectnessOracle, Engine, EnumerableProtocol, Protocol, RunSpec,
+    Simulation, StateSymmetry, TrialPlan,
+};
 use proptest::prelude::*;
 use ssle::{OptimalSilentParams, OptimalSilentSsr, SilentNStateSsr};
 
@@ -22,6 +25,11 @@ fn assert_mean_matches_exact(samples: &[f64], exact: f64, context: &str) {
         "{context}: simulated mean {} vs exact {exact} (allowance {allowance})",
         summary.mean
     );
+}
+
+/// Options that prove the full lattice configuration by configuration.
+fn unquotiented() -> MCheckOptions {
+    MCheckOptions { use_symmetry: false, ..MCheckOptions::default() }
 }
 
 /// 200 exact-engine silence times (in interactions) from one configuration.
@@ -43,10 +51,12 @@ where
 fn silent_n_state_self_stabilization_is_proved_exhaustively() {
     for n in 2..=5usize {
         let report =
-            check_self_stabilization(SilentNStateSsr::new(n), &MCheckOptions::default()).unwrap();
+            check_convergence(SilentNStateSsr::new(n), ConvergenceSource::Lattice, &unquotiented())
+                .unwrap();
         assert!(report.verified(), "n = {n} must verify");
+        assert_eq!(report.states as u128, report.configurations, "every configuration classified");
         assert_eq!(
-            report.configurations as u128,
+            report.configurations,
             ppsim::mcheck::lattice_size(n, n).unwrap(),
             "full lattice enumerated"
         );
@@ -96,7 +106,7 @@ fn silent_n_state_n2_closed_forms_pin_the_solver() {
 #[test]
 fn optimal_silent_self_stabilization_is_proved_exhaustively_at_n3() {
     let protocol = OptimalSilentSsr::new(OptimalSilentParams::mcheck(3));
-    let report = check_self_stabilization(protocol, &MCheckOptions::default()).unwrap();
+    let report = check_convergence(protocol, ConvergenceSource::Lattice, &unquotiented()).unwrap();
     assert!(
         report.verified(),
         "n = 3: silent∧¬correct {}, correct∧¬silent {}, non-convergent {} of {} (witness {:?})",
@@ -247,17 +257,22 @@ proptest! {
 fn quotient_proof_agrees_with_the_dense_proof() {
     for n in 2..=4usize {
         let dense =
-            check_self_stabilization(SilentNStateSsr::new(n), &MCheckOptions::default()).unwrap();
-        let quot =
-            check_self_stabilization_quotient(SilentNStateSsr::new(n), &MCheckOptions::default())
+            check_convergence(SilentNStateSsr::new(n), ConvergenceSource::Lattice, &unquotiented())
                 .unwrap();
+        let quot = check_convergence(
+            SilentNStateSsr::new(n),
+            ConvergenceSource::Lattice,
+            &MCheckOptions::default(),
+        )
+        .unwrap();
         assert!(dense.verified() && quot.verified(), "n = {n}");
         assert_eq!(quot.configurations, ppsim::mcheck::lattice_size(n, n).unwrap());
-        assert_eq!(quot.configurations, dense.configurations as u128);
+        assert_eq!(quot.configurations, dense.configurations);
+        assert_eq!(dense.group_order, 1, "unquotiented means the identity group");
         assert_eq!(quot.group_order, n as u128, "CyclicRotation on n ranks");
-        assert!(quot.orbits <= dense.configurations, "the quotient never grows the space");
+        assert!(quot.states <= dense.states, "the quotient never grows the space");
         // Orbits have size at most |G|, so they cannot undercount either.
-        assert!(quot.orbits as u128 * quot.group_order >= quot.configurations);
+        assert!(quot.states as u128 * quot.group_order >= quot.configurations);
         // The unique silent multiset (every rank once) is rotation-fixed:
         // one silent orbit, and it is the one correct orbit.
         assert_eq!(quot.silent, 1);
@@ -266,19 +281,134 @@ fn quotient_proof_agrees_with_the_dense_proof() {
 
     // Optimal-Silent-SSR declares a product-of-swaps group (SymmetricBlocks)
     // rather than a rotation; the agreement must hold there too.
-    let dense = check_self_stabilization(
-        OptimalSilentSsr::new(OptimalSilentParams::mcheck(3)),
-        &MCheckOptions::default(),
-    )
-    .unwrap();
-    let quot = check_self_stabilization_quotient(
-        OptimalSilentSsr::new(OptimalSilentParams::mcheck(3)),
-        &MCheckOptions::default(),
-    )
-    .unwrap();
+    let protocol = OptimalSilentSsr::new(OptimalSilentParams::mcheck(3));
+    let dense = check_convergence(protocol, ConvergenceSource::Lattice, &unquotiented()).unwrap();
+    let quot =
+        check_convergence(protocol, ConvergenceSource::Lattice, &MCheckOptions::default()).unwrap();
     assert!(dense.verified() && quot.verified());
-    assert_eq!(quot.configurations, dense.configurations as u128);
-    assert!(quot.orbits < dense.configurations, "a nontrivial group must shrink the space");
+    assert_eq!(quot.configurations, dense.configurations);
+    assert!(quot.states < dense.states, "a nontrivial group must shrink the space");
+}
+
+/// Silent-n-state-SSR judged by a rotation-invariant oracle that it does not
+/// satisfy: "no rank is held by three or more agents" accepts non-silent
+/// configurations (any two duplicated ranks), so the proof must fail with a
+/// correct-but-non-silent witness — and the quotient proof must still lift
+/// its representative path into a concrete trace.
+#[derive(Clone, Copy, Debug)]
+struct AtMostPairs(SilentNStateSsr);
+
+impl Protocol for AtMostPairs {
+    type State = <SilentNStateSsr as Protocol>::State;
+    fn population_size(&self) -> usize {
+        self.0.population_size()
+    }
+    fn transition(
+        &self,
+        a: &Self::State,
+        b: &Self::State,
+        rng: &mut dyn rand::RngCore,
+    ) -> (Self::State, Self::State) {
+        self.0.transition(a, b, rng)
+    }
+    fn is_null(&self, a: &Self::State, b: &Self::State) -> bool {
+        self.0.is_null(a, b)
+    }
+}
+
+impl EnumerableProtocol for AtMostPairs {
+    fn num_states(&self) -> usize {
+        self.0.num_states()
+    }
+    fn state_index(&self, s: &Self::State) -> usize {
+        self.0.state_index(s)
+    }
+    fn state_from_index(&self, i: usize) -> Self::State {
+        self.0.state_from_index(i)
+    }
+    fn state_symmetry(&self) -> StateSymmetry {
+        self.0.state_symmetry()
+    }
+}
+
+impl CorrectnessOracle for AtMostPairs {
+    fn is_correct(&self, config: &Configuration<Self::State>) -> bool {
+        counts_of(self, config).iter().all(|&c| c <= 2)
+    }
+}
+
+fn counts_of<P: EnumerableProtocol>(protocol: &P, config: &Configuration<P::State>) -> Vec<u32> {
+    let mut counts = vec![0u32; protocol.num_states()];
+    for s in config.iter() {
+        counts[protocol.state_index(s)] += 1;
+    }
+    counts
+}
+
+#[test]
+fn quotient_counterexample_trace_lifts_to_concrete_interactions() {
+    let n = 5;
+    let protocol = AtMostPairs(SilentNStateSsr::new(n));
+    let report =
+        check_convergence(protocol, ConvergenceSource::Lattice, &MCheckOptions::default()).unwrap();
+    assert!(!report.verified());
+    assert_eq!(report.group_order, n as u128, "the proof ran on the rotation quotient");
+    assert!(report.correct_nonsilent > 0);
+    assert_eq!(report.non_convergent, 0, "every configuration still ranks itself");
+    let witness = report.correct_nonsilent_witness.as_ref().unwrap();
+    let trace = report.counterexample_trace().expect("a refuted proof has a trace");
+    let snapshots = trace.snapshots();
+    assert!(snapshots.len() > 1, "the witness has ancestors on the quotient");
+    // Consecutive snapshots are exactly one non-null interaction apart.
+    for pair in snapshots.windows(2) {
+        let (before, after) = (&pair[0].1, &pair[1].1);
+        let target = counts_of(&protocol, after);
+        let states: Vec<_> = before.iter().cloned().collect();
+        let mut one_step = false;
+        for x in 0..n {
+            for y in 0..n {
+                if x == y || protocol.is_null(&states[x], &states[y]) {
+                    continue;
+                }
+                let mut next = states.clone();
+                let mut rng = rand::rngs::mock::StepRng::new(0, 0);
+                (next[x], next[y]) = protocol.transition(&states[x], &states[y], &mut rng);
+                one_step |= counts_of(&protocol, &Configuration::from_states(next)) == target;
+            }
+        }
+        assert!(one_step, "{before:?} → {after:?} is not one non-null interaction");
+    }
+    // The last snapshot lies in the witness's orbit.
+    let symmetry = protocol.state_symmetry();
+    let mut last = counts_of(&protocol, &snapshots.last().unwrap().1);
+    let mut orbit = counts_of(&protocol, witness);
+    symmetry.canonicalize(&mut last);
+    symmetry.canonicalize(&mut orbit);
+    assert_eq!(last, orbit);
+}
+
+/// A nontrivial group raises the lattice time guard to
+/// `max_configurations × |G|`, so the one-bit-per-configuration convergent
+/// set is bounded by `max_resident_bytes` instead: past it the check refuses
+/// with a typed error before allocating.
+#[test]
+fn quotient_lattice_refuses_past_the_resident_memory_bound() {
+    let n = 8; // C(15, 7) = 6 435 configurations: 101 words = 808 bytes of bitset
+    let options = MCheckOptions {
+        max_configurations: 1_000, // × |G| = 8 000 admits the walk
+        max_resident_bytes: 512,
+        ..MCheckOptions::default()
+    };
+    let refused = check_convergence(SilentNStateSsr::new(n), ConvergenceSource::Lattice, &options);
+    match refused {
+        Err(MCheckError::SpaceTooLarge { configurations: 6_435, limit: 4_096 }) => {}
+        other => panic!("expected SpaceTooLarge at the memory bound, got {:?}", other.err()),
+    }
+    let roomy = MCheckOptions { max_resident_bytes: 808, ..options };
+    let report =
+        check_convergence(SilentNStateSsr::new(n), ConvergenceSource::Lattice, &roomy).unwrap();
+    assert!(report.verified());
+    assert_eq!(report.states, 810);
 }
 
 proptest! {

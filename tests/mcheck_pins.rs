@@ -4,10 +4,7 @@
 //! Every figure below is an exact count (no sampling), so any refactor of
 //! the checker must reproduce each one.
 
-use ppsim::mcheck::{
-    check_convergence_from, check_self_stabilization, check_self_stabilization_quotient,
-    MCheckOptions,
-};
+use ppsim::mcheck::{check_convergence, ConvergenceSource, MCheckOptions};
 use ppsim::{Configuration, CorrectnessOracle, EnumerableProtocol, LeaderElectionProtocol};
 use processes::{Fratricide, LeaderState};
 use ssle::{OptimalSilentParams, OptimalSilentSsr, SilentNStateSsr};
@@ -18,16 +15,17 @@ fn unquotiented() -> MCheckOptions {
 
 /// `(configurations, silent, correct)` of the unquotiented lattice proof.
 fn dense<P: EnumerableProtocol + CorrectnessOracle>(protocol: P) -> (u128, u64, u64) {
-    let report = check_self_stabilization(protocol, &unquotiented()).unwrap();
+    let report = check_convergence(protocol, ConvergenceSource::Lattice, &unquotiented()).unwrap();
     assert!(report.verified());
-    (report.configurations as u128, report.silent, report.correct)
+    (report.configurations, report.silent, report.correct)
 }
 
 /// `(orbits, silent orbits, group order)` of the quotient lattice proof.
 fn quotient<P: EnumerableProtocol + CorrectnessOracle>(protocol: P) -> (u64, u64, u128) {
-    let report = check_self_stabilization_quotient(protocol, &MCheckOptions::default()).unwrap();
+    let report =
+        check_convergence(protocol, ConvergenceSource::Lattice, &MCheckOptions::default()).unwrap();
     assert!(report.verified());
-    (report.orbits, report.silent, report.group_order)
+    (report.states, report.silent, report.group_order)
 }
 
 /// `(states, silent)` of a verified seeded-closure proof.
@@ -36,9 +34,9 @@ fn closure<P: EnumerableProtocol + CorrectnessOracle>(
     seeds: &[Configuration<P::State>],
     options: &MCheckOptions,
 ) -> (u64, u64) {
-    let report = check_convergence_from(protocol, seeds, options).unwrap();
+    let report = check_convergence(protocol, ConvergenceSource::Closure(seeds), options).unwrap();
     assert!(report.verified());
-    (report.states as u64, report.silent as u64)
+    (report.states, report.silent)
 }
 
 struct LatticePin {
@@ -169,10 +167,10 @@ fn strict_fratricide_failure_counts_are_pinned() {
     let n = 8;
     let protocol = StrictFratricide(Fratricide::new(n));
 
-    let dense = check_self_stabilization(protocol, &unquotiented()).unwrap();
+    let dense = check_convergence(protocol, ConvergenceSource::Lattice, &unquotiented()).unwrap();
     assert!(!dense.verified());
     assert_eq!(
-        (dense.configurations as u128, dense.silent, dense.correct),
+        (dense.configurations, dense.silent, dense.correct),
         (9, 2, 1),
         "dense (configurations, silent, correct)"
     );
@@ -184,11 +182,13 @@ fn strict_fratricide_failure_counts_are_pinned() {
 
     let followers = Configuration::uniform(LeaderState::Follower, n);
     let leaders = Fratricide::new(n).all_leaders_configuration();
-    let seeded = check_convergence_from(protocol, &[leaders, followers], &unquotiented()).unwrap();
+    let seeds = [leaders, followers];
+    let seeded =
+        check_convergence(protocol, ConvergenceSource::Closure(&seeds), &unquotiented()).unwrap();
     assert!(!seeded.verified());
-    assert_eq!((seeded.states as u64, seeded.silent as u64), (9, 2), "closure (states, silent)");
+    assert_eq!((seeded.states, seeded.silent), (9, 2), "closure (states, silent)");
     assert_eq!(
-        (seeded.silent_incorrect as u64, seeded.non_convergent as u64),
+        (seeded.silent_incorrect, seeded.non_convergent),
         (1, 1),
         "closure (silent∧¬correct, non-convergent)"
     );
