@@ -62,7 +62,7 @@ use ppsim::mcheck::{
     ConvergenceReport, ConvergenceSource, MCheckOptions,
 };
 use ppsim::prelude::*;
-use processes::{Coupon, Epidemic, Fratricide, LeaderState};
+use processes::{Coupon, Epidemic, Fratricide, FratricideAsElection, LeaderState};
 use ssle::{OptimalSilentParams, OptimalSilentSsr, SilentNStateSsr};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -695,45 +695,8 @@ fn fault_closure_sweep(options: &MCheckOptions, cells: &mut Vec<FaultCell>) {
 /// Fratricide judged as a *leader election* protocol: the checker must
 /// refute it (Observation 2.6) with the leaderless witness.
 fn falsification_demo(options: &MCheckOptions) {
-    #[derive(Clone, Copy, Debug)]
-    struct FratricideAsSsle(Fratricide);
-
-    impl Protocol for FratricideAsSsle {
-        type State = LeaderState;
-        fn population_size(&self) -> usize {
-            self.0.population_size()
-        }
-        fn transition(
-            &self,
-            a: &LeaderState,
-            b: &LeaderState,
-            rng: &mut dyn rand::RngCore,
-        ) -> (LeaderState, LeaderState) {
-            self.0.transition(a, b, rng)
-        }
-        fn is_null(&self, a: &LeaderState, b: &LeaderState) -> bool {
-            self.0.is_null(a, b)
-        }
-    }
-    impl EnumerableProtocol for FratricideAsSsle {
-        fn num_states(&self) -> usize {
-            self.0.num_states()
-        }
-        fn state_index(&self, s: &LeaderState) -> usize {
-            self.0.state_index(s)
-        }
-        fn state_from_index(&self, i: usize) -> LeaderState {
-            self.0.state_from_index(i)
-        }
-    }
-    impl CorrectnessOracle for FratricideAsSsle {
-        fn is_correct(&self, config: &Configuration<LeaderState>) -> bool {
-            self.0.leader_count(config) == 1
-        }
-    }
-
     let report = check_convergence(
-        FratricideAsSsle(Fratricide::new(16)),
+        FratricideAsElection(Fratricide::new(16)),
         ConvergenceSource::Lattice,
         options,
     )

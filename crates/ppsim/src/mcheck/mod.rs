@@ -713,7 +713,9 @@ pub struct ConvergenceReport<P: EnumerableProtocol> {
     /// The symmetry the states were canonicalized by (the identity when
     /// unquotiented).
     symmetry: StateSymmetry,
-    proof: Proof,
+    /// On the lattice source, the lattice and its convergent set: one bit
+    /// per rank, of which only canonical ranks are ever set.
+    lattice: Option<(Lattice, BitSet)>,
     /// Configurations the verdict covers: the full lattice size
     /// `C(n + k − 1, k − 1)` on the lattice source; on a closure, the
     /// closure's size (in orbit representatives when `group_order > 1`).
@@ -746,16 +748,6 @@ pub struct ConvergenceReport<P: EnumerableProtocol> {
     pub counters: CounterBlock,
 }
 
-/// The source-specific part of a [`ConvergenceReport`].
-enum Proof {
-    /// The lattice and its convergent set, one bit per rank (only canonical
-    /// ranks are ever set).
-    Lattice { lattice: Lattice, convergent: BitSet },
-    /// The closure's discovery path (representative count vectors, seed
-    /// first) into the trace witness; empty when verified.
-    Closure { witness_path: Vec<Vec<u32>> },
-}
-
 impl<P: EnumerableProtocol> ConvergenceReport<P> {
     /// Whether convergence is proved: silent ⟺ correct, and every state
     /// reaches a correct silent state (hence, silent configurations being
@@ -767,9 +759,8 @@ impl<P: EnumerableProtocol> ConvergenceReport<P> {
     /// Whether the lattice proof marks the orbit of `counts` convergent
     /// (`counts` is canonicalized in place).
     fn lattice_convergent(&self, counts: &mut [u32]) -> bool {
-        let Proof::Lattice { lattice, convergent } = &self.proof else {
-            unreachable!("membership queries need the lattice source")
-        };
+        let (lattice, convergent) =
+            self.lattice.as_ref().expect("membership queries need the lattice source");
         self.symmetry.canonicalize(counts);
         convergent.get(lattice.index_of(counts))
     }
@@ -777,22 +768,21 @@ impl<P: EnumerableProtocol> ConvergenceReport<P> {
     /// A counterexample [`Trace`] for a failed verification: a path of
     /// concrete configurations, one non-null interaction apart, ending in
     /// the witness's orbit (the non-convergent witness first, then the
-    /// silent-incorrect, then the correct-non-silent one) — on the lattice
-    /// from the farthest configuration that reaches the witness along a
-    /// shortest path, on a closure from the seed the witness was discovered
-    /// from. For an isolated witness the trace is the single snapshot.
-    /// `None` when the verification succeeded.
+    /// silent-incorrect, then the correct-non-silent one), from the farthest
+    /// lattice configuration that reaches the witness along a shortest path.
+    /// For an isolated witness, and on a closure report (which keeps no
+    /// predecessor structure), the trace is the witness alone. `None` when
+    /// the verification succeeded.
     pub fn counterexample_trace(&self) -> Option<Trace<P::State>> {
         let witness = self
             .non_convergent_witness
             .as_ref()
             .or(self.silent_incorrect_witness.as_ref())
             .or(self.correct_nonsilent_witness.as_ref())?;
-        let path = match &self.proof {
-            Proof::Lattice { lattice, .. } => {
-                self.lattice_path_into(lattice, &self.checker.counts_of_configuration(witness))
-            }
-            Proof::Closure { witness_path } => witness_path.clone(),
+        let target = self.checker.counts_of_configuration(witness);
+        let path = match &self.lattice {
+            Some((lattice, _)) => self.lattice_path_into(lattice, &target),
+            None => vec![target],
         };
         // Lift the representative path forward: equivariance guarantees
         // that every concrete member of a representative's orbit has a
@@ -930,7 +920,7 @@ impl Tally {
         self,
         checker: ModelChecker<P>,
         symmetry: StateSymmetry,
-        proof: Proof,
+        lattice: Option<(Lattice, BitSet)>,
         configurations: u128,
         counters: CounterBlock,
     ) -> ConvergenceReport<P> {
@@ -950,7 +940,7 @@ impl Tally {
             counters,
             checker,
             symmetry,
-            proof,
+            lattice,
         }
     }
 }
@@ -1060,13 +1050,7 @@ fn check_lattice<P: EnumerableProtocol + CorrectnessOracle>(
     let mut counters = CounterBlock::default();
     counters.set(Counter::McheckFrontierPops, frontier_pops);
     let configurations = lattice_size(checker.n, k).unwrap_or(u128::MAX);
-    Ok(tally.into_report(
-        checker,
-        symmetry,
-        Proof::Lattice { lattice, convergent },
-        configurations,
-        counters,
-    ))
+    Ok(tally.into_report(checker, symmetry, Some((lattice, convergent)), configurations, counters))
 }
 
 fn check_closure<P: EnumerableProtocol + CorrectnessOracle>(
@@ -1095,18 +1079,9 @@ fn check_closure<P: EnumerableProtocol + CorrectnessOracle>(
         space.store.get(s as u32, &mut counts);
         tally.non_convergent_witness = Some(counts);
     }
-    // The trace witness's discovery path, found while the edges exist.
-    let trace_witness = (tally.non_convergent_witness.as_ref())
-        .or(tally.silent_incorrect_witness.as_ref())
-        .or(tally.correct_nonsilent_witness.as_ref());
-    let witness_path = match trace_witness {
-        Some(witness) => space.discovery_path(witness)?,
-        None => Vec::new(),
-    };
     let counters = space.counters();
     let configurations = u128::from(tally.states);
-    let proof = Proof::Closure { witness_path };
-    Ok(tally.into_report(space.checker, symmetry, proof, configurations, counters))
+    Ok(tally.into_report(space.checker, symmetry, None, configurations, counters))
 }
 
 /// The compressed reachable closure of a seed set — the checker's default
@@ -1231,43 +1206,6 @@ impl<P: EnumerableProtocol> ReachableSpace<P> {
             }
         }
         Ok(dist)
-    }
-
-    /// The count vectors along the BFS discovery path from a seed to the
-    /// state holding `target`, seed first. States are numbered in discovery
-    /// order, so a non-seed state's discoverer is its lowest-numbered
-    /// predecessor, which one scan over the edges finds; following
-    /// discoverers strictly lowers the state id until a seed is reached.
-    fn discovery_path(&self, target: &[u32]) -> Result<Vec<Vec<u32>>, MCheckError> {
-        let mut parent = vec![u32::MAX; self.len()];
-        let mut at = None;
-        let mut counts = vec![0u32; self.checker.k];
-        self.store.for_each(|s, c| {
-            if c == target {
-                at.get_or_insert(s);
-            }
-        });
-        self.succ
-            .for_each_state(|s, edges| {
-                for &(t, _) in edges {
-                    if parent[t as usize] == u32::MAX {
-                        parent[t as usize] = s;
-                    }
-                }
-            })
-            .map_err(MCheckError::from_spill)?;
-        let mut at = at.expect("the witness is a closure state");
-        let mut path = Vec::new();
-        loop {
-            self.store.get(at, &mut counts);
-            path.push(counts.clone());
-            if parent[at as usize] >= at {
-                break;
-            }
-            at = parent[at as usize];
-        }
-        path.reverse();
-        Ok(path)
     }
 }
 
@@ -1926,10 +1864,9 @@ mod tests {
                 .unwrap();
         assert!(!strict.verified());
         assert_eq!(strict.silent_incorrect, 1);
-        // The closure trace starts at a seed and ends in the leaderless trap.
+        // A closure trace is the witness alone: the leaderless trap.
         let trace = strict.counterexample_trace().unwrap();
-        let (_, first) = trace.snapshots().first().unwrap();
-        assert!(seeds.contains(first));
+        assert_eq!(trace.snapshots().len(), 1);
         let (_, last) = trace.last_snapshot().unwrap();
         assert!(last.iter().all(|&s| s == 1));
     }

@@ -21,11 +21,11 @@
 //!
 //! Declared symmetries are *checked*, not trusted: [`crate::ModelChecker`]
 //! verifies that every generator of the declared group commutes with the
-//! transition function and the null predicate over all state pairs, and the
-//! quotient entry points additionally spot-check that the correctness oracle
-//! is orbit-invariant. An unsound declaration is rejected with
-//! [`crate::MCheckError::UnsoundSymmetry`] instead of silently producing a
-//! wrong proof.
+//! transition function and the null predicate over all state pairs, and
+//! [`crate::check_convergence`] additionally probes the correctness oracle
+//! for orbit-invariance on every state it classifies. An unsound declaration
+//! is rejected with [`crate::MCheckError::UnsoundSymmetry`] instead of
+//! silently producing a wrong proof.
 
 /// A group of state-index permutations under which a protocol's transition
 /// function, null predicate, and correctness oracle are invariant.

@@ -141,6 +141,55 @@ impl CorrectnessOracle for Fratricide {
     }
 }
 
+/// Fratricide judged as a leader *election* protocol: correct means exactly
+/// one leader. Fratricide cannot create leaders, so the all-followers
+/// configuration is a silent, inescapable trap, and the model checker
+/// refutes self-stabilization with it as witness — Observation 2.6's
+/// negative result, machine-checked.
+#[derive(Clone, Copy, Debug)]
+pub struct FratricideAsElection(pub Fratricide);
+
+impl Protocol for FratricideAsElection {
+    type State = LeaderState;
+
+    fn population_size(&self) -> usize {
+        self.0.population_size()
+    }
+
+    fn transition(
+        &self,
+        a: &LeaderState,
+        b: &LeaderState,
+        rng: &mut dyn RngCore,
+    ) -> (LeaderState, LeaderState) {
+        self.0.transition(a, b, rng)
+    }
+
+    fn is_null(&self, a: &LeaderState, b: &LeaderState) -> bool {
+        self.0.is_null(a, b)
+    }
+}
+
+impl EnumerableProtocol for FratricideAsElection {
+    fn num_states(&self) -> usize {
+        self.0.num_states()
+    }
+
+    fn state_index(&self, state: &LeaderState) -> usize {
+        self.0.state_index(state)
+    }
+
+    fn state_from_index(&self, index: usize) -> LeaderState {
+        self.0.state_from_index(index)
+    }
+}
+
+impl CorrectnessOracle for FratricideAsElection {
+    fn is_correct(&self, config: &Configuration<LeaderState>) -> bool {
+        self.0.leader_count(config) == 1
+    }
+}
+
 /// Samples the number of interactions for fratricide to reduce
 /// `initial_leaders` leaders to a single leader in a population of `n`.
 ///

@@ -44,7 +44,9 @@ pub use binary_tree_assignment::{
 pub use bounded_epidemic::{simulate_bounded_epidemic, BoundedEpidemicOutcome};
 pub use coupon::{simulate_pairwise_coupon_collector, Coupon, CouponState};
 pub use epidemic::{simulate_epidemic_interactions, Epidemic, EpidemicState};
-pub use fratricide::{simulate_fratricide_interactions, Fratricide, LeaderState};
+pub use fratricide::{
+    simulate_fratricide_interactions, Fratricide, FratricideAsElection, LeaderState,
+};
 pub use roll_call::{simulate_roll_call_interactions, RollCall, Roster};
 pub use synthetic_coin::{
     simulate_coin_harvest, CoinHarvestOutcome, CoinRole, SyntheticCoin, SyntheticCoinState,

@@ -9,8 +9,8 @@ use analysis::{t_quantile_975, Summary};
 use ppsim::mcheck::{
     check_convergence, expected_silence_time_exact, ConvergenceSource, MCheckError, MCheckOptions,
 };
-use ppsim::{run_trials, Configuration, CorrectnessOracle, Simulation, TrialPlan};
-use processes::{Coupon, Epidemic, Fratricide, LeaderState};
+use ppsim::{run_trials, Configuration, Simulation, TrialPlan};
+use processes::{Coupon, Epidemic, Fratricide, FratricideAsElection, LeaderState};
 use proptest::prelude::*;
 
 fn assert_mean_matches_exact(samples: &[f64], exact: f64, context: &str) {
@@ -145,50 +145,8 @@ fn n2_closed_forms_pin_the_solver() {
 
 #[test]
 fn fratricide_under_the_strict_oracle_is_falsified_with_the_leaderless_witness() {
-    /// Fratricide judged as a *leader election* protocol (exactly one
-    /// leader) — Observation 2.6's negative result, machine-checked.
-    #[derive(Clone, Copy, Debug)]
-    struct FratricideAsSsle(Fratricide);
-
-    impl ppsim::Protocol for FratricideAsSsle {
-        type State = LeaderState;
-        fn population_size(&self) -> usize {
-            self.0.population_size()
-        }
-        fn transition(
-            &self,
-            a: &LeaderState,
-            b: &LeaderState,
-            rng: &mut dyn rand::RngCore,
-        ) -> (LeaderState, LeaderState) {
-            self.0.transition(a, b, rng)
-        }
-        fn is_null(&self, a: &LeaderState, b: &LeaderState) -> bool {
-            self.0.is_null(a, b)
-        }
-    }
-
-    impl ppsim::EnumerableProtocol for FratricideAsSsle {
-        fn num_states(&self) -> usize {
-            self.0.num_states()
-        }
-        fn state_index(&self, s: &LeaderState) -> usize {
-            self.0.state_index(s)
-        }
-        fn state_from_index(&self, i: usize) -> LeaderState {
-            self.0.state_from_index(i)
-        }
-    }
-
-    impl CorrectnessOracle for FratricideAsSsle {
-        fn is_correct(&self, config: &Configuration<LeaderState>) -> bool {
-            use ppsim::LeaderElectionProtocol;
-            self.0.leader_count(config) == 1
-        }
-    }
-
     let report = check_convergence(
-        FratricideAsSsle(Fratricide::new(8)),
+        FratricideAsElection(Fratricide::new(8)),
         ConvergenceSource::Lattice,
         &MCheckOptions::default(),
     )
@@ -208,7 +166,7 @@ fn fratricide_under_the_strict_oracle_is_falsified_with_the_leaderless_witness()
     // its closure is the single silent (wrong) configuration.
     let leaderless = Configuration::uniform(LeaderState::Follower, 8);
     let exact = expected_silence_time_exact(
-        FratricideAsSsle(Fratricide::new(8)),
+        FratricideAsElection(Fratricide::new(8)),
         &leaderless,
         &MCheckOptions::default(),
     )

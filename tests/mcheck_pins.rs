@@ -5,8 +5,8 @@
 //! the checker must reproduce each one.
 
 use ppsim::mcheck::{check_convergence, ConvergenceSource, MCheckOptions};
-use ppsim::{Configuration, CorrectnessOracle, EnumerableProtocol, LeaderElectionProtocol};
-use processes::{Fratricide, LeaderState};
+use ppsim::{Configuration, CorrectnessOracle, EnumerableProtocol};
+use processes::{Fratricide, FratricideAsElection, LeaderState};
 use ssle::{OptimalSilentParams, OptimalSilentSsr, SilentNStateSsr};
 
 fn unquotiented() -> MCheckOptions {
@@ -121,51 +121,10 @@ fn closure_proof_counts_are_pinned() {
     }
 }
 
-/// Fratricide judged as leader election (exactly one leader): it cannot
-/// create a leader, so the all-followers configuration is a silent trap.
-#[derive(Clone, Copy, Debug)]
-struct StrictFratricide(Fratricide);
-
-impl ppsim::Protocol for StrictFratricide {
-    type State = LeaderState;
-    fn population_size(&self) -> usize {
-        self.0.population_size()
-    }
-    fn transition(
-        &self,
-        a: &LeaderState,
-        b: &LeaderState,
-        rng: &mut dyn rand::RngCore,
-    ) -> (LeaderState, LeaderState) {
-        self.0.transition(a, b, rng)
-    }
-    fn is_null(&self, a: &LeaderState, b: &LeaderState) -> bool {
-        self.0.is_null(a, b)
-    }
-}
-
-impl EnumerableProtocol for StrictFratricide {
-    fn num_states(&self) -> usize {
-        self.0.num_states()
-    }
-    fn state_index(&self, s: &LeaderState) -> usize {
-        self.0.state_index(s)
-    }
-    fn state_from_index(&self, i: usize) -> LeaderState {
-        self.0.state_from_index(i)
-    }
-}
-
-impl CorrectnessOracle for StrictFratricide {
-    fn is_correct(&self, config: &Configuration<LeaderState>) -> bool {
-        self.0.leader_count(config) == 1
-    }
-}
-
 #[test]
 fn strict_fratricide_failure_counts_are_pinned() {
     let n = 8;
-    let protocol = StrictFratricide(Fratricide::new(n));
+    let protocol = FratricideAsElection(Fratricide::new(n));
 
     let dense = check_convergence(protocol, ConvergenceSource::Lattice, &unquotiented()).unwrap();
     assert!(!dense.verified());
