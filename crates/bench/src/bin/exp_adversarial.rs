@@ -27,13 +27,10 @@
 
 use analysis::table::format_value;
 use analysis::{fit_power_law, Summary, Table};
-use bench::{
-    scenario_convergence_times_with_engine, scenario_times_with_engine,
-    sublinear_scenario_times_with_engine, Engine,
-};
+use bench::{parallel_times, Engine};
 use ppsim::prelude::*;
 use processes::{Coupon, Epidemic};
-use ssle::params::OptimalSilentParams;
+use ssle::params::{OptimalSilentParams, SublinearParams};
 use ssle::{OptimalSilentSsr, SilentNStateSsr, SublinearTimeSsr};
 
 fn main() {
@@ -67,16 +64,14 @@ fn silent_n_state(quick: bool) {
             let budget = 20 * (n as u64).pow(3) + 1_000_000;
             let mut means = Vec::new();
             for engine in [Engine::Exact, Engine::Batched, Engine::BatchedCounts] {
-                let plan = TrialPlan::new(trials, 41 + n as u64);
-                let reports = run_trials(&plan, |_, trial_seed| {
-                    RunSpec::new(SilentNStateSsr::new(n))
-                        .engine(engine)
-                        .budget(budget)
-                        .scenario(scenario)
-                        .seed(trial_seed)
-                        .run_one()
-                        .expect("a uniform-scheduled scenario spec always builds")
-                });
+                let reports = RunSpec::new(SilentNStateSsr::new(n))
+                    .engine(engine)
+                    .budget(budget)
+                    .scenario(scenario)
+                    .trials(trials)
+                    .seed(41 + n as u64)
+                    .run()
+                    .expect("a uniform-scheduled scenario spec always builds");
                 let protocol = SilentNStateSsr::new(n);
                 let times: Vec<f64> = reports
                     .iter()
@@ -139,17 +134,18 @@ fn optimal_silent(quick: bool) {
         for &n in ns {
             let mut means = Vec::new();
             for engine in [Engine::Exact, Engine::Batched, Engine::BatchedCounts] {
-                let times = scenario_convergence_times_with_engine(
-                    move |_, _| OptimalSilentSsr::new(OptimalSilentParams::recommended(n)),
-                    scenario,
-                    |p, c| p.is_correct(c),
-                    trials,
-                    59 + n as u64,
-                    engine,
-                    // Θ(n) expected parallel time = Θ(n²) interactions, with
-                    // constant-probability reset epochs; orders of magnitude
-                    // of headroom while keeping a regression a panic.
-                    50_000 * (n as u64).pow(2) + 10_000_000,
+                let times = parallel_times(
+                    RunSpec::new(OptimalSilentSsr::new(OptimalSilentParams::recommended(n)))
+                        .engine(engine)
+                        // Θ(n) expected parallel time = Θ(n²) interactions,
+                        // with constant-probability reset epochs; orders of
+                        // magnitude of headroom while keeping a regression a
+                        // panic.
+                        .budget(50_000 * (n as u64).pow(2) + 10_000_000)
+                        .scenario(scenario)
+                        .until(|p, c| p.is_correct(c))
+                        .trials(trials)
+                        .seed(59 + n as u64),
                 );
                 means.push(Summary::from_samples(&times).mean);
             }
@@ -186,14 +182,14 @@ fn sublinear(quick: bool) {
             let budget = 400_000u64 * n as u64;
             let mut means = Vec::new();
             for engine in [Engine::Exact, Engine::Batched, Engine::BatchedCounts] {
-                let times = sublinear_scenario_times_with_engine(
-                    n,
-                    h,
-                    scenario,
-                    trials,
-                    73 + n as u64,
-                    engine,
-                    budget,
+                let times = parallel_times(
+                    RunSpec::new(SublinearTimeSsr::new(SublinearParams::recommended(n, h)))
+                        .engine(engine)
+                        .budget(budget)
+                        .scenario(scenario)
+                        .until(|p, c| p.is_correct(c))
+                        .trials(trials)
+                        .seed(73 + n as u64),
                 );
                 means.push(Summary::from_samples(&times).mean);
             }
@@ -231,13 +227,13 @@ fn epidemic_and_coupon(quick: bool) {
     for scenario in Epidemic::adversarial_scenarios() {
         let mut means = Vec::new();
         for engine in [Engine::Exact, Engine::Batched, Engine::BatchedCounts] {
-            let times = scenario_times_with_engine(
-                move |_, _| Epidemic::new(n),
-                &scenario,
-                trials,
-                87,
-                engine,
-                1_000 * (n as u64).pow(2),
+            let times = parallel_times(
+                RunSpec::new(Epidemic::new(n))
+                    .engine(engine)
+                    .budget(1_000 * (n as u64).pow(2))
+                    .scenario(&scenario)
+                    .trials(trials)
+                    .seed(87),
             );
             means.push(Summary::from_samples(&times).mean);
         }
@@ -253,13 +249,13 @@ fn epidemic_and_coupon(quick: bool) {
     for scenario in Coupon::adversarial_scenarios() {
         let mut means = Vec::new();
         for engine in [Engine::Exact, Engine::Batched, Engine::BatchedCounts] {
-            let times = scenario_times_with_engine(
-                move |_, _| Coupon::new(n),
-                &scenario,
-                trials,
-                93,
-                engine,
-                1_000 * (n as u64).pow(2),
+            let times = parallel_times(
+                RunSpec::new(Coupon::new(n))
+                    .engine(engine)
+                    .budget(1_000 * (n as u64).pow(2))
+                    .scenario(&scenario)
+                    .trials(trials)
+                    .seed(93),
             );
             means.push(Summary::from_samples(&times).mean);
         }

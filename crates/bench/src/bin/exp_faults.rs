@@ -161,37 +161,34 @@ fn measure_silent_cell(
     // stabilization plus every burst's recovery, yet small enough that a
     // non-recovering regression exhausts it (and panics below).
     let budget = 30 * (n as u64).pow(3) + 1_000_000;
-    let tp = TrialPlan::new(trials, 131 + n as u64);
+    let seed = 131 + n as u64;
     let start = Instant::now();
     let reports = match backend {
-        Backend::Interned => run_trials(&tp, |_, trial_seed| {
-            RunSpec::new(AsInterned(SilentNStateSsr::new(n)))
-                .engine(Engine::Batched)
-                .budget(budget)
-                .scenario(scenario_interned)
-                .faults(plan.clone())
-                .seed(trial_seed)
-                .run_one()
-                .expect("a uniform-scheduled fault spec always builds")
-        }),
+        Backend::Interned => RunSpec::new(AsInterned(SilentNStateSsr::new(n)))
+            .engine(Engine::Batched)
+            .budget(budget)
+            .scenario(scenario_interned)
+            .faults(plan.clone())
+            .trials(trials)
+            .seed(seed)
+            .run(),
         Backend::Exact | Backend::Batched | Backend::BatchCount => {
             let engine = match backend {
                 Backend::Exact => Engine::Exact,
                 Backend::BatchCount => Engine::BatchedCounts,
                 _ => Engine::Batched,
             };
-            run_trials(&tp, |_, trial_seed| {
-                RunSpec::new(SilentNStateSsr::new(n))
-                    .engine(engine)
-                    .budget(budget)
-                    .scenario(scenario)
-                    .faults(plan.clone())
-                    .seed(trial_seed)
-                    .run_one()
-                    .expect("a uniform-scheduled fault spec always builds")
-            })
+            RunSpec::new(SilentNStateSsr::new(n))
+                .engine(engine)
+                .budget(budget)
+                .scenario(scenario)
+                .faults(plan.clone())
+                .trials(trials)
+                .seed(seed)
+                .run()
         }
-    };
+    }
+    .expect("a uniform-scheduled fault spec always builds");
     let wall = start.elapsed().as_secs_f64();
     let protocol = SilentNStateSsr::new(n);
     let mut recoveries = Vec::new();
@@ -244,7 +241,6 @@ fn roll_call(quick: bool, cells: &mut Vec<Cell>) {
             _ => unreachable!("roster wipes are periodic"),
         };
         let budget = 100 * base;
-        let tp = TrialPlan::new(trials, 977 + n as u64);
         let mut row = vec![plan.name().to_owned(), n.to_string()];
         for backend in [Backend::Exact, Backend::Interned, Backend::BatchCount] {
             let engine = match backend {
@@ -253,18 +249,16 @@ fn roll_call(quick: bool, cells: &mut Vec<Cell>) {
                 _ => Engine::Batched,
             };
             let start = Instant::now();
-            let reports = run_trials(&tp, |_, trial_seed| {
-                let protocol = RollCall::new(n);
-                let config = protocol.initial_configuration();
-                RunSpec::new(protocol)
-                    .engine(engine)
-                    .budget(budget)
-                    .init(config)
-                    .faults(plan.clone())
-                    .seed(trial_seed)
-                    .run_one()
-                    .expect("a uniform-scheduled interned fault spec always builds")
-            });
+            let protocol = RollCall::new(n);
+            let reports = RunSpec::new(protocol)
+                .engine(engine)
+                .budget(budget)
+                .init(protocol.initial_configuration())
+                .faults(plan.clone())
+                .trials(trials)
+                .seed(977 + n as u64)
+                .run()
+                .expect("a uniform-scheduled interned fault spec always builds");
             let wall = start.elapsed().as_secs_f64();
             let mut recoveries = Vec::new();
             let mut bursts = 0usize;

@@ -16,7 +16,7 @@
 
 use analysis::table::format_value;
 use analysis::{theory, Summary, Table};
-use bench::{sublinear_detection_times, sublinear_times, sublinear_times_with_params, Workload};
+use bench::{parallel_times, sublinear, sublinear_detection, Workload};
 use ssle::params::SublinearParams;
 use ssle::space::log2_states_sublinear;
 
@@ -39,12 +39,11 @@ fn depth_sweep() {
     ]);
     let log_h = (n as f64).log2().ceil() as u32;
     for h in [0u32, 1, 2, 3, log_h] {
-        let detection = sublinear_detection_times(
-            SublinearParams::recommended(n, h),
-            2 * trials,
-            53 + h as u64,
-        );
-        let samples = sublinear_times(n, h, Workload::WorstCase, trials, 23 + h as u64);
+        let params = SublinearParams::recommended(n, h);
+        let spec = sublinear_detection(params);
+        let detection = parallel_times(spec.trials(2 * trials).seed(53 + h as u64));
+        let spec = sublinear(params, Workload::WorstCase);
+        let samples = parallel_times(spec.trials(trials).seed(23 + h as u64));
         table.add_row(vec![
             if h == log_h { format!("{h} (=⌈log₂ n⌉)") } else { h.to_string() },
             format_value(Summary::from_samples(&detection).mean),
@@ -72,11 +71,8 @@ fn size_sweep() {
             Table::new(vec!["n", "detection latency (meas)", "paper shape H·n^(1/(H+1))"]);
         for &n in &ns {
             let trials_here = if n <= 64 { 2 * trials } else { trials };
-            let samples = sublinear_detection_times(
-                SublinearParams::recommended(n, h),
-                trials_here,
-                31 + n as u64,
-            );
+            let spec = sublinear_detection(SublinearParams::recommended(n, h));
+            let samples = parallel_times(spec.trials(trials_here).seed(31 + n as u64));
             let mean = Summary::from_samples(&samples).mean;
             table.add_row(vec![
                 n.to_string(),
@@ -108,9 +104,10 @@ fn timer_ablation() {
     for factor in [0.05f64, 0.15, 0.5, 1.0, 2.0] {
         let t_h = ((recommended.t_h as f64) * factor).round().max(1.0) as u32;
         let params = recommended.with_t_h(t_h);
-        let detection = sublinear_detection_times(params, trials, 61 + t_h as u64);
-        let samples =
-            sublinear_times_with_params(params, Workload::WorstCase, trials / 2, 41 + t_h as u64);
+        let spec = sublinear_detection(params);
+        let detection = parallel_times(spec.trials(trials).seed(61 + t_h as u64));
+        let spec = sublinear(params, Workload::WorstCase);
+        let samples = parallel_times(spec.trials(trials / 2).seed(41 + t_h as u64));
         table.add_row(vec![
             format!("{t_h} ({factor}x recommended)"),
             format_value(Summary::from_samples(&detection).mean),

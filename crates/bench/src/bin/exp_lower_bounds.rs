@@ -18,11 +18,12 @@
 use analysis::table::format_value;
 use analysis::{theory, Summary, Table};
 use bench::{
-    engine_from_args, optimal_silent_duplicated_leader_times,
-    silent_n_state_duplicated_leader_times, silent_n_state_times_with_engine, Engine, Workload,
+    engine_from_args, parallel_times, silent_n_state, with_cloned_leader, Engine, Workload,
 };
 use ppsim::prelude::*;
-use processes::Fratricide;
+use processes::{Fratricide, LeaderState};
+use ssle::params::OptimalSilentParams;
+use ssle::{OptimalSilentSsr, SilentNStateSsr};
 
 fn main() {
     theorem_2_4();
@@ -45,7 +46,8 @@ fn theorem_2_4() {
     let mut table =
         Table::new(vec!["n", "mean time (meas)", "exact expectation (n-1)²/2... see note"]);
     for &n in ns {
-        let samples = silent_n_state_times_with_engine(n, Workload::WorstCase, trials, 3, engine);
+        let spec = silent_n_state(n, Workload::WorstCase).engine(engine);
+        let samples = parallel_times(spec.trials(trials).seed(3));
         table.add_row(vec![
             n.to_string(),
             format_value(Summary::from_samples(&samples).mean),
@@ -70,8 +72,15 @@ fn observation_2_6() {
         "direct-meeting expectation (n-1)/2",
     ]);
     for &n in &ns {
-        let baseline = silent_n_state_duplicated_leader_times(n, trials, 5);
-        let optimal = optimal_silent_duplicated_leader_times(n, trials, 6);
+        let baseline = silent_n_state_detection_times(n, trials, 5);
+        let protocol = OptimalSilentSsr::new(OptimalSilentParams::recommended(n));
+        let optimal = parallel_times(
+            RunSpec::new(protocol)
+                .init(with_cloned_leader(&protocol, protocol.ranked_configuration()))
+                .until(|p, c| p.is_correct(c))
+                .trials(trials)
+                .seed(6),
+        );
         table.add_row(vec![
             n.to_string(),
             format_value(Summary::from_samples(&baseline).mean),
@@ -88,30 +97,37 @@ fn observation_2_6() {
     );
 }
 
+/// `Silent-n-state-SSR` from its ranked configuration with a cloned leader,
+/// run on the exact engine until silence is *detected*: each sample is the
+/// interaction count at the end of the silence-check chunk that saw silence,
+/// over n, not the exact silence point a `RunSpec` reports.
+fn silent_n_state_detection_times(n: usize, trials: usize, seed: u64) -> Vec<f64> {
+    run_trials(&TrialPlan::new(trials, seed), |_, trial_seed| {
+        let protocol = SilentNStateSsr::new(n);
+        let init = with_cloned_leader(&protocol, protocol.ranked_configuration());
+        let mut sim = Simulation::new(protocol, init, trial_seed);
+        assert!(sim.run_until_silent(u64::MAX >> 8).is_silent());
+        sim.parallel_time().value()
+    })
+}
+
 fn log_lower_bound() {
     println!("== Ω(log n) for any SSLE protocol: the all-leaders coupon-collector argument ==\n");
     let ns = [64usize, 256, 1024, 4096];
     let trials = 100;
     let mut table = Table::new(vec!["n", "fratricide from all-leaders (meas)", "ln n"]);
     for &n in &ns {
-        let samples: Vec<f64> = run_trials(&TrialPlan::new(trials, 9), |_, seed| {
-            // Time until the *number of leaders first drops below n*, i.e. the
-            // very first elimination, is tiny; the relevant quantity for the
-            // lower bound is the time for n − 1 agents to become followers,
-            // which requires each of them to interact: measure full
-            // stabilization of the fratricide process.
-            let protocol = Fratricide::new(n);
-            let mut sim = Simulation::new(protocol, protocol.all_leaders_configuration(), seed);
-            let outcome = sim.run_until(
-                |c| {
-                    c.iter().filter(|s| matches!(s, processes::LeaderState::Leader)).count()
-                        <= n / 2
-                },
-                u64::MAX >> 8,
-            );
-            assert!(outcome.condition_met());
-            sim.parallel_time().value()
-        });
+        // The halving time of the all-leaders configuration: the first
+        // halving is fast; the Ω(log n) bound comes from the coupon-collector
+        // tail the note below points to.
+        let protocol = Fratricide::new(n);
+        let samples = parallel_times(
+            RunSpec::new(protocol)
+                .init(protocol.all_leaders_configuration())
+                .until(move |_, c| c.count_matching(|s| *s == LeaderState::Leader) <= n / 2)
+                .trials(trials)
+                .seed(9),
+        );
         table.add_row(vec![
             n.to_string(),
             format_value(Summary::from_samples(&samples).mean),

@@ -31,7 +31,7 @@ use bench::perf::{chrome_trace, validate_chrome_trace, TraceSpan};
 use bench::Engine;
 use ppsim::mcheck::{expected_silence_time_probed, MCheckOptions};
 use ppsim::telemetry::{Recorder, TelemetrySink};
-use ppsim::{run_trials, RunSpec, Scenario, TrialPlan, TrialReport};
+use ppsim::{RunSpec, Scenario, TrialReport};
 use processes::Epidemic;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -69,18 +69,15 @@ fn convergence_profile(quick: bool) -> f64 {
     let mut profile: Option<TrialReport<SilentRank>> = None;
     for &n in ns {
         let budget = 20 * (n as u64).pow(3) + 1_000_000;
-        let scenario = &scenario;
-        let plan = TrialPlan::new(trials, 41 + n as u64);
-        let reports = run_trials(&plan, |_, trial_seed| {
-            RunSpec::new(SilentNStateSsr::new(n))
-                .engine(Engine::Batched)
-                .budget(budget)
-                .scenario(scenario)
-                .seed(trial_seed)
-                .probe(true)
-                .run_one()
-                .expect("a uniform-scheduled scenario spec always builds")
-        });
+        let reports = RunSpec::new(SilentNStateSsr::new(n))
+            .engine(Engine::Batched)
+            .budget(budget)
+            .scenario(&scenario)
+            .trials(trials)
+            .seed(41 + n as u64)
+            .probe(true)
+            .run()
+            .expect("a uniform-scheduled scenario spec always builds");
         let times: Vec<f64> = reports
             .iter()
             .map(|r| {

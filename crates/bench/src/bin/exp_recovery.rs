@@ -13,7 +13,8 @@
 
 use analysis::table::format_value;
 use analysis::{Summary, Table};
-use bench::{optimal_silent_times, silent_n_state_times, sublinear_times, Workload};
+use bench::{optimal_silent, parallel_times, silent_n_state, sublinear, Workload};
+use ssle::params::{OptimalSilentParams, SublinearParams};
 
 fn main() {
     let trials = 10;
@@ -23,19 +24,21 @@ fn main() {
 
     let n = 64;
     for workload in [Workload::WorstCase, Workload::Random, Workload::CleanStart] {
-        let samples = silent_n_state_times(n, workload, trials, 3);
+        let samples = parallel_times(silent_n_state(n, workload).trials(trials).seed(3));
         add_row(&mut table, "Silent-n-state-SSR", n, workload, &samples);
     }
 
     let n = 128;
     for workload in [Workload::WorstCase, Workload::Random, Workload::CleanStart] {
-        let samples = optimal_silent_times(n, workload, trials, 5);
+        let spec = optimal_silent(OptimalSilentParams::recommended(n), workload);
+        let samples = parallel_times(spec.trials(trials).seed(5));
         add_row(&mut table, "Optimal-Silent-SSR", n, workload, &samples);
     }
 
     let n = 48;
     for workload in [Workload::WorstCase, Workload::Random, Workload::CleanStart] {
-        let samples = sublinear_times(n, 2, workload, trials, 7);
+        let spec = sublinear(SublinearParams::recommended(n, 2), workload);
+        let samples = parallel_times(spec.trials(trials).seed(7));
         add_row(&mut table, "Sublinear-Time-SSR (H=2)", n, workload, &samples);
     }
 

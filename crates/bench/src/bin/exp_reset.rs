@@ -17,7 +17,9 @@
 
 use analysis::table::format_value;
 use analysis::{Summary, Table};
-use bench::{optimal_silent_times_with_multipliers, reset_trials};
+use bench::{optimal_silent, optimal_silent_reset, parallel_times, Workload};
+use ssle::params::OptimalSilentParams;
+use ssle::OptimalSilentState;
 
 fn main() {
     recovery_time();
@@ -33,8 +35,7 @@ fn recovery_time() {
     let mut table = Table::new(vec!["n", "Dmax", "mean recovery time", "recovery time / n"]);
     for &n in &ns {
         let trials_here = if n <= 128 { trials } else { 10 };
-        let results = reset_trials(n, d_mult, trials_here, 7);
-        let times: Vec<f64> = results.iter().map(|r| r.full_recovery_time).collect();
+        let (times, _) = reset_trials(n, d_mult, trials_here, 7);
         let mean = Summary::from_samples(&times).mean;
         table.add_row(vec![
             n.to_string(),
@@ -58,9 +59,8 @@ fn leader_probability() {
         "mean recovery time",
     ]);
     for d_mult in [1u32, 2, 4, 8, 16] {
-        let results = reset_trials(n, d_mult, trials, 11 + d_mult as u64);
-        let unique = results.iter().filter(|r| r.unique_leader).count() as f64 / trials as f64;
-        let times: Vec<f64> = results.iter().map(|r| r.full_recovery_time).collect();
+        let (times, unique) = reset_trials(n, d_mult, trials, 11 + d_mult as u64);
+        let unique = unique.iter().filter(|&&u| u).count() as f64 / trials as f64;
         table.add_row(vec![
             d_mult.to_string(),
             (d_mult as usize * n).to_string(),
@@ -82,8 +82,9 @@ fn e_max_ablation() {
     let trials = 12;
     let mut table = Table::new(vec!["Emax multiplier", "mean stabilization time", "time / n"]);
     for e_mult in [2u32, 5, 10, 20, 40] {
-        let samples =
-            optimal_silent_times_with_multipliers(n, 4, e_mult, trials, 17 + e_mult as u64);
+        let params = OptimalSilentParams::with_multipliers(n, 4, e_mult);
+        let spec = optimal_silent(params, Workload::WorstCase);
+        let samples = parallel_times(spec.trials(trials).seed(17 + e_mult as u64));
         let mean = Summary::from_samples(&samples).mean;
         table.add_row(vec![
             e_mult.to_string(),
@@ -98,4 +99,21 @@ fn e_max_ablation() {
          epochs); very large Emax delays the detection of genuinely stuck configurations. Both\n\
          extremes cost time; the protocol only needs Emax = Θ(n) with a reasonable constant."
     );
+}
+
+/// `Propagate-Reset` from the all-triggered configuration with the given
+/// `Dmax` multiplier: each trial's recovery time, and whether exactly one
+/// agent awoke as the settled root (rank 1), i.e. whether the post-reset
+/// epoch started with a unique leader (Lemma 4.2).
+fn reset_trials(n: usize, d_mult: u32, trials: usize, seed: u64) -> (Vec<f64>, Vec<bool>) {
+    let spec = optimal_silent_reset(OptimalSilentParams::with_multipliers(n, d_mult, 20));
+    let reports = spec.trials(trials).seed(seed).run().expect("a uniform-scheduled spec builds");
+    let root = |s: &OptimalSilentState| matches!(s, OptimalSilentState::Settled { rank: 1, .. });
+    reports
+        .iter()
+        .map(|r| {
+            assert!(r.outcome.condition_met(), "a reset at n = {n} never completed");
+            (r.parallel_time().value(), r.final_config.count_matching(root) == 1)
+        })
+        .unzip()
 }

@@ -13,10 +13,10 @@
 use analysis::table::format_value;
 use analysis::{fit_power_law, Summary, Table};
 use bench::{
-    engine_from_args, optimal_silent_times_with_engine, silent_n_state_times_with_engine,
-    sublinear_detection_times, sublinear_times, Engine, Workload,
+    engine_from_args, optimal_silent, parallel_times, silent_n_state, sublinear,
+    sublinear_detection, Engine, Workload,
 };
-use ssle::params::SublinearParams;
+use ssle::params::{OptimalSilentParams, SublinearParams};
 
 fn main() {
     println!("== Table 1 reproduction: stabilization time from adversarial starts ==\n");
@@ -40,7 +40,8 @@ fn main() {
     let mut ys = Vec::new();
     for &n in ns {
         let trials = if n <= 64 { 20 } else { 8 };
-        let samples = silent_n_state_times_with_engine(n, Workload::WorstCase, trials, 11, engine);
+        let spec = silent_n_state(n, Workload::WorstCase).engine(engine);
+        let samples = parallel_times(spec.trials(trials).seed(11));
         let summary = Summary::from_samples(&samples);
         let p95 = Summary::quantile_of(&samples, 0.95);
         table.add_row(vec![
@@ -74,7 +75,8 @@ fn main() {
     let mut ys = Vec::new();
     for &n in &ns {
         let trials = if n <= 128 { 20 } else { 8 };
-        let samples = optimal_silent_times_with_engine(n, Workload::WorstCase, trials, 13, engine);
+        let spec = optimal_silent(OptimalSilentParams::recommended(n), Workload::WorstCase);
+        let samples = parallel_times(spec.engine(engine).trials(trials).seed(13));
         let summary = Summary::from_samples(&samples);
         let p95 = Summary::quantile_of(&samples, 0.95);
         table.add_row(vec![
@@ -109,10 +111,11 @@ fn main() {
     for &n in &ns {
         let h = (n as f64).log2().ceil() as u32;
         let trials = if n <= 32 { 10 } else { 5 };
-        let detection =
-            sublinear_detection_times(SublinearParams::recommended(n, h), 2 * trials, 53);
+        let params = SublinearParams::recommended(n, h);
+        let detection = parallel_times(sublinear_detection(params).trials(2 * trials).seed(53));
         let detection_mean = Summary::from_samples(&detection).mean;
-        let samples = sublinear_times(n, h, Workload::WorstCase, trials, 17);
+        let spec = sublinear(params, Workload::WorstCase);
+        let samples = parallel_times(spec.trials(trials).seed(17));
         let summary = Summary::from_samples(&samples);
         table.add_row(vec![
             n.to_string(),
@@ -145,10 +148,12 @@ fn main() {
     let mut ys = Vec::new();
     for &n in &ns {
         let trials = if n <= 64 { 16 } else { 8 };
-        let detection =
-            sublinear_detection_times(SublinearParams::recommended(n, h), trials, 19 + n as u64);
+        let params = SublinearParams::recommended(n, h);
+        let spec = sublinear_detection(params);
+        let detection = parallel_times(spec.trials(trials).seed(19 + n as u64));
         let detection_mean = Summary::from_samples(&detection).mean;
-        let samples = sublinear_times(n, h, Workload::WorstCase, trials / 2, 19);
+        let spec = sublinear(params, Workload::WorstCase);
+        let samples = parallel_times(spec.trials(trials / 2).seed(19));
         table.add_row(vec![
             n.to_string(),
             format_value(detection_mean),

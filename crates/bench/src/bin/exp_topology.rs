@@ -42,7 +42,7 @@
 
 use analysis::table::format_value;
 use analysis::{fit_power_law, Summary, Table};
-use bench::{silent_n_state_churn_reports, Engine, Workload};
+use bench::{parallel_times, silent_n_state, Engine, Workload};
 use ppsim::prelude::*;
 use processes::{Fratricide, LeaderState};
 use ssle::{SilentNStateSsr, SilentRank};
@@ -258,33 +258,27 @@ fn measure_weighted(
             let scenario = Scenario::new("all-leader", |p: &SilentNStateSsr, _| {
                 p.all_same_rank_configuration()
             });
-            bench::scenario_times_with_engine_scheduled(
-                move |_, _| SilentNStateSsr::new(n),
-                &scenario,
-                scheduler,
-                trials,
-                seed,
-                engine,
-                budget(n),
+            parallel_times(
+                RunSpec::new(SilentNStateSsr::new(n))
+                    .engine(engine)
+                    .budget(budget(n))
+                    .scheduler(scheduler.clone())
+                    .scenario(&scenario)
+                    .trials(trials)
+                    .seed(seed),
             )
-            .expect("weighted schedulers run on every backend")
         }
         Backend::Interned => {
-            let plan = TrialPlan::new(trials, seed);
-            run_trials(&plan, |_, trial_seed| {
-                let protocol = SilentNStateSsr::new(n);
-                let config = protocol.all_same_rank_configuration();
-                let report = RunSpec::new(AsInterned(protocol))
+            let protocol = SilentNStateSsr::new(n);
+            parallel_times(
+                RunSpec::new(AsInterned(protocol))
                     .engine(Engine::Batched)
                     .budget(budget(n))
                     .scheduler(scheduler.clone())
-                    .init(config)
-                    .seed(trial_seed)
-                    .run_one()
-                    .expect("weighted schedulers run on the interned backend");
-                assert!(report.outcome.is_silent());
-                report.parallel_time().value()
-            })
+                    .init(protocol.all_same_rank_configuration())
+                    .trials(trials)
+                    .seed(seed),
+            )
         }
     }
 }
@@ -306,19 +300,16 @@ fn topology_sweep(quick: bool, cells: &mut Vec<Cell>) {
     let mut table = Table::new(vec!["topology", "n", "silence time", "surviving leaders"]);
     for (name, scheduler) in &topologies {
         for &n in ns {
-            let plan = TrialPlan::new(trials, 311 + n as u64);
             let start = Instant::now();
-            let reports = run_trials(&plan, |_, trial_seed| {
-                let frat = Fratricide::new(n);
-                let init = frat.all_leaders_configuration();
-                RunSpec::new(frat)
-                    .budget(budget(n))
-                    .scheduler(scheduler.clone())
-                    .init(init)
-                    .seed(trial_seed)
-                    .run_one()
-                    .expect("every topology runs on the exact engine")
-            });
+            let frat = Fratricide::new(n);
+            let reports = RunSpec::new(frat)
+                .budget(budget(n))
+                .scheduler(scheduler.clone())
+                .init(frat.all_leaders_configuration())
+                .trials(trials)
+                .seed(311 + n as u64)
+                .run()
+                .expect("every topology runs on the exact engine");
             let wall = start.elapsed().as_secs_f64() / trials as f64;
             let mut times = Vec::new();
             let mut survivors_total = 0usize;
@@ -414,17 +405,15 @@ fn churn_sweep(quick: bool, cells: &mut Vec<Cell>) {
     for (sched_name, scheduler) in &schedulers {
         for plan in &plans {
             let start = Instant::now();
-            let reports = silent_n_state_churn_reports(
-                n,
-                Workload::Random,
-                scheduler,
-                plan,
-                trials,
-                613 + n as u64,
-                Engine::Batched,
-                budget(n),
-            )
-            .expect("uniform and weighted schedulers run churn on the count engines");
+            let reports = silent_n_state(n, Workload::Random)
+                .engine(Engine::Batched)
+                .budget(budget(n))
+                .scheduler(scheduler.clone())
+                .churn(plan.clone())
+                .trials(trials)
+                .seed(613 + n as u64)
+                .run()
+                .expect("uniform and weighted schedulers run churn on the count engines");
             let wall = start.elapsed().as_secs_f64() / trials as f64;
             let protocol = SilentNStateSsr::new(n);
             let mut times = Vec::new();

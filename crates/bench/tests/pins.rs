@@ -10,7 +10,7 @@ use bench::*;
 use ppsim::prelude::*;
 use processes::{Coupon, Epidemic};
 use ssle::params::{OptimalSilentParams, SublinearParams};
-use ssle::{OptimalSilentSsr, SilentNStateSsr, SilentRank, SublinearTimeSsr};
+use ssle::{OptimalSilentSsr, OptimalSilentState, SilentNStateSsr, SilentRank, SublinearTimeSsr};
 
 const ENGINES: [Engine; 3] = [Engine::Exact, Engine::Batched, Engine::BatchedCounts];
 const WORKLOADS: [Workload; 3] = [Workload::WorstCase, Workload::Random, Workload::CleanStart];
@@ -89,40 +89,60 @@ fn boosted() -> InteractionScheduler<SilentRank> {
 #[test]
 fn silent_n_state_samples_are_pinned() {
     for workload in WORKLOADS {
-        let times = silent_n_state_times(10, workload, 3, 1);
+        let times = parallel_times(silent_n_state(10, workload).trials(3).seed(1));
         check(&format!("silent-n-state {workload:?}"), &times);
     }
     for engine in ENGINES {
-        let times = silent_n_state_times_with_engine(12, Workload::WorstCase, 3, 11, engine);
+        let spec = silent_n_state(12, Workload::WorstCase).engine(engine);
+        let times = parallel_times(spec.trials(3).seed(11));
         check(&format!("silent-n-state on {engine}"), &times);
     }
-    let times = silent_n_state_duplicated_leader_times(12, 3, 5);
+    // exp_lower_bounds measures this one at silence detection on the exact
+    // engine (the end of the check chunk), not at the exact silence point.
+    let times = run_trials(&TrialPlan::new(3, 5), |_, seed| {
+        let protocol = SilentNStateSsr::new(12);
+        let init = with_cloned_leader(&protocol, protocol.ranked_configuration());
+        let mut sim = Simulation::new(protocol, init, seed);
+        assert!(sim.run_until_silent(u64::MAX >> 8).is_silent());
+        sim.parallel_time().value()
+    });
     check("silent-n-state duplicated leader", &times);
 }
 
 #[test]
 fn optimal_silent_samples_are_pinned() {
+    let params = OptimalSilentParams::recommended(10);
     for workload in WORKLOADS {
-        let times = optimal_silent_times(10, workload, 3, 5);
+        let times = parallel_times(optimal_silent(params, workload).trials(3).seed(5));
         check(&format!("optimal-silent {workload:?}"), &times);
     }
     for engine in ENGINES {
-        let times = optimal_silent_times_with_engine(10, Workload::WorstCase, 2, 13, engine);
+        let spec = optimal_silent(params, Workload::WorstCase).engine(engine);
+        let times = parallel_times(spec.trials(2).seed(13));
         check(&format!("optimal-silent on {engine}"), &times);
     }
-    let times = optimal_silent_times_with_multipliers(10, 4, 5, 2, 17);
+    let params = OptimalSilentParams::with_multipliers(10, 4, 5);
+    let times = parallel_times(optimal_silent(params, Workload::WorstCase).trials(2).seed(17));
     check("optimal-silent Emax x5", &times);
-    let times = optimal_silent_duplicated_leader_times(12, 3, 6);
+    let params = OptimalSilentParams::recommended(12);
+    let protocol = OptimalSilentSsr::new(params);
+    let init = with_cloned_leader(&protocol, protocol.ranked_configuration());
+    let times =
+        parallel_times(optimal_silent(params, Workload::WorstCase).init(init).trials(3).seed(6));
     check("optimal-silent duplicated leader", &times);
 }
 
 #[test]
 fn reset_samples_and_leader_flags_are_pinned() {
     for (d_mult, flags) in [(1u32, [true, true, true, true]), (4, [true, true, true, true])] {
-        let trials = reset_trials(16, d_mult, 4, 7);
-        let recovery: Vec<f64> = trials.iter().map(|t| t.full_recovery_time).collect();
+        let spec = optimal_silent_reset(OptimalSilentParams::with_multipliers(16, d_mult, 20));
+        let reports = spec.trials(4).seed(7).run().unwrap();
+        let recovery: Vec<f64> = reports.iter().map(|r| r.parallel_time().value()).collect();
         check(&format!("reset Dmax x{d_mult}"), &recovery);
-        let unique: Vec<bool> = trials.iter().map(|t| t.unique_leader).collect();
+        let root =
+            |s: &OptimalSilentState| matches!(s, OptimalSilentState::Settled { rank: 1, .. });
+        let unique: Vec<bool> =
+            reports.iter().map(|r| r.final_config.count_matching(root) == 1).collect();
         assert_eq!(unique, flags, "reset Dmax x{d_mult}: unique-leader flags");
     }
 }
@@ -130,14 +150,16 @@ fn reset_samples_and_leader_flags_are_pinned() {
 #[test]
 fn sublinear_samples_are_pinned() {
     for workload in WORKLOADS {
-        let times = sublinear_times(8, 1, workload, 2, 7);
+        let spec = sublinear(SublinearParams::recommended(8, 1), workload);
+        let times = parallel_times(spec.trials(2).seed(7));
         check(&format!("sublinear {workload:?}"), &times);
     }
     let params = SublinearParams::recommended(8, 2);
     let params = params.with_t_h(params.t_h / 2);
-    let times = sublinear_times_with_params(params, Workload::WorstCase, 2, 41);
+    let times = parallel_times(sublinear(params, Workload::WorstCase).trials(2).seed(41));
     check("sublinear T_H/2", &times);
-    let times = sublinear_detection_times(SublinearParams::recommended(8, 1), 3, 53);
+    let spec = sublinear_detection(SublinearParams::recommended(8, 1));
+    let times = parallel_times(spec.trials(3).seed(53));
     check("sublinear detection", &times);
 }
 
@@ -150,124 +172,93 @@ fn scenario_samples_are_pinned() {
     let all_leader =
         Scenario::new("all-leader", |p: &SilentNStateSsr, _| p.all_same_rank_configuration());
     for engine in ENGINES {
-        let times =
-            scenario_times_with_engine(|_, _| Epidemic::new(20), epidemic, 2, 87, engine, 400_000);
+        let spec = RunSpec::new(Epidemic::new(20)).engine(engine).budget(400_000);
+        let times = parallel_times(spec.scenario(epidemic).trials(2).seed(87));
         check(&format!("epidemic {} on {engine}", epidemic.name()), &times);
-        let times =
-            scenario_times_with_engine(|_, _| Coupon::new(20), coupon, 2, 93, engine, 400_000);
+        let spec = RunSpec::new(Coupon::new(20)).engine(engine).budget(400_000);
+        let times = parallel_times(spec.scenario(coupon).trials(2).seed(93));
         check(&format!("coupon {} on {engine}", coupon.name()), &times);
-        let times = scenario_convergence_times_with_engine(
-            |_, _| OptimalSilentSsr::new(OptimalSilentParams::recommended(8)),
-            optimal,
-            |p, c| p.is_correct(c),
-            2,
-            67,
-            engine,
-            50_000 * 64 + 10_000_000,
-        );
+        let spec = optimal_silent(OptimalSilentParams::recommended(8), Workload::WorstCase);
+        let spec = spec.engine(engine).budget(50_000 * 64 + 10_000_000).scenario(optimal);
+        let times = parallel_times(spec.trials(2).seed(67));
         check(&format!("optimal-silent {} on {engine}", optimal.name()), &times);
-        let times = sublinear_scenario_times_with_engine(8, 2, sublinear, 2, 81, engine, 3_200_000);
+        let spec = bench::sublinear(SublinearParams::recommended(8, 2), Workload::WorstCase);
+        let spec = spec.engine(engine).budget(3_200_000).scenario(sublinear);
+        let times = parallel_times(spec.trials(2).seed(81));
         check(&format!("sublinear {} on {engine}", sublinear.name()), &times);
-        let times = scenario_times_with_engine_scheduled(
-            |_, _| SilentNStateSsr::new(10),
-            &all_leader,
-            &boosted(),
-            2,
-            419,
-            engine,
-            31_000,
-        )
-        .unwrap();
+        let times = parallel_times(
+            RunSpec::new(SilentNStateSsr::new(10))
+                .engine(engine)
+                .budget(31_000)
+                .scheduler(boosted())
+                .scenario(&all_leader)
+                .trials(2)
+                .seed(419),
+        );
         check(&format!("weighted all-leader on {engine}"), &times);
     }
 }
 
-/// One trial's stop point and event records: `(at, joined, departed,
-/// corrupted, population_after, restabilization)` per event.
-type ChurnPin = (u64, Vec<(u64, usize, usize, usize, usize, Option<u64>)>);
+/// One event record: `(at, joined, departed, corrupted, population_after,
+/// restabilization)`.
+type EventPin = (u64, usize, usize, usize, usize, Option<u64>);
 
 #[test]
 fn churn_event_records_are_pinned() {
     let n = 10usize;
     let cube = (n as u64).pow(3);
-    let plan = ChurnPlan::periodic(
-        cube,
-        cube / 2,
-        3,
-        ChurnAction::Replace { count: 2, state: CorruptionTarget::Fixed(SilentRank(0)) },
-    );
-    let pinned: [Vec<ChurnPin>; 2] = [
-        vec![
-            (
-                2185,
-                vec![
-                    (1000, 2, 2, 0, 10, Some(234)),
-                    (1500, 2, 2, 0, 10, Some(146)),
-                    (2000, 2, 2, 0, 10, Some(185)),
-                ],
-            ),
-            (
-                2218,
-                vec![
-                    (1000, 2, 2, 0, 10, None),
-                    (1500, 2, 2, 0, 10, Some(360)),
-                    (2000, 2, 2, 0, 10, Some(218)),
-                ],
-            ),
-        ],
-        vec![
-            (
-                2135,
-                vec![
-                    (1000, 2, 2, 0, 10, Some(210)),
-                    (1500, 2, 2, 0, 10, Some(104)),
-                    (2000, 2, 2, 0, 10, Some(135)),
-                ],
-            ),
-            (
-                2132,
-                vec![
-                    (1000, 2, 2, 0, 10, None),
-                    (1500, 2, 2, 0, 10, Some(257)),
-                    (2000, 2, 2, 0, 10, Some(132)),
-                ],
-            ),
-        ],
+    let replace = ChurnAction::Replace { count: 2, state: CorruptionTarget::Fixed(SilentRank(0)) };
+    let plan = ChurnPlan::periodic(cube, cube / 2, 3, replace);
+    // Per scheduler: each trial's stop point, then every trial's events.
+    let pinned: [([u64; 2], [EventPin; 6]); 2] = [
+        (
+            [2185, 2218],
+            [
+                (1000, 2, 2, 0, 10, Some(234)),
+                (1500, 2, 2, 0, 10, Some(146)),
+                (2000, 2, 2, 0, 10, Some(185)),
+                (1000, 2, 2, 0, 10, None),
+                (1500, 2, 2, 0, 10, Some(360)),
+                (2000, 2, 2, 0, 10, Some(218)),
+            ],
+        ),
+        (
+            [2135, 2132],
+            [
+                (1000, 2, 2, 0, 10, Some(210)),
+                (1500, 2, 2, 0, 10, Some(104)),
+                (2000, 2, 2, 0, 10, Some(135)),
+                (1000, 2, 2, 0, 10, None),
+                (1500, 2, 2, 0, 10, Some(257)),
+                (2000, 2, 2, 0, 10, Some(132)),
+            ],
+        ),
     ];
-    for (scheduler, pin) in [InteractionScheduler::Uniform, boosted()].into_iter().zip(pinned) {
-        let reports = silent_n_state_churn_reports(
-            n,
-            Workload::Random,
-            &scheduler,
-            &plan,
-            2,
-            623,
-            Engine::Batched,
-            31_000_000,
-        )
-        .unwrap();
-        let records: Vec<ChurnPin> = reports
+    for (scheduler, (stops, events)) in
+        [InteractionScheduler::Uniform, boosted()].into_iter().zip(pinned)
+    {
+        let spec = silent_n_state(n, Workload::Random).engine(Engine::Batched).budget(31_000_000);
+        let spec = spec.scheduler(scheduler.clone()).churn(plan.clone());
+        let reports = spec.trials(2).seed(623).run().unwrap();
+        assert!(reports.iter().all(|r| r.outcome.is_silent()));
+        let stop: Vec<u64> = reports.iter().map(|r| r.outcome.interactions.count()).collect();
+        let records: Vec<EventPin> = reports
             .iter()
-            .map(|r| {
-                assert!(r.outcome.is_silent());
-                let events = r
-                    .events
-                    .iter()
-                    .map(|e| {
-                        let restabilization = e.restabilization.map(|i| i.count());
-                        (
-                            e.at.count(),
-                            e.joined,
-                            e.departed,
-                            e.corrupted,
-                            e.population_after,
-                            restabilization,
-                        )
-                    })
-                    .collect();
-                (r.outcome.interactions.count(), events)
+            .flat_map(|r| &r.events)
+            .map(|e| {
+                let restabilization = e.restabilization.map(|i| i.count());
+                (
+                    e.at.count(),
+                    e.joined,
+                    e.departed,
+                    e.corrupted,
+                    e.population_after,
+                    restabilization,
+                )
             })
             .collect();
-        assert_eq!(records, pin, "churn under the {} scheduler", scheduler.label());
+        let label = scheduler.label();
+        assert_eq!(stop, stops, "churn stop points under the {label} scheduler");
+        assert_eq!(records, events, "churn event records under the {label} scheduler");
     }
 }

@@ -117,7 +117,9 @@ use rand_chacha::ChaCha8Rng;
 
 use crate::config::Configuration;
 use crate::error::SimError;
-use crate::execution::{RunOutcome, Simulation, StopReason};
+#[cfg(doc)]
+use crate::execution::Simulation;
+use crate::execution::{RunOutcome, StopReason};
 use crate::protocol::Protocol;
 use crate::sampling::{sample_hypergeometric, sample_interleaved_nulls, sample_victims_by_counts};
 use crate::scheduler::{IndexRates, InteractionScheduler};
@@ -579,8 +581,8 @@ impl<P: EnumerableProtocol> StateIndex<P> for EnumeratedStates<P> {
     }
 }
 
-/// A protocol the count engine can run through [`crate::RunSpec::run`] and
-/// [`Engine::run_until`]: it names the [`StateIndex`] its states live in.
+/// A protocol the count engine can run through [`crate::RunSpec::run`]: it
+/// names the [`StateIndex`] its states live in.
 ///
 /// Every [`EnumerableProtocol`] gets [`EnumeratedStates`] through a blanket
 /// impl. Open-state-space protocols implement the trait directly with
@@ -1687,8 +1689,8 @@ impl<P: Protocol, X: StateIndex<P>> CountSimulation<P, X> {
 /// model. [`Engine::Exact`] pays O(1) per interaction and works for every
 /// [`Protocol`]. [`Engine::Batched`] and [`Engine::BatchedCounts`] run the
 /// count engine, which pays only per *non-null* interaction, over the
-/// protocol's [`CountProtocol::Index`] — driven by [`crate::RunSpec::run`]
-/// or, for custom predicates, [`Engine::run_until`].
+/// protocol's [`CountProtocol::Index`] — driven by [`crate::RunSpec::run`],
+/// to silence or, with [`crate::RunSpec::until`], to a stop rule.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Engine {
     /// The per-agent engine: [`Simulation`].
@@ -1711,24 +1713,6 @@ impl std::fmt::Display for Engine {
     }
 }
 
-/// The result of running a workload through an [`Engine`].
-#[derive(Clone, PartialEq, Debug)]
-pub struct EngineReport<S> {
-    /// Why and when the run stopped.
-    pub outcome: RunOutcome,
-    /// The final configuration. For the count engine this is the canonical
-    /// materialization (agents sorted by state index); agent identities are
-    /// meaningless under both engines.
-    pub final_config: Configuration<S>,
-}
-
-impl<S> EngineReport<S> {
-    /// Parallel time at which the run stopped.
-    pub fn parallel_time(&self) -> ParallelTime {
-        self.outcome.interactions.to_parallel_time(self.final_config.len())
-    }
-}
-
 impl Engine {
     /// The [`SamplingMode`] this engine variant selects on the count engine
     /// ([`Engine::Exact`] has no count simulation; its mode is vacuous and
@@ -1737,31 +1721,6 @@ impl Engine {
         match self {
             Engine::Exact | Engine::Batched => SamplingMode::PerTransition,
             Engine::BatchedCounts => SamplingMode::BatchCount,
-        }
-    }
-
-    /// Runs the protocol from `init` until the (permutation-invariant)
-    /// predicate holds or `budget` interactions elapse.
-    pub fn run_until<P: CountProtocol>(
-        self,
-        protocol: P,
-        init: &Configuration<P::State>,
-        seed: u64,
-        budget: u64,
-        condition: impl FnMut(&Configuration<P::State>) -> bool,
-    ) -> EngineReport<P::State> {
-        match self {
-            Engine::Exact => {
-                let mut sim = Simulation::new(protocol, init.clone(), seed);
-                let outcome = sim.run_until(condition, budget);
-                EngineReport { outcome, final_config: sim.configuration().clone() }
-            }
-            Engine::Batched | Engine::BatchedCounts => {
-                let mut sim = CountSimulation::<P, P::Index>::new(protocol, init, seed)
-                    .with_sampling_mode(self.sampling_mode());
-                let outcome = sim.run_until(condition, budget);
-                EngineReport { outcome, final_config: sim.to_configuration() }
-            }
         }
     }
 }
@@ -2149,8 +2108,12 @@ mod tests {
         );
     }
 
+    /// Scheduler-layer tests, each run over both state indices: Fratricide
+    /// over the enumerated index and, through [`crate::AsInterned`], over
+    /// the interned one (where the follower state is interned first-seen).
     mod scheduled {
         use super::*;
+        use crate::interned::AsInterned;
         use crate::scheduler::{PairRates, Topology};
 
         const BUDGET: u64 = u64::MAX >> 8;
@@ -2159,43 +2122,50 @@ mod tests {
             c.iter().filter(|&&s| s == 0).count()
         }
 
+        fn new_scheduled<P: CountProtocol<State = u8>>(
+            protocol: P,
+            init: &Configuration<u8>,
+            seed: u64,
+            scheduler: &InteractionScheduler<u8>,
+        ) -> Result<CountSimulation<P, P::Index>, SimError> {
+            CountSimulation::try_new_scheduled(protocol, init, seed, scheduler)
+        }
+
         #[test]
         fn graph_schedulers_are_rejected_with_a_typed_error() {
-            let ring = InteractionScheduler::GraphRestricted(Topology::Ring);
-            let err = BatchedSimulation::try_new_scheduled(
-                Frat { n: 8 },
-                &Configuration::uniform(0u8, 8),
-                1,
-                &ring,
-            )
-            .unwrap_err();
-            assert_eq!(
-                err,
-                SimError::SchedulerNeedsIdentities {
-                    scheduler: "ring".to_owned(),
-                    engine: "batched"
+            fn check<P: CountProtocol<State = u8> + Clone + Sync>(protocol: P, engine: &str) {
+                for (topology, label) in [(Topology::Ring, "ring"), (Topology::Star, "star")] {
+                    let graph = InteractionScheduler::GraphRestricted(topology);
+                    let init = Configuration::uniform(0u8, 8);
+                    let err = new_scheduled(protocol.clone(), &init, 1, &graph).err().unwrap();
+                    assert!(
+                        matches!(&err, SimError::SchedulerNeedsIdentities { scheduler, engine: e }
+                            if scheduler == label && *e == engine),
+                        "{err}"
+                    );
+                    let err = crate::runspec::RunSpec::new(protocol.clone())
+                        .engine(Engine::Batched)
+                        .init(init)
+                        .scheduler(graph)
+                        .run_one()
+                        .unwrap_err();
+                    assert!(matches!(err, SimError::SchedulerNeedsIdentities { .. }));
                 }
-            );
-            let err = crate::runspec::RunSpec::new(Frat { n: 8 })
-                .engine(Engine::Batched)
-                .init(Configuration::uniform(0u8, 8))
-                .scheduler(ring)
-                .run_one()
-                .unwrap_err();
-            assert!(matches!(err, SimError::SchedulerNeedsIdentities { .. }));
+            }
+            check(Frat { n: 8 }, "batched");
+            check(AsInterned(Frat { n: 8 }), "interned");
         }
 
         #[test]
         fn zero_rate_schedulers_are_rejected() {
-            let dead = InteractionScheduler::WeightedPairs(PairRates::new(0));
-            let err = BatchedSimulation::try_new_scheduled(
-                Frat { n: 8 },
-                &Configuration::uniform(0u8, 8),
-                1,
-                &dead,
-            )
-            .unwrap_err();
-            assert_eq!(err, SimError::ZeroRateScheduler);
+            fn check<P: CountProtocol<State = u8>>(protocol: P) {
+                let dead = InteractionScheduler::WeightedPairs(PairRates::new(0));
+                let init = Configuration::uniform(0u8, 8);
+                let err = new_scheduled(protocol, &init, 1, &dead).err().unwrap();
+                assert_eq!(err, SimError::ZeroRateScheduler);
+            }
+            check(Frat { n: 8 });
+            check(AsInterned(Frat { n: 8 }));
         }
 
         #[test]
@@ -2203,107 +2173,126 @@ mod tests {
             // The spec runner always goes through the scheduled constructor;
             // pin that under the uniform scheduler it reproduces the plain
             // constructor's trajectory bit for bit.
-            for seed in [1u64, 9, 23] {
-                let init = Configuration::uniform(0u8, 30);
-                let mut plain = BatchedSimulation::new(Frat { n: 30 }, &init, seed);
-                let outcome = plain.run_until_silent(BUDGET);
-                let spec = crate::runspec::RunSpec::new(Frat { n: 30 })
-                    .engine(Engine::Batched)
-                    .init(init)
-                    .seed(seed)
-                    .budget(BUDGET)
-                    .run_one()
-                    .unwrap();
-                assert_eq!(spec.outcome, outcome);
-                assert_eq!(spec.final_config, plain.to_configuration());
+            fn check<P: CountProtocol<State = u8> + Clone + Sync>(protocol: P) {
+                for seed in [1u64, 4, 9, 17, 23] {
+                    let init = Configuration::uniform(0u8, 30);
+                    let mut plain =
+                        CountSimulation::<P, P::Index>::new(protocol.clone(), &init, seed);
+                    let outcome = plain.run_until_silent(BUDGET);
+                    let uniform = InteractionScheduler::Uniform;
+                    let mut scheduled =
+                        new_scheduled(protocol.clone(), &init, seed, &uniform).unwrap();
+                    assert_eq!(scheduled.run_until_silent(BUDGET), outcome);
+                    assert_eq!(scheduled.to_configuration(), plain.to_configuration());
+                    let spec = crate::runspec::RunSpec::new(protocol.clone())
+                        .engine(Engine::Batched)
+                        .init(init)
+                        .seed(seed)
+                        .budget(BUDGET)
+                        .run_one()
+                        .unwrap();
+                    assert_eq!(spec.outcome, outcome);
+                    assert_eq!(spec.final_config, plain.to_configuration());
+                }
             }
+            check(Frat { n: 30 });
+            check(AsInterned(Frat { n: 30 }));
         }
 
         #[test]
         fn weighted_runs_silence_on_both_backends() {
-            let rates = PairRates::new(1).with_rate(0u8, 0u8, 7);
-            let scheduler = InteractionScheduler::WeightedPairs(rates);
-            let init = Configuration::uniform(0u8, 40);
-            let mut indexed =
-                BatchedSimulation::try_new_scheduled(Frat { n: 40 }, &init, 3, &scheduler).unwrap();
-            assert!(indexed.run_until_silent(BUDGET).is_silent());
-            assert_eq!(leaders(&indexed.to_configuration()), 1);
-            let mut dense = BatchedSimulation::try_new_scheduled(
-                ForceDense(Frat { n: 40 }),
-                &init,
-                3,
-                &scheduler,
-            )
-            .unwrap();
-            assert!(dense.run_until_silent(BUDGET).is_silent());
-            assert_eq!(leaders(&dense.to_configuration()), 1);
+            // On the interned index the follower state appears only at run
+            // time, so its rates are consulted through the interner.
+            fn check<P: CountProtocol<State = u8>>(protocol: P) {
+                let rates = PairRates::new(1).with_rate(0u8, 0u8, 7);
+                let scheduler = InteractionScheduler::WeightedPairs(rates);
+                let init = Configuration::uniform(0u8, 40);
+                let mut sim = new_scheduled(protocol, &init, 3, &scheduler).unwrap();
+                assert!(sim.run_until_silent(BUDGET).is_silent());
+                assert_eq!(leaders(&sim.to_configuration()), 1);
+                assert_eq!(sim.active_pairs(), sim.recount_active_pairs());
+            }
+            check(Frat { n: 40 });
+            check(ForceDense(Frat { n: 40 }));
+            check(AsInterned(Frat { n: 40 }));
         }
 
         #[test]
         fn rate_zero_pairs_make_silence_scheduler_relative() {
             // Fratricide's only non-null pair at rate 0: every configuration
             // is silent for the weighted scheduler, active for the uniform.
-            let rates = PairRates::new(1).with_rate(0u8, 0u8, 0);
-            let scheduler = InteractionScheduler::WeightedPairs(rates);
-            let init = Configuration::uniform(0u8, 10);
-            let sim =
-                BatchedSimulation::try_new_scheduled(Frat { n: 10 }, &init, 1, &scheduler).unwrap();
-            assert!(sim.is_silent());
-            assert!(!BatchedSimulation::new(Frat { n: 10 }, &init, 1).is_silent());
+            fn check<P: CountProtocol<State = u8> + Clone>(protocol: P) {
+                let rates = PairRates::new(1).with_rate(0u8, 0u8, 0);
+                let scheduler = InteractionScheduler::WeightedPairs(rates);
+                let init = Configuration::uniform(0u8, 10);
+                let sim = new_scheduled(protocol.clone(), &init, 1, &scheduler).unwrap();
+                assert!(sim.is_silent());
+                assert!(!CountSimulation::<P, P::Index>::new(protocol, &init, 1).is_silent());
+            }
+            check(Frat { n: 10 });
+            check(AsInterned(Frat { n: 10 }));
         }
 
-        // Satellite pin: under a non-uniform scheduler, `Engine::BatchedCounts`
-        // must not sample the (uniform-law) batch-count epochs — it falls back
-        // to per-transition sampling, counted, and the trajectory is exactly
+        // Under a non-uniform scheduler, `Engine::BatchedCounts` must not
+        // sample the (uniform-law) batch-count epochs — it falls back to
+        // per-transition sampling, counted, and the trajectory is exactly
         // the per-transition engine's.
         #[test]
         fn batchcount_weighted_fallback_is_trajectory_equal_to_batched() {
-            let rates = PairRates::new(1).with_rate(0u8, 0u8, 4);
-            let scheduler = InteractionScheduler::WeightedPairs(rates);
-            let init = Configuration::uniform(0u8, 50);
-            for seed in [2u64, 5, 31] {
-                let mut per_transition =
-                    BatchedSimulation::try_new_scheduled(Frat { n: 50 }, &init, seed, &scheduler)
-                        .unwrap()
-                        .with_sampling_mode(SamplingMode::PerTransition);
-                let mut batchcount =
-                    BatchedSimulation::try_new_scheduled(Frat { n: 50 }, &init, seed, &scheduler)
-                        .unwrap()
-                        .with_sampling_mode(SamplingMode::BatchCount);
-                let a = per_transition.run_until_silent(BUDGET);
-                let b = batchcount.run_until_silent(BUDGET);
-                assert_eq!(a, b, "seed {seed}");
-                assert_eq!(
-                    per_transition.to_configuration(),
-                    batchcount.to_configuration(),
-                    "seed {seed}"
-                );
-                assert!(
-                    batchcount.counters().get(Counter::SchedulerFallbacks) > 0,
-                    "fallback diagnostic must count the diverted batches"
-                );
-                assert_eq!(per_transition.counters().get(Counter::SchedulerFallbacks), 0);
+            fn check<P: CountProtocol<State = u8> + Clone>(protocol: P) {
+                let rates = PairRates::new(1).with_rate(0u8, 0u8, 4);
+                let scheduler = InteractionScheduler::WeightedPairs(rates);
+                let init = Configuration::uniform(0u8, 50);
+                for seed in [2u64, 5, 6, 29, 31] {
+                    let sim = |mode| {
+                        new_scheduled(protocol.clone(), &init, seed, &scheduler)
+                            .unwrap()
+                            .with_sampling_mode(mode)
+                    };
+                    let mut per_transition = sim(SamplingMode::PerTransition);
+                    let mut batchcount = sim(SamplingMode::BatchCount);
+                    let a = per_transition.run_until_silent(BUDGET);
+                    let b = batchcount.run_until_silent(BUDGET);
+                    assert_eq!(a, b, "seed {seed}");
+                    assert_eq!(
+                        per_transition.to_configuration(),
+                        batchcount.to_configuration(),
+                        "seed {seed}"
+                    );
+                    assert!(
+                        batchcount.counters().get(Counter::SchedulerFallbacks) > 0,
+                        "fallback diagnostic must count the diverted batches"
+                    );
+                    assert_eq!(per_transition.counters().get(Counter::SchedulerFallbacks), 0);
+                }
             }
+            check(Frat { n: 50 });
+            check(AsInterned(Frat { n: 50 }));
         }
 
         #[test]
         fn churn_keeps_weighted_row_weights_consistent() {
-            use rand::SeedableRng;
-            let rates = PairRates::new(2).with_rate(0u8, 0u8, 5);
-            let scheduler = InteractionScheduler::WeightedPairs(rates);
-            let init = Configuration::uniform(0u8, 20);
-            let mut rng = ChaCha8Rng::seed_from_u64(8);
-            let mut sim =
-                BatchedSimulation::try_new_scheduled(Frat { n: 20 }, &init, 8, &scheduler).unwrap();
-            sim.run_until_silent(BUDGET);
-            sim.join(&[0u8, 0, 0, 0]);
-            assert_eq!(sim.population_size(), 24);
-            assert_eq!(sim.active_pairs(), sim.recount_active_pairs());
-            sim.leave(10, &mut rng);
-            assert_eq!(sim.population_size(), 14);
-            assert_eq!(sim.active_pairs(), sim.recount_active_pairs());
-            assert!(sim.run_until_silent(BUDGET).is_silent());
-            assert_eq!(leaders(&sim.to_configuration()), 1);
+            // `joins` may carry states the index has not seen yet (only the
+            // interned index admits those).
+            fn check<P: CountProtocol<State = u8>>(protocol: P, joins: &[u8]) {
+                use rand::SeedableRng;
+                let rates = PairRates::new(2).with_rate(0u8, 0u8, 5);
+                let scheduler = InteractionScheduler::WeightedPairs(rates);
+                let init = Configuration::uniform(0u8, 20);
+                let mut rng = ChaCha8Rng::seed_from_u64(8);
+                let mut sim = new_scheduled(protocol, &init, 8, &scheduler).unwrap();
+                sim.run_until_silent(BUDGET);
+                sim.join(joins);
+                assert_eq!(sim.population_size(), 24);
+                assert_eq!(sim.active_pairs(), sim.recount_active_pairs());
+                sim.leave(10, &mut rng);
+                assert_eq!(sim.population_size(), 14);
+                assert_eq!(sim.active_pairs(), sim.recount_active_pairs());
+                assert!(sim.run_until_silent(BUDGET).is_silent());
+                assert!(leaders(&sim.to_configuration()) <= 1);
+            }
+            check(Frat { n: 20 }, &[0, 0, 0, 0]);
+            check(AsInterned(Frat { n: 20 }), &[0, 0, 7, 9]);
         }
     }
 }

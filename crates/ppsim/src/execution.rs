@@ -53,32 +53,6 @@ impl RunOutcome {
     }
 }
 
-/// The result of [`Simulation::run_convergence`]: when (if ever) the
-/// correctness predicate started holding and then held to the end of the run.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct ConvergenceOutcome {
-    /// The interaction count (cumulative) at which the predicate most recently
-    /// switched from false to true and then held until the run stopped;
-    /// `None` if the predicate was false when the run stopped.
-    pub converged_at: Option<Interactions>,
-    /// Total interactions executed when the run stopped.
-    pub total_interactions: Interactions,
-    /// Why the run stopped.
-    pub reason: StopReason,
-}
-
-impl ConvergenceOutcome {
-    /// Whether the run ended in a correct configuration.
-    pub fn converged(&self) -> bool {
-        self.converged_at.is_some()
-    }
-
-    /// Convergence expressed as parallel time for a population of size `n`.
-    pub fn convergence_time(&self, n: usize) -> Option<ParallelTime> {
-        self.converged_at.map(|i| i.to_parallel_time(n))
-    }
-}
-
 /// The exact engine's resolved scheduling strategy: the per-step sampling
 /// machinery an [`InteractionScheduler`] expands to when agent identities
 /// are available.
@@ -509,8 +483,16 @@ impl<P: Protocol> Simulation<P> {
     }
 
     /// Runs until `condition` holds for the current configuration, checking
-    /// every `check_interval` interactions, or until `budget` additional
-    /// interactions have been executed.
+    /// every `n/8` interactions, until the configuration is silent (it can
+    /// then never change, so the condition can never start to hold), or
+    /// until `budget` additional interactions have been executed.
+    ///
+    /// Silence is checked only after a chunk that changed nothing, so chunks
+    /// that change the configuration pay nothing for it; while checks keep
+    /// failing, the unchanged interactions required before the next one
+    /// double, so a long quiet but active stretch pays for a logarithmic
+    /// number of checks. As in [`Simulation::run_until_silent`], a silent
+    /// stop is reported at the exact silence point.
     pub fn run_until(
         &mut self,
         mut condition: impl FnMut(&Configuration<P::State>) -> bool,
@@ -524,8 +506,12 @@ impl<P: Protocol> Simulation<P> {
             };
         }
         let mut executed = 0u64;
+        // Unchanged interactions since the last silence check, and how many
+        // must pass before the next one.
+        let (mut quiet, mut wait) = (0u64, 0u64);
         while executed < budget {
             let chunk = check_interval.min(budget - executed);
+            let before = self.last_change;
             for _ in 0..chunk {
                 self.step();
             }
@@ -535,6 +521,21 @@ impl<P: Protocol> Simulation<P> {
                     reason: StopReason::ConditionMet,
                     interactions: self.interactions,
                 };
+            }
+            if self.last_change != before {
+                continue;
+            }
+            quiet += chunk;
+            if quiet >= wait {
+                self.counters.incr(Counter::SilenceChecks);
+                let (silent, cost) = self.is_silent_with_cost();
+                if silent {
+                    return RunOutcome {
+                        reason: StopReason::Silent,
+                        interactions: self.last_change,
+                    };
+                }
+                (quiet, wait) = (0, (2 * wait).max(cost));
             }
         }
         RunOutcome { reason: StopReason::BudgetExhausted, interactions: self.interactions }
@@ -587,62 +588,6 @@ impl<P: Protocol> Simulation<P> {
             cost = now_cost;
         }
         RunOutcome { reason: StopReason::BudgetExhausted, interactions: self.interactions }
-    }
-
-    /// Measures convergence of a correctness predicate: runs until the
-    /// predicate has held continuously for `hold` interactions (or the budget
-    /// is exhausted), and reports the interaction count at which the final
-    /// stretch of correctness began.
-    ///
-    /// This matches the paper's notion of convergence (the execution reaches a
-    /// correct configuration and stays correct); because stabilization cannot
-    /// be decided by observing a finite prefix, the `hold` window acts as the
-    /// empirical proxy, and callers pick it large enough for the protocol at
-    /// hand (e.g. several `n·log n` interactions).
-    pub fn run_convergence(
-        &mut self,
-        mut correct: impl FnMut(&Configuration<P::State>) -> bool,
-        budget: u64,
-        hold: u64,
-    ) -> ConvergenceOutcome {
-        let check_interval = self.default_check_interval();
-        let mut candidate: Option<Interactions> =
-            if correct(&self.config) { Some(self.interactions) } else { None };
-        let mut executed = 0u64;
-        loop {
-            if let Some(since) = candidate {
-                if (self.interactions - since).count() >= hold {
-                    return ConvergenceOutcome {
-                        converged_at: Some(since),
-                        total_interactions: self.interactions,
-                        reason: StopReason::ConditionMet,
-                    };
-                }
-            }
-            if executed >= budget {
-                return ConvergenceOutcome {
-                    converged_at: candidate,
-                    total_interactions: self.interactions,
-                    reason: StopReason::BudgetExhausted,
-                };
-            }
-            let chunk = check_interval.min(budget - executed);
-            for _ in 0..chunk {
-                self.step();
-            }
-            executed += chunk;
-            if correct(&self.config) {
-                if candidate.is_none() {
-                    // The predicate switched from false to true somewhere in
-                    // the last chunk; attribute it to the end of the chunk,
-                    // which over-estimates by at most `check_interval`
-                    // interactions (a vanishing fraction of parallel time).
-                    candidate = Some(self.interactions);
-                }
-            } else {
-                candidate = None;
-            }
-        }
     }
 
     fn default_check_interval(&self) -> u64 {
@@ -722,30 +667,30 @@ mod tests {
 
     #[test]
     fn budget_exhaustion_is_reported() {
-        let mut sim = Simulation::new(Fratricide { n: 10 }, Configuration::uniform(S::F, 10), 5);
-        // All followers: a leader can never appear, so the condition below
-        // never holds and the budget runs out.
-        let outcome = sim.run_until(|c| leaders(c) == 1, 200);
+        let mut sim = Simulation::new(Fratricide { n: 40 }, Configuration::uniform(S::L, 40), 5);
+        // Fratricide never eliminates the last leader, so the condition
+        // below never holds, and 200 interactions are far too few for the
+        // run to fall silent: the budget runs out.
+        let outcome = sim.run_until(|c| leaders(c) == 0, 200);
         assert!(outcome.budget_exhausted());
         assert_eq!(sim.interactions().count(), 200);
     }
 
     #[test]
-    fn run_convergence_reports_when_condition_started_holding() {
-        let mut sim = Simulation::new(Fratricide { n: 30 }, Configuration::uniform(S::L, 30), 11);
-        let outcome = sim.run_convergence(|c| leaders(c) == 1, 5_000_000, 10_000);
-        assert!(outcome.converged());
-        let t = outcome.convergence_time(30).unwrap();
-        assert!(t.value() > 0.0);
-        assert!(outcome.total_interactions >= outcome.converged_at.unwrap());
-    }
-
-    #[test]
-    fn run_convergence_detects_initially_correct_configurations() {
-        let initial = Configuration::from_fn(10, |i| if i == 0 { S::L } else { S::F });
-        let mut sim = Simulation::new(Fratricide { n: 10 }, initial, 11);
-        let outcome = sim.run_convergence(|c| leaders(c) == 1, 100_000, 1_000);
-        assert_eq!(outcome.converged_at, Some(Interactions::ZERO));
+    fn run_until_stops_at_silence_when_the_condition_cannot_hold() {
+        // All followers: silent from the start, and a leader can never
+        // appear. The run stops after its first unchanged chunk, reporting
+        // the exact silence point.
+        let mut sim = Simulation::new(Fratricide { n: 10 }, Configuration::uniform(S::F, 10), 5);
+        let outcome = sim.run_until(|c| leaders(c) == 1, u64::MAX >> 8);
+        assert!(outcome.is_silent());
+        assert_eq!(outcome.interactions, Interactions::ZERO);
+        // From all leaders the condition `leaders == 0` never holds either;
+        // the run stops at the silence point run_until_silent reports.
+        let start = || Simulation::new(Fratricide { n: 40 }, Configuration::uniform(S::L, 40), 7);
+        let outcome = start().run_until(|c| leaders(c) == 0, u64::MAX >> 8);
+        assert!(outcome.is_silent());
+        assert_eq!(outcome.interactions, start().run_until_silent(u64::MAX >> 8).interactions);
     }
 
     #[test]

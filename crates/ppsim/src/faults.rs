@@ -110,6 +110,7 @@ use std::sync::Arc;
 use rand::{Rng, SeedableRng};
 
 use crate::batched::{CountSimulation, StateIndex};
+use crate::config::Configuration;
 use crate::execution::{RunOutcome, Simulation};
 use crate::protocol::Protocol;
 use crate::scenario::{name_salt, ScenarioRng};
@@ -389,6 +390,10 @@ fn sample_exponential_gap(mean: u64, rng: &mut impl Rng) -> u64 {
     }
 }
 
+/// A run's optional stop rule over the configuration (see
+/// [`crate::RunSpec::until`]); `None` stops on silence.
+type StopRule<'a, S> = Option<&'a (dyn Fn(&Configuration<S>) -> bool + 'a)>;
+
 /// The engine-side surface the perturbation driver needs: every simulation
 /// backend that can pause at an interaction index, apply a corruption burst
 /// or a resize, and resume implements this. Both engines do
@@ -400,9 +405,10 @@ pub trait PerturbationHost {
     /// Total interactions executed so far.
     fn interactions_so_far(&self) -> Interactions;
 
-    /// Runs until silence or `budget` further interactions; for silence the
-    /// reported interaction count must be the exact silence point.
-    fn run_to_silence(&mut self, budget: u64) -> RunOutcome;
+    /// Runs until silence, until `stop` (when given) holds, or for `budget`
+    /// further interactions; for silence the reported interaction count
+    /// must be the exact silence point.
+    fn run_to_silence(&mut self, budget: u64, stop: StopRule<'_, Self::State>) -> RunOutcome;
 
     /// Executes exactly `budget` further interactions (null ones included).
     fn advance(&mut self, budget: u64);
@@ -449,8 +455,11 @@ impl<P: Protocol> PerturbationHost for Simulation<P> {
         self.interactions()
     }
 
-    fn run_to_silence(&mut self, budget: u64) -> RunOutcome {
-        self.run_until_silent(budget)
+    fn run_to_silence(&mut self, budget: u64, stop: StopRule<'_, Self::State>) -> RunOutcome {
+        match stop {
+            Some(stop) => self.run_until(stop, budget),
+            None => self.run_until_silent(budget),
+        }
     }
 
     fn advance(&mut self, budget: u64) {
@@ -497,8 +506,11 @@ impl<P: Protocol, X: StateIndex<P>> PerturbationHost for CountSimulation<P, X> {
         self.interactions()
     }
 
-    fn run_to_silence(&mut self, budget: u64) -> RunOutcome {
-        self.run_until_silent(budget)
+    fn run_to_silence(&mut self, budget: u64, stop: StopRule<'_, Self::State>) -> RunOutcome {
+        match stop {
+            Some(stop) => self.run_until(stop, budget),
+            None => self.run_until_silent(budget),
+        }
     }
 
     fn advance(&mut self, budget: u64) {
@@ -582,6 +594,10 @@ pub struct PerturbedRun {
 /// segment to silence or budget exhaustion. With no events this is one run
 /// to silence.
 ///
+/// With a `stop` rule every segment runs until the rule holds instead, and
+/// the point where it first holds ends a segment the way a silence point
+/// does: it is the re-stabilization (or initial stop) the log records.
+///
 /// A `Corrupt` event draws its victims from `victim_rng`; a `Resize` event
 /// applies its departures (clamped so at least two agents remain), drawn
 /// from `departure_rng`, then its joins.
@@ -594,11 +610,12 @@ pub fn run_until_silent_perturbed<H: PerturbationHost>(
     victim_rng: &mut ScenarioRng,
     departure_rng: &mut ScenarioRng,
     budget: u64,
+    stop: StopRule<'_, H::State>,
 ) -> PerturbedRun {
-    // A silent segment end re-stabilizes the latest event, or, before any
-    // event, is the initial silence; only the first silence point counts.
+    // A silent (or stop-rule) segment end re-stabilizes the latest event,
+    // or, before any event, is the initial silence; only the first counts.
     fn note_silence(out: &RunOutcome, initial: &mut Option<Interactions>, log: &mut [EventRecord]) {
-        if out.is_silent() {
+        if out.is_silent() || out.condition_met() {
             let (slot, since) = match log.last_mut() {
                 Some(record) => (&mut record.restabilization, record.at),
                 None => (initial, Interactions::ZERO),
@@ -612,11 +629,11 @@ pub fn run_until_silent_perturbed<H: PerturbationHost>(
     for event in events.iter().take_while(|e| e.at < budget) {
         let now = host.interactions_so_far().count();
         debug_assert!(now <= event.at, "events must be in increasing time order");
-        let out = host.run_to_silence(event.at - now);
+        let out = host.run_to_silence(event.at - now, stop);
         note_silence(&out, &mut initial_silence, &mut log);
-        // The host may have stopped short of the index (silence detected, or
-        // an exact-engine check chunk ended early): pad with null
-        // interactions so the event lands exactly at its scheduled index.
+        // The host may have stopped short of the index (silence detected,
+        // the stop rule met, or an exact-engine check chunk ended early):
+        // run on to the index so the event lands exactly there.
         let now = host.interactions_so_far().count();
         host.advance(event.at - now);
         let (corrupted, joined, departed) = match &event.kind {
@@ -647,7 +664,7 @@ pub fn run_until_silent_perturbed<H: PerturbationHost>(
     }
 
     let now = host.interactions_so_far().count();
-    let outcome = host.run_to_silence(budget.saturating_sub(now));
+    let outcome = host.run_to_silence(budget.saturating_sub(now), stop);
     note_silence(&outcome, &mut initial_silence, &mut log);
     PerturbedRun { outcome, initial_silence, events: log }
 }

@@ -324,13 +324,10 @@ pub type InternedSimulation<P> = CountSimulation<P, InternedStates<P>>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batched::{Engine, Fenwick, SamplingMode};
+    use crate::batched::{Engine, Fenwick};
     use crate::config::Configuration;
-    use crate::error::SimError;
-    use crate::telemetry::Counter;
     use crate::time::Interactions;
-    use rand::{RngCore, SeedableRng};
-    use rand_chacha::ChaCha8Rng;
+    use rand::RngCore;
 
     /// (L, L) -> (L, F) fratricide over an "open" state space: states are
     /// arbitrary u32 values, 0 = leader, anything else = follower. Only the
@@ -569,27 +566,24 @@ mod tests {
 
     #[test]
     fn engine_routing_reaches_the_same_verdict_on_both_engines() {
-        let config = Configuration::uniform(0u32, 40);
+        fn leaders(c: &Configuration<u32>) -> usize {
+            c.iter().filter(|&&s| s == 0).count()
+        }
         let spec = |engine| {
             crate::runspec::RunSpec::new(Frat { n: 40 })
                 .engine(engine)
-                .init(config.clone())
+                .init(Configuration::uniform(0u32, 40))
                 .seed(9)
-                .run_one()
-                .unwrap()
         };
-        let exact = spec(Engine::Exact);
-        let interned = spec(Engine::Batched);
+        let exact = spec(Engine::Exact).run_one().unwrap();
+        let interned = spec(Engine::Batched).run_one().unwrap();
         assert!(exact.outcome.is_silent());
         assert!(interned.outcome.is_silent());
-        let leaders = |c: &Configuration<u32>| c.iter().filter(|&&s| s == 0).count();
         assert_eq!(leaders(&exact.final_config), 1);
         assert_eq!(leaders(&interned.final_config), 1);
 
-        let exact = Engine::Exact
-            .run_until(Frat { n: 40 }, &config, 9, u64::MAX >> 8, |c| leaders(c) <= 20);
-        let interned = Engine::Batched
-            .run_until(Frat { n: 40 }, &config, 9, u64::MAX >> 8, |c| leaders(c) <= 20);
+        let exact = spec(Engine::Exact).until(|_, c| leaders(c) <= 20).run_one().unwrap();
+        let interned = spec(Engine::Batched).until(|_, c| leaders(c) <= 20).run_one().unwrap();
         assert!(exact.outcome.condition_met());
         assert!(interned.outcome.condition_met());
     }
@@ -682,123 +676,6 @@ mod tests {
             let mut other: Vec<_> = without.state_counts().map(|(x, c)| (x.clone(), c)).collect();
             other.sort();
             assert_eq!(counts(&with), other);
-        }
-    }
-
-    mod scheduled {
-        use super::*;
-        use crate::scheduler::{InteractionScheduler, PairRates, Topology};
-
-        const BUDGET: u64 = u64::MAX >> 8;
-
-        #[test]
-        fn graph_schedulers_are_rejected_with_a_typed_error() {
-            let ring = InteractionScheduler::GraphRestricted(Topology::Star);
-            let err = InternedSimulation::try_new_scheduled(
-                Frat { n: 8 },
-                &Configuration::uniform(0u32, 8),
-                1,
-                &ring,
-            )
-            .unwrap_err();
-            assert_eq!(
-                err,
-                SimError::SchedulerNeedsIdentities {
-                    scheduler: "star".to_owned(),
-                    engine: "interned"
-                }
-            );
-        }
-
-        #[test]
-        fn zero_rate_schedulers_are_rejected() {
-            let dead = InteractionScheduler::WeightedPairs(PairRates::new(0));
-            let err = InternedSimulation::try_new_scheduled(
-                Frat { n: 8 },
-                &Configuration::uniform(0u32, 8),
-                1,
-                &dead,
-            )
-            .unwrap_err();
-            assert_eq!(err, SimError::ZeroRateScheduler);
-        }
-
-        #[test]
-        fn scheduled_uniform_is_trajectory_identical_to_plain() {
-            for seed in [4u64, 17] {
-                let init = Configuration::uniform(0u32, 30);
-                let mut plain = InternedSimulation::new(Frat { n: 30 }, &init, seed);
-                let mut scheduled = InternedSimulation::try_new_scheduled(
-                    Frat { n: 30 },
-                    &init,
-                    seed,
-                    &InteractionScheduler::Uniform,
-                )
-                .unwrap();
-                let a = plain.run_until_silent(BUDGET);
-                let b = scheduled.run_until_silent(BUDGET);
-                assert_eq!(a, b);
-                assert_eq!(plain.to_configuration(), scheduled.to_configuration());
-            }
-        }
-
-        #[test]
-        fn weighted_runs_silence_on_open_state_spaces() {
-            // Merge's non-null pairs are (w, w): boost them all via the
-            // default rate and pin a specific pair higher. States appear
-            // dynamically, so the rate map is consulted through the interner.
-            let rates = PairRates::new(1).with_rate(1u64, 1u64, 6);
-            let scheduler = InteractionScheduler::WeightedPairs(rates);
-            let init = Configuration::uniform(1u64, 32);
-            let mut sim =
-                InternedSimulation::try_new_scheduled(Merge { n: 32 }, &init, 5, &scheduler)
-                    .unwrap();
-            assert!(sim.run_until_silent(BUDGET).is_silent());
-            let config = sim.to_configuration();
-            assert_eq!(config.iter().copied().max(), Some(32));
-            assert_eq!(sim.active_pairs(), sim.recount_active_pairs());
-        }
-
-        #[test]
-        fn batchcount_weighted_fallback_is_trajectory_equal_to_per_transition() {
-            let rates = PairRates::new(1).with_rate(0u32, 0u32, 3);
-            let scheduler = InteractionScheduler::WeightedPairs(rates);
-            let init = Configuration::uniform(0u32, 40);
-            for seed in [6u64, 29] {
-                let mut per =
-                    InternedSimulation::try_new_scheduled(Frat { n: 40 }, &init, seed, &scheduler)
-                        .unwrap()
-                        .with_sampling_mode(SamplingMode::PerTransition);
-                let mut bc =
-                    InternedSimulation::try_new_scheduled(Frat { n: 40 }, &init, seed, &scheduler)
-                        .unwrap()
-                        .with_sampling_mode(SamplingMode::BatchCount);
-                let a = per.run_until_silent(BUDGET);
-                let b = bc.run_until_silent(BUDGET);
-                assert_eq!(a, b, "seed {seed}");
-                assert_eq!(per.to_configuration(), bc.to_configuration(), "seed {seed}");
-                assert!(bc.counters().get(Counter::SchedulerFallbacks) > 0);
-                assert_eq!(per.counters().get(Counter::SchedulerFallbacks), 0);
-            }
-        }
-
-        #[test]
-        fn churn_keeps_weighted_row_weights_consistent() {
-            let rates = PairRates::new(2).with_rate(0u32, 0u32, 5);
-            let scheduler = InteractionScheduler::WeightedPairs(rates);
-            let init = Configuration::uniform(0u32, 20);
-            let mut rng = ChaCha8Rng::seed_from_u64(12);
-            let mut sim =
-                InternedSimulation::try_new_scheduled(Frat { n: 20 }, &init, 12, &scheduler)
-                    .unwrap();
-            sim.run_until_silent(BUDGET);
-            sim.join(&[0u32, 0, 7, 9]);
-            assert_eq!(sim.population_size(), 24);
-            assert_eq!(sim.active_pairs(), sim.recount_active_pairs());
-            sim.leave(8, &mut rng);
-            assert_eq!(sim.population_size(), 16);
-            assert_eq!(sim.active_pairs(), sim.recount_active_pairs());
-            assert!(sim.run_until_silent(BUDGET).is_silent());
         }
     }
 }

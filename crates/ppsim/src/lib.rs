@@ -30,16 +30,17 @@
 //!   ([`InternedSimulation`]), whose index assigns dense indices to states as
 //!   they are first observed (see the [`interned`] module docs).
 //!
-//! [`Engine`] names the engine choice, and every to-silence workload —
-//! single runs and multi-trial experiments, with or without an explicit
-//! scheduler, fault plan, or churn plan — is described by one composable
-//! [`RunSpec`] builder: `RunSpec::new(protocol).engine(e).scenario(&s)
-//! .scheduler(sch).faults(fp).churn(cp).trials(t).seed(b).run()`. Invalid
-//! combinations (e.g. a graph-restricted scheduler on a count-based engine)
-//! are rejected with a typed [`SimError`] when the spec is built, before any
-//! trial runs. The lower-level pieces remain public for custom predicates:
-//! [`Engine::run_until`] stops on arbitrary conditions and [`runner`] ([`run_trials`], [`TrialPlan`]) distributes any
-//! closure across threads. `ARCHITECTURE.md` at the repository root draws
+//! [`Engine`] names the engine choice, and every workload — single runs and
+//! multi-trial experiments, to silence or to a stop rule, with or without an
+//! explicit scheduler, fault plan, or churn plan — is described by one
+//! composable [`RunSpec`] builder: `RunSpec::new(protocol).engine(e)
+//! .scenario(&s).scheduler(sch).faults(fp).churn(cp).until(rule).trials(t)
+//! .seed(b).run()`. Invalid combinations (e.g. a graph-restricted scheduler
+//! on a count-based engine) are rejected with a typed [`SimError`] when the
+//! spec is built, before any trial runs. [`RunSpec::until`] stops each trial
+//! on an arbitrary permutation-invariant predicate instead of silence, and
+//! [`runner`] ([`run_trials`], [`TrialPlan`]) distributes any closure across
+//! threads. `ARCHITECTURE.md` at the repository root draws
 //! the full engine → backend decision tree.
 //!
 //! # Example
@@ -113,13 +114,13 @@ pub mod trace;
 
 pub use agent::AgentId;
 pub use batched::{
-    sample_null_run, BatchedSimulation, CountProtocol, CountSimulation, Engine, EngineReport,
-    EnumerableProtocol, EnumeratedStates, ForceDense, SamplingMode, StateIndex,
+    sample_null_run, BatchedSimulation, CountProtocol, CountSimulation, Engine, EnumerableProtocol,
+    EnumeratedStates, ForceDense, SamplingMode, StateIndex,
 };
 pub use churn::{ChurnAction, ChurnPlan};
 pub use config::Configuration;
 pub use error::SimError;
-pub use execution::{ConvergenceOutcome, RunOutcome, Simulation, StopReason};
+pub use execution::{RunOutcome, Simulation, StopReason};
 pub use faults::{
     run_until_silent_perturbed, CorruptionTarget, EventRecord, FaultPlan, FaultSchedule,
     Perturbation, PerturbationHost, PerturbationKind, PerturbedRun,
@@ -150,13 +151,13 @@ pub use trace::{Trace, TraceEvent};
 pub mod prelude {
     pub use crate::agent::AgentId;
     pub use crate::batched::{
-        BatchedSimulation, CountProtocol, CountSimulation, Engine, EngineReport,
-        EnumerableProtocol, EnumeratedStates, ForceDense, SamplingMode, StateIndex,
+        BatchedSimulation, CountProtocol, CountSimulation, Engine, EnumerableProtocol,
+        EnumeratedStates, ForceDense, SamplingMode, StateIndex,
     };
     pub use crate::churn::{ChurnAction, ChurnPlan};
     pub use crate::config::Configuration;
     pub use crate::error::SimError;
-    pub use crate::execution::{ConvergenceOutcome, RunOutcome, Simulation, StopReason};
+    pub use crate::execution::{RunOutcome, Simulation, StopReason};
     pub use crate::faults::{
         run_until_silent_perturbed, CorruptionTarget, EventRecord, FaultPlan, FaultSchedule,
         Perturbation, PerturbationHost, PerturbationKind, PerturbedRun,

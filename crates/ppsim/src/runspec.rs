@@ -1,14 +1,14 @@
-//! One composable description of a to-silence workload.
+//! One composable description of a workload, run to silence or to a stop
+//! rule.
 //!
-//! Before this module, the crate exposed a matrix of entry points: one
-//! `run_*_trials` free function and one `Engine::run_until_silent_*` method
-//! per combination of {enumerable, interned} × {plain, scheduled, faults,
-//! churn} × {explicit config, scenario}. [`RunSpec`] collapses that matrix
-//! into a single builder: pick a protocol, choose the axes that apply, and
-//! run. Invalid combinations — a graph-restricted scheduler on a count-based
-//! engine, a weighted scheduler with all-zero rates, a spec with no initial
-//! configuration — are rejected with a typed [`SimError`] when the spec is
-//! **built**, before any trial spends an interaction.
+//! [`RunSpec`] is the crate's one run entry point, a single builder over
+//! every combination of {enumerable, interned} × {plain, scheduled, faults,
+//! churn} × {explicit config, scenario} × {silence, stop rule}: pick a
+//! protocol, choose the axes that apply, and run. Invalid combinations — a
+//! graph-restricted scheduler on a count-based engine, a weighted scheduler
+//! with all-zero rates, a spec with no initial configuration — are rejected
+//! with a typed [`SimError`] when the spec is **built**, before any trial
+//! spends an interaction.
 //!
 //! ```text
 //! RunSpec::new(protocol)
@@ -17,15 +17,16 @@
 //!     .scheduler(scheduler)           // default uniform
 //!     .faults(fault_plan)             // optional mid-run corruption
 //!     .churn(churn_plan)              // optional joins/leaves
+//!     .until(|p, c| p.is_correct(c))  // default: stop on silence
 //!     .trials(100)                    // default 1
 //!     .seed(7)                        // default 0
 //!     .run()?                         // Vec<TrialReport<_>>
 //! ```
 //!
 //! Every trial produces the same unified [`TrialReport`], whatever axes were
-//! active: the fault and churn plans resolve into one time-ordered stream,
-//! one driver runs it, and every fired event lands in one `events` log
-//! (empty for plain runs). The count engines key their tables by the
+//! active and whichever stop it ran to: the fault and churn plans resolve
+//! into one time-ordered stream, one driver runs it, and every fired event
+//! lands in one `events` log (empty for plain runs). The count engines key their tables by the
 //! protocol's [`CountProtocol::Index`]: the enumerated space of an
 //! [`crate::EnumerableProtocol`], or the interned index of an
 //! open-state-space protocol (see [`crate::InternedStates`]).
@@ -38,11 +39,12 @@
 //! uses the base seed **verbatim**, so a single run is bit-identical to
 //! driving [`Simulation`] (or a batched engine) directly with that seed.
 
+use std::fmt;
 use std::sync::Arc;
 
 use rand::SeedableRng;
 
-use crate::batched::{CountProtocol, CountSimulation, Engine, EngineReport};
+use crate::batched::{CountProtocol, CountSimulation, Engine};
 use crate::churn::{ChurnPlan, DEPARTURE_SALT};
 use crate::config::Configuration;
 use crate::error::SimError;
@@ -95,8 +97,8 @@ impl<P: Protocol> Start<P> {
     }
 }
 
-/// A complete, composable description of a to-silence workload: protocol,
-/// engine, initial configurations, scheduler, fault plan, churn plan, and
+/// A complete, composable description of a workload: protocol, engine,
+/// initial configurations, scheduler, fault plan, churn plan, stop rule and
 /// trial plan, in one value.
 ///
 /// The population size is carried by the protocol instance itself (every
@@ -110,6 +112,9 @@ pub struct RunSpec<P: Protocol> {
     faults: Option<FaultPlan<P::State>>,
     churn: Option<ChurnPlan<P::State>>,
     start: Start<P>,
+    /// The stop rule; `None` runs to silence.
+    #[allow(clippy::type_complexity)]
+    stop: Option<Arc<dyn Fn(&P, &Configuration<P::State>) -> bool + Send + Sync>>,
     trials: usize,
     base_seed: u64,
     threads: usize,
@@ -126,6 +131,7 @@ impl<P: Protocol + Clone> Clone for RunSpec<P> {
             faults: self.faults.clone(),
             churn: self.churn.clone(),
             start: self.start.clone(),
+            stop: self.stop.clone(),
             trials: self.trials,
             base_seed: self.base_seed,
             threads: self.threads,
@@ -152,6 +158,7 @@ impl<P: Protocol> RunSpec<P> {
             faults: None,
             churn: None,
             start: Start::Unset,
+            stop: None,
             trials: 1,
             base_seed: 0,
             threads: 0,
@@ -212,6 +219,27 @@ impl<P: Protocol> RunSpec<P> {
     /// trial seed (the adversarial-initialization axis).
     pub fn scenario(mut self, scenario: &Scenario<P>) -> Self {
         self.start = Start::Scenario(scenario.clone());
+        self
+    }
+
+    /// Stops each trial as soon as `stop` holds for the protocol and the
+    /// current configuration, instead of at silence (the default).
+    ///
+    /// The rule must be permutation-invariant: the count engines hand it
+    /// their canonical configuration. The exact engine checks it every
+    /// `n/8` interactions and reports the end of that chunk; the count
+    /// engines check it after every applied transition (after every epoch
+    /// in batch-count mode). A trial whose configuration falls silent
+    /// before the rule holds can never meet it: it stops there, with
+    /// [`StopReason::Silent`](crate::StopReason::Silent) at the exact
+    /// silence point, on every engine. Under faults or churn each segment
+    /// runs to the rule, and the point where it first holds is the
+    /// segment's re-stabilization.
+    pub fn until(
+        mut self,
+        stop: impl Fn(&P, &Configuration<P::State>) -> bool + Send + Sync + 'static,
+    ) -> Self {
+        self.stop = Some(Arc::new(stop));
         self
     }
 
@@ -291,6 +319,31 @@ impl<P: Protocol> RunSpec<P> {
 
     fn plan(&self) -> TrialPlan {
         TrialPlan { trials: self.trials, base_seed: self.base_seed, threads: self.threads }
+    }
+}
+
+/// Names the spec: everything but the closures, which show as the kind of
+/// start and of stop.
+impl<P: Protocol + fmt::Debug> fmt::Debug for RunSpec<P> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let start = match &self.start {
+            Start::Unset => "unset".to_owned(),
+            Start::Config(_) => "init".to_owned(),
+            Start::Generate(_) => "init_with".to_owned(),
+            Start::Scenario(s) => format!("scenario {:?}", s.name()),
+        };
+        f.debug_struct("RunSpec")
+            .field("protocol", &self.protocol)
+            .field("engine", &self.engine)
+            .field("start", &start)
+            .field("stop", &if self.stop.is_some() { "until" } else { "silence" })
+            .field("scheduler", &self.scheduler.label())
+            .field("faults", &self.faults.as_ref().map(|p| p.name()))
+            .field("churn", &self.churn.as_ref().map(|p| p.name()))
+            .field("trials", &self.trials)
+            .field("seed", &self.base_seed)
+            .field("budget", &self.budget)
+            .finish()
     }
 }
 
@@ -397,8 +450,16 @@ where
     events.sort_by_key(|e| e.at);
     let mut victim_rng = ScenarioRng::seed_from_u64(seed ^ VICTIM_SALT);
     let mut departure_rng = ScenarioRng::seed_from_u64(seed ^ DEPARTURE_SALT);
-    let run =
-        run_until_silent_perturbed(sim, &events, &mut victim_rng, &mut departure_rng, spec.budget);
+    let stop =
+        spec.stop.as_ref().map(|stop| move |c: &Configuration<P::State>| stop(&spec.protocol, c));
+    let run = run_until_silent_perturbed(
+        sim,
+        &events,
+        &mut victim_rng,
+        &mut departure_rng,
+        spec.budget,
+        stop.as_ref().map(|stop| stop as &dyn Fn(&Configuration<P::State>) -> bool),
+    );
     let final_config = final_config(sim);
     let counters = sim.counters();
     let telemetry = sim.take_telemetry().map(|mut recorder| {
@@ -420,18 +481,21 @@ where
 /// The unified result of one [`RunSpec`] trial, whatever axes were active.
 ///
 /// Every fired fault burst and churn event has one [`EventRecord`] in
-/// `events`, in time order; plain runs leave it empty. This subsumes the
-/// former `EngineReport`-, `FaultReport`-, and `ChurnReport`-shaped results.
+/// `events`, in time order; plain runs leave it empty. Runs to silence and
+/// runs to a [`RunSpec::until`] rule report the same shape.
 #[derive(Clone, PartialEq, Debug)]
 pub struct TrialReport<S> {
     /// Why and when the run finally stopped. For silent stops the
     /// interaction count is the exact silence point of the last segment.
     pub outcome: RunOutcome,
-    /// The final configuration (canonical materialization for the count
-    /// engines, as in [`EngineReport`]); its length is the final population.
+    /// The final configuration (for the count engines, the canonical
+    /// materialization: agents sorted by state index); its length is the
+    /// final population.
     pub final_config: Configuration<S>,
     /// The exact silence point reached before the first fault/churn event —
-    /// for plain runs, the silence point of the whole run, if silent.
+    /// for plain runs, the silence point of the whole run, if silent. With a
+    /// [`RunSpec::until`] rule, the point where the rule first held counts
+    /// as well.
     pub initial_silence: Option<Interactions>,
     /// One record per fired fault burst or churn event, in time order.
     pub events: Vec<EventRecord>,
@@ -456,12 +520,6 @@ impl<S> TrialReport<S> {
         self.outcome.interactions.to_parallel_time(self.final_config.len())
     }
 
-    /// The initial stabilization expressed as parallel time, if the run
-    /// silenced before any event fired.
-    pub fn initial_silence_parallel_time(&self) -> Option<ParallelTime> {
-        self.initial_silence.map(|i| i.to_parallel_time(self.final_config.len()))
-    }
-
     /// The re-stabilization time of the last event, if the run re-silenced
     /// after it — for a fault plan, the paper's "stabilization time from
     /// the final transient corruption".
@@ -479,15 +537,6 @@ impl<S> TrialReport<S> {
     /// re-stabilized from before the next one.
     pub fn restabilized_after_every_event(&self) -> bool {
         !self.events.is_empty() && self.events.iter().all(|r| r.restabilization.is_some())
-    }
-
-    /// The plain engine-level view (outcome + final configuration) of the
-    /// trial.
-    pub fn engine_report(&self) -> EngineReport<S>
-    where
-        S: Clone,
-    {
-        EngineReport { outcome: self.outcome, final_config: self.final_config.clone() }
     }
 }
 
@@ -690,6 +739,70 @@ mod tests {
         assert_eq!(report.events[0].joined, 3);
         assert_eq!(report.events[1].corrupted, 2);
         assert_eq!(report.final_population(), 23);
+    }
+
+    fn leaders(c: &Configuration<u8>) -> usize {
+        c.count_matching(|&s| s == 0)
+    }
+
+    #[test]
+    fn until_stops_on_the_rule_or_at_silence_on_every_engine() {
+        for engine in [Engine::Exact, Engine::Batched, Engine::BatchedCounts] {
+            let spec = |init| RunSpec::new(Frat { n: 40 }).engine(engine).init(init).seed(3);
+            let report = spec(all_leaders(40)).until(|_, c| leaders(c) <= 20).run_one().unwrap();
+            assert!(report.outcome.condition_met(), "{engine}");
+            assert!(leaders(&report.final_config) <= 20, "{engine}");
+            assert_eq!(report.initial_silence, Some(report.outcome.interactions));
+
+            // All followers: silent from the start, so `one leader` can never
+            // hold. Every engine stops at the exact silence point.
+            let followers = Configuration::uniform(1u8, 40);
+            let report = spec(followers).until(|_, c| leaders(c) == 1).run_one().unwrap();
+            assert!(report.outcome.is_silent(), "{engine}");
+            assert_eq!(report.outcome.interactions, Interactions::ZERO, "{engine}");
+
+            // From all leaders `no leader` never holds; the run stops once
+            // one leader is left and the configuration is silent.
+            let report = spec(all_leaders(40)).until(|_, c| leaders(c) == 0).run_one().unwrap();
+            assert!(report.outcome.is_silent(), "{engine}");
+            assert_eq!(leaders(&report.final_config), 1, "{engine}");
+            if engine == Engine::Exact {
+                // Same seed, same trajectory: the silence point of a plain run.
+                let plain = spec(all_leaders(40)).run_one().unwrap();
+                assert_eq!(report.outcome, plain.outcome);
+            }
+        }
+    }
+
+    #[test]
+    fn until_ends_each_perturbed_segment_where_the_rule_first_holds() {
+        let plan = FaultPlan::one_shot(2_000, 4, CorruptionTarget::Fixed(0u8));
+        for engine in [Engine::Exact, Engine::Batched, Engine::BatchedCounts] {
+            let report = RunSpec::new(Frat { n: 20 })
+                .engine(engine)
+                .init(all_leaders(20))
+                .faults(plan.clone())
+                .until(|_, c| leaders(c) == 1)
+                .seed(7)
+                .run_one()
+                .unwrap();
+            assert!(report.outcome.condition_met(), "{engine}");
+            assert!(report.initial_silence.is_some(), "{engine}");
+            assert!(report.restabilized_after_every_event(), "{engine}");
+            let event = report.events[0];
+            let recovered = event.at + event.restabilization.unwrap();
+            assert_eq!(recovered, report.outcome.interactions, "{engine}");
+        }
+    }
+
+    #[test]
+    fn debug_names_the_spec() {
+        let spec = RunSpec::new(Frat { n: 8 }).init(all_leaders(8)).trials(2).seed(4);
+        let name = format!("{spec:?}");
+        assert!(name.contains("stop: \"silence\""), "{name}");
+        assert!(name.contains("Frat { n: 8 }") && name.contains("seed: 4"), "{name}");
+        let name = format!("{:?}", spec.until(|_, c| leaders(c) == 1));
+        assert!(name.contains("stop: \"until\""), "{name}");
     }
 
     #[test]

@@ -269,7 +269,7 @@ impl SublinearTimeSsr {
     /// space is not statically enumerable (names × history trees), so these
     /// families run on the exact engine ([`ppsim::Simulation`]) or on the
     /// count engine's interned index ([`ppsim::InternedSimulation`], via
-    /// [`ppsim::Engine::run_until`]) — the protocol implements
+    /// [`ppsim::RunSpec::until`]) — the protocol implements
     /// [`CountProtocol`] with [`InternedStates`], and the cross-engine
     /// equivalence suite holds both routes to the same verdicts and time
     /// distributions.

@@ -425,19 +425,16 @@ fn mean_stabilization_times_match_on_the_interned_backend() {
 #[test]
 fn optimal_silent_convergence_matches_across_engines() {
     let times = |engine: Engine, n: usize, trials: usize, seed: u64| -> Vec<f64> {
-        run_trials(&TrialPlan::new(trials, seed), |_, s| {
-            let protocol = OptimalSilentSsr::new(OptimalSilentParams::recommended(n));
-            let report = engine.run_until(
-                protocol,
-                &protocol.adversarial_all_same_rank(1),
-                s,
-                BUDGET,
-                |c| protocol.is_correct(c),
-            );
+        let protocol = OptimalSilentSsr::new(OptimalSilentParams::recommended(n));
+        let spec =
+            RunSpec::new(protocol).engine(engine).init(protocol.adversarial_all_same_rank(1));
+        let reports = spec.until(|p, c| p.is_correct(c)).trials(trials).seed(seed).run().unwrap();
+        let report_time = |report: &TrialReport<_>| {
             assert!(report.outcome.condition_met());
             assert!(protocol.has_unique_leader(&report.final_config));
             report.parallel_time().value()
-        })
+        };
+        reports.iter().map(report_time).collect()
     };
     for (n, trials) in [(8usize, 24), (32, 12)] {
         let exact = times(Engine::Exact, n, trials, 31 + n as u64);
@@ -478,18 +475,15 @@ fn sublinear_scenarios_converge_equivalently_on_both_engines() {
     let budget = 400_000u64 * n as u64;
     for scenario in SublinearTimeSsr::adversarial_scenarios() {
         let times = |engine: Engine, seed: u64| -> Vec<f64> {
-            run_trials(&TrialPlan::new(trials, seed), |_, s| {
-                let protocol = SublinearTimeSsr::new(SublinearParams::recommended(n, h));
-                let config = scenario.configuration(&protocol, s);
-                let report =
-                    engine.run_until(protocol, &config, s, budget, |c| protocol.is_correct(c));
-                assert!(
-                    report.outcome.condition_met(),
-                    "scenario {:?} failed to converge on {engine}",
-                    scenario.name()
-                );
+            let protocol = SublinearTimeSsr::new(SublinearParams::recommended(n, h));
+            let spec = RunSpec::new(protocol).engine(engine).budget(budget).scenario(&scenario);
+            let reports = spec.until(|p, c| p.is_correct(c)).trials(trials).seed(seed).run();
+            let report_time = |report: &TrialReport<_>| {
+                let name = scenario.name();
+                assert!(report.outcome.condition_met(), "{name:?} failed to converge on {engine}");
                 report.parallel_time().value()
-            })
+            };
+            reports.unwrap().iter().map(report_time).collect()
         };
         let exact = times(Engine::Exact, 301 + n as u64);
         let interned = times(Engine::Batched, 907 + n as u64);
@@ -554,15 +548,16 @@ fn merged_collision_detection_times_match_across_engines() {
     let trials = 16;
     let budget = 10_000u64 * (n as u64).pow(2);
     let times = |engine: Engine, seed: u64| -> Vec<f64> {
-        run_trials(&TrialPlan::new(trials, seed), |_, s| {
-            let protocol = SublinearTimeSsr::new(SublinearParams::recommended(n, 0));
-            let mut rng = ChaCha8Rng::seed_from_u64(s ^ 0x11AD);
-            let config = protocol.merged_collision_configuration(2, &mut rng);
-            let report =
-                engine.run_until(protocol, &config, s, budget, SublinearTimeSsr::any_resetting);
+        let protocol = SublinearTimeSsr::new(SublinearParams::recommended(n, 0));
+        let spec = RunSpec::new(protocol).engine(engine).budget(budget).init_with(move |_, s| {
+            protocol.merged_collision_configuration(2, &mut ChaCha8Rng::seed_from_u64(s ^ 0x11AD))
+        });
+        let spec = spec.until(|_, c| SublinearTimeSsr::any_resetting(c)).trials(trials).seed(seed);
+        let report_time = |report: &TrialReport<_>| {
             assert!(report.outcome.condition_met(), "collision was never detected on {engine}");
             report.parallel_time().value()
-        })
+        };
+        spec.run().unwrap().iter().map(report_time).collect()
     };
     let exact = times(Engine::Exact, 41);
     let interned = times(Engine::Batched, 83);
