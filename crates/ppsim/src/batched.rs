@@ -1726,7 +1726,7 @@ impl Engine {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::protocol::Protocol;
 
@@ -2108,12 +2108,13 @@ mod tests {
         );
     }
 
-    /// Scheduler-layer tests, each run over both state indices: Fratricide
-    /// over the enumerated index and, through [`crate::AsInterned`], over
-    /// the interned one (where the follower state is interned first-seen).
-    mod scheduled {
+    /// Scheduler-layer tests. Each behaviour has one `check_*` body, generic
+    /// over the count protocol; the tests here run it over the enumerated
+    /// index, and `interned::tests::scheduled` runs the same bodies over the
+    /// interned index through [`crate::AsInterned`] (where the follower
+    /// state is interned first-seen).
+    pub(crate) mod scheduled {
         use super::*;
-        use crate::interned::AsInterned;
         use crate::scheduler::{PairRates, Topology};
 
         const BUDGET: u64 = u64::MAX >> 8;
@@ -2131,168 +2132,196 @@ mod tests {
             CountSimulation::try_new_scheduled(protocol, init, seed, scheduler)
         }
 
+        /// Fratricide over the enumerated index, for the interned-index tests
+        /// to wrap in [`crate::AsInterned`].
+        pub(crate) fn frat(n: usize) -> impl CountProtocol<State = u8> + Clone + Sync {
+            Frat { n }
+        }
+
+        pub(crate) fn check_graph_schedulers_are_rejected<P>(protocol: P, engine: &str)
+        where
+            P: CountProtocol<State = u8> + Clone + Sync,
+        {
+            for (topology, label) in [(Topology::Ring, "ring"), (Topology::Star, "star")] {
+                let graph = InteractionScheduler::GraphRestricted(topology);
+                let init = Configuration::uniform(0u8, 8);
+                let err = new_scheduled(protocol.clone(), &init, 1, &graph).err().unwrap();
+                assert!(
+                    matches!(&err, SimError::SchedulerNeedsIdentities { scheduler, engine: e }
+                        if scheduler == label && *e == engine),
+                    "{err}"
+                );
+                let err = crate::runspec::RunSpec::new(protocol.clone())
+                    .engine(Engine::Batched)
+                    .init(init)
+                    .scheduler(graph)
+                    .run_one()
+                    .unwrap_err();
+                assert!(matches!(err, SimError::SchedulerNeedsIdentities { .. }));
+            }
+        }
+
+        pub(crate) fn check_zero_rate_schedulers_are_rejected<P: CountProtocol<State = u8>>(
+            protocol: P,
+        ) {
+            let dead = InteractionScheduler::WeightedPairs(PairRates::new(0));
+            let init = Configuration::uniform(0u8, 8);
+            let err = new_scheduled(protocol, &init, 1, &dead).err().unwrap();
+            assert_eq!(err, SimError::ZeroRateScheduler);
+        }
+
+        /// The spec runner always goes through the scheduled constructor;
+        /// under the uniform scheduler it must reproduce the plain
+        /// constructor's trajectory bit for bit.
+        pub(crate) fn check_scheduled_uniform_is_trajectory_identical<P>(protocol: P)
+        where
+            P: CountProtocol<State = u8> + Clone + Sync,
+        {
+            for seed in [1u64, 4, 9, 17, 23] {
+                let init = Configuration::uniform(0u8, 30);
+                let mut plain = CountSimulation::<P, P::Index>::new(protocol.clone(), &init, seed);
+                let outcome = plain.run_until_silent(BUDGET);
+                let uniform = InteractionScheduler::Uniform;
+                let mut scheduled = new_scheduled(protocol.clone(), &init, seed, &uniform).unwrap();
+                assert_eq!(scheduled.run_until_silent(BUDGET), outcome);
+                assert_eq!(scheduled.to_configuration(), plain.to_configuration());
+                let spec = crate::runspec::RunSpec::new(protocol.clone())
+                    .engine(Engine::Batched)
+                    .init(init)
+                    .seed(seed)
+                    .budget(BUDGET)
+                    .run_one()
+                    .unwrap();
+                assert_eq!(spec.outcome, outcome);
+                assert_eq!(spec.final_config, plain.to_configuration());
+            }
+        }
+
+        /// On the interned index the follower state appears only at run
+        /// time, so its rates are consulted through the interner.
+        pub(crate) fn check_weighted_runs_silence<P: CountProtocol<State = u8>>(protocol: P) {
+            let rates = PairRates::new(1).with_rate(0u8, 0u8, 7);
+            let scheduler = InteractionScheduler::WeightedPairs(rates);
+            let init = Configuration::uniform(0u8, 40);
+            let mut sim = new_scheduled(protocol, &init, 3, &scheduler).unwrap();
+            assert!(sim.run_until_silent(BUDGET).is_silent());
+            assert_eq!(leaders(&sim.to_configuration()), 1);
+            assert_eq!(sim.active_pairs(), sim.recount_active_pairs());
+        }
+
+        /// Fratricide's only non-null pair at rate 0: every configuration is
+        /// silent for the weighted scheduler, active for the uniform.
+        pub(crate) fn check_rate_zero_pairs_make_silence_scheduler_relative<P>(protocol: P)
+        where
+            P: CountProtocol<State = u8> + Clone,
+        {
+            let rates = PairRates::new(1).with_rate(0u8, 0u8, 0);
+            let scheduler = InteractionScheduler::WeightedPairs(rates);
+            let init = Configuration::uniform(0u8, 10);
+            let sim = new_scheduled(protocol.clone(), &init, 1, &scheduler).unwrap();
+            assert!(sim.is_silent());
+            assert!(!CountSimulation::<P, P::Index>::new(protocol, &init, 1).is_silent());
+        }
+
+        /// Under a non-uniform scheduler, `Engine::BatchedCounts` must not
+        /// sample the (uniform-law) batch-count epochs: it falls back to
+        /// per-transition sampling, counted, and the trajectory is exactly
+        /// the per-transition engine's.
+        pub(crate) fn check_batchcount_weighted_fallback<P>(protocol: P)
+        where
+            P: CountProtocol<State = u8> + Clone,
+        {
+            let rates = PairRates::new(1).with_rate(0u8, 0u8, 4);
+            let scheduler = InteractionScheduler::WeightedPairs(rates);
+            let init = Configuration::uniform(0u8, 50);
+            for seed in [2u64, 5, 6, 29, 31] {
+                let sim = |mode| {
+                    new_scheduled(protocol.clone(), &init, seed, &scheduler)
+                        .unwrap()
+                        .with_sampling_mode(mode)
+                };
+                let mut per_transition = sim(SamplingMode::PerTransition);
+                let mut batchcount = sim(SamplingMode::BatchCount);
+                let a = per_transition.run_until_silent(BUDGET);
+                let b = batchcount.run_until_silent(BUDGET);
+                assert_eq!(a, b, "seed {seed}");
+                assert_eq!(
+                    per_transition.to_configuration(),
+                    batchcount.to_configuration(),
+                    "seed {seed}"
+                );
+                assert!(
+                    batchcount.counters().get(Counter::SchedulerFallbacks) > 0,
+                    "fallback diagnostic must count the diverted batches"
+                );
+                assert_eq!(per_transition.counters().get(Counter::SchedulerFallbacks), 0);
+            }
+        }
+
+        /// `joins` may carry states the index has not seen yet (only the
+        /// interned index admits those).
+        pub(crate) fn check_churn_keeps_weighted_row_weights_consistent<P>(
+            protocol: P,
+            joins: &[u8],
+        ) -> Configuration<u8>
+        where
+            P: CountProtocol<State = u8>,
+        {
+            use rand::SeedableRng;
+            let rates = PairRates::new(2).with_rate(0u8, 0u8, 5);
+            let scheduler = InteractionScheduler::WeightedPairs(rates);
+            let init = Configuration::uniform(0u8, 20);
+            let mut rng = ChaCha8Rng::seed_from_u64(8);
+            let mut sim = new_scheduled(protocol, &init, 8, &scheduler).unwrap();
+            sim.run_until_silent(BUDGET);
+            sim.join(joins);
+            assert_eq!(sim.population_size(), 24);
+            assert_eq!(sim.active_pairs(), sim.recount_active_pairs());
+            sim.leave(10, &mut rng);
+            assert_eq!(sim.population_size(), 14);
+            assert_eq!(sim.active_pairs(), sim.recount_active_pairs());
+            assert!(sim.run_until_silent(BUDGET).is_silent());
+            let config = sim.to_configuration();
+            assert!(leaders(&config) <= 1);
+            config
+        }
+
         #[test]
         fn graph_schedulers_are_rejected_with_a_typed_error() {
-            fn check<P: CountProtocol<State = u8> + Clone + Sync>(protocol: P, engine: &str) {
-                for (topology, label) in [(Topology::Ring, "ring"), (Topology::Star, "star")] {
-                    let graph = InteractionScheduler::GraphRestricted(topology);
-                    let init = Configuration::uniform(0u8, 8);
-                    let err = new_scheduled(protocol.clone(), &init, 1, &graph).err().unwrap();
-                    assert!(
-                        matches!(&err, SimError::SchedulerNeedsIdentities { scheduler, engine: e }
-                            if scheduler == label && *e == engine),
-                        "{err}"
-                    );
-                    let err = crate::runspec::RunSpec::new(protocol.clone())
-                        .engine(Engine::Batched)
-                        .init(init)
-                        .scheduler(graph)
-                        .run_one()
-                        .unwrap_err();
-                    assert!(matches!(err, SimError::SchedulerNeedsIdentities { .. }));
-                }
-            }
-            check(Frat { n: 8 }, "batched");
-            check(AsInterned(Frat { n: 8 }), "interned");
+            check_graph_schedulers_are_rejected(Frat { n: 8 }, "batched");
         }
 
         #[test]
         fn zero_rate_schedulers_are_rejected() {
-            fn check<P: CountProtocol<State = u8>>(protocol: P) {
-                let dead = InteractionScheduler::WeightedPairs(PairRates::new(0));
-                let init = Configuration::uniform(0u8, 8);
-                let err = new_scheduled(protocol, &init, 1, &dead).err().unwrap();
-                assert_eq!(err, SimError::ZeroRateScheduler);
-            }
-            check(Frat { n: 8 });
-            check(AsInterned(Frat { n: 8 }));
+            check_zero_rate_schedulers_are_rejected(Frat { n: 8 });
         }
 
         #[test]
         fn scheduled_uniform_is_trajectory_identical_to_plain() {
-            // The spec runner always goes through the scheduled constructor;
-            // pin that under the uniform scheduler it reproduces the plain
-            // constructor's trajectory bit for bit.
-            fn check<P: CountProtocol<State = u8> + Clone + Sync>(protocol: P) {
-                for seed in [1u64, 4, 9, 17, 23] {
-                    let init = Configuration::uniform(0u8, 30);
-                    let mut plain =
-                        CountSimulation::<P, P::Index>::new(protocol.clone(), &init, seed);
-                    let outcome = plain.run_until_silent(BUDGET);
-                    let uniform = InteractionScheduler::Uniform;
-                    let mut scheduled =
-                        new_scheduled(protocol.clone(), &init, seed, &uniform).unwrap();
-                    assert_eq!(scheduled.run_until_silent(BUDGET), outcome);
-                    assert_eq!(scheduled.to_configuration(), plain.to_configuration());
-                    let spec = crate::runspec::RunSpec::new(protocol.clone())
-                        .engine(Engine::Batched)
-                        .init(init)
-                        .seed(seed)
-                        .budget(BUDGET)
-                        .run_one()
-                        .unwrap();
-                    assert_eq!(spec.outcome, outcome);
-                    assert_eq!(spec.final_config, plain.to_configuration());
-                }
-            }
-            check(Frat { n: 30 });
-            check(AsInterned(Frat { n: 30 }));
+            check_scheduled_uniform_is_trajectory_identical(Frat { n: 30 });
         }
 
         #[test]
         fn weighted_runs_silence_on_both_backends() {
-            // On the interned index the follower state appears only at run
-            // time, so its rates are consulted through the interner.
-            fn check<P: CountProtocol<State = u8>>(protocol: P) {
-                let rates = PairRates::new(1).with_rate(0u8, 0u8, 7);
-                let scheduler = InteractionScheduler::WeightedPairs(rates);
-                let init = Configuration::uniform(0u8, 40);
-                let mut sim = new_scheduled(protocol, &init, 3, &scheduler).unwrap();
-                assert!(sim.run_until_silent(BUDGET).is_silent());
-                assert_eq!(leaders(&sim.to_configuration()), 1);
-                assert_eq!(sim.active_pairs(), sim.recount_active_pairs());
-            }
-            check(Frat { n: 40 });
-            check(ForceDense(Frat { n: 40 }));
-            check(AsInterned(Frat { n: 40 }));
+            check_weighted_runs_silence(Frat { n: 40 });
+            check_weighted_runs_silence(ForceDense(Frat { n: 40 }));
         }
 
         #[test]
         fn rate_zero_pairs_make_silence_scheduler_relative() {
-            // Fratricide's only non-null pair at rate 0: every configuration
-            // is silent for the weighted scheduler, active for the uniform.
-            fn check<P: CountProtocol<State = u8> + Clone>(protocol: P) {
-                let rates = PairRates::new(1).with_rate(0u8, 0u8, 0);
-                let scheduler = InteractionScheduler::WeightedPairs(rates);
-                let init = Configuration::uniform(0u8, 10);
-                let sim = new_scheduled(protocol.clone(), &init, 1, &scheduler).unwrap();
-                assert!(sim.is_silent());
-                assert!(!CountSimulation::<P, P::Index>::new(protocol, &init, 1).is_silent());
-            }
-            check(Frat { n: 10 });
-            check(AsInterned(Frat { n: 10 }));
+            check_rate_zero_pairs_make_silence_scheduler_relative(Frat { n: 10 });
         }
 
-        // Under a non-uniform scheduler, `Engine::BatchedCounts` must not
-        // sample the (uniform-law) batch-count epochs — it falls back to
-        // per-transition sampling, counted, and the trajectory is exactly
-        // the per-transition engine's.
         #[test]
         fn batchcount_weighted_fallback_is_trajectory_equal_to_batched() {
-            fn check<P: CountProtocol<State = u8> + Clone>(protocol: P) {
-                let rates = PairRates::new(1).with_rate(0u8, 0u8, 4);
-                let scheduler = InteractionScheduler::WeightedPairs(rates);
-                let init = Configuration::uniform(0u8, 50);
-                for seed in [2u64, 5, 6, 29, 31] {
-                    let sim = |mode| {
-                        new_scheduled(protocol.clone(), &init, seed, &scheduler)
-                            .unwrap()
-                            .with_sampling_mode(mode)
-                    };
-                    let mut per_transition = sim(SamplingMode::PerTransition);
-                    let mut batchcount = sim(SamplingMode::BatchCount);
-                    let a = per_transition.run_until_silent(BUDGET);
-                    let b = batchcount.run_until_silent(BUDGET);
-                    assert_eq!(a, b, "seed {seed}");
-                    assert_eq!(
-                        per_transition.to_configuration(),
-                        batchcount.to_configuration(),
-                        "seed {seed}"
-                    );
-                    assert!(
-                        batchcount.counters().get(Counter::SchedulerFallbacks) > 0,
-                        "fallback diagnostic must count the diverted batches"
-                    );
-                    assert_eq!(per_transition.counters().get(Counter::SchedulerFallbacks), 0);
-                }
-            }
-            check(Frat { n: 50 });
-            check(AsInterned(Frat { n: 50 }));
+            check_batchcount_weighted_fallback(Frat { n: 50 });
         }
 
         #[test]
         fn churn_keeps_weighted_row_weights_consistent() {
-            // `joins` may carry states the index has not seen yet (only the
-            // interned index admits those).
-            fn check<P: CountProtocol<State = u8>>(protocol: P, joins: &[u8]) {
-                use rand::SeedableRng;
-                let rates = PairRates::new(2).with_rate(0u8, 0u8, 5);
-                let scheduler = InteractionScheduler::WeightedPairs(rates);
-                let init = Configuration::uniform(0u8, 20);
-                let mut rng = ChaCha8Rng::seed_from_u64(8);
-                let mut sim = new_scheduled(protocol, &init, 8, &scheduler).unwrap();
-                sim.run_until_silent(BUDGET);
-                sim.join(joins);
-                assert_eq!(sim.population_size(), 24);
-                assert_eq!(sim.active_pairs(), sim.recount_active_pairs());
-                sim.leave(10, &mut rng);
-                assert_eq!(sim.population_size(), 14);
-                assert_eq!(sim.active_pairs(), sim.recount_active_pairs());
-                assert!(sim.run_until_silent(BUDGET).is_silent());
-                assert!(leaders(&sim.to_configuration()) <= 1);
-            }
-            check(Frat { n: 20 }, &[0, 0, 0, 0]);
-            check(AsInterned(Frat { n: 20 }), &[0, 0, 7, 9]);
+            let config =
+                check_churn_keeps_weighted_row_weights_consistent(Frat { n: 20 }, &[0, 0, 0, 0]);
+            assert_eq!(leaders(&config), 1);
         }
     }
 }

@@ -678,4 +678,60 @@ mod tests {
             assert_eq!(counts(&with), other);
         }
     }
+
+    /// The scheduler-layer tests over the interned index: each runs the
+    /// shared body from `batched::tests::scheduled` on Fratricide through
+    /// [`AsInterned`], so the follower state is interned first-seen.
+    mod scheduled {
+        use super::*;
+        use crate::batched::tests::scheduled::*;
+        use crate::scheduler::{InteractionScheduler, PairRates};
+
+        #[test]
+        fn graph_schedulers_are_rejected_with_a_typed_error() {
+            check_graph_schedulers_are_rejected(AsInterned(frat(8)), "interned");
+        }
+
+        #[test]
+        fn zero_rate_schedulers_are_rejected() {
+            check_zero_rate_schedulers_are_rejected(AsInterned(frat(8)));
+        }
+
+        #[test]
+        fn scheduled_uniform_is_trajectory_identical_to_plain() {
+            check_scheduled_uniform_is_trajectory_identical(AsInterned(frat(30)));
+        }
+
+        #[test]
+        fn weighted_runs_silence_on_open_state_spaces() {
+            check_weighted_runs_silence(AsInterned(frat(40)));
+            // Merge's non-null pairs are (w, w): boost them all via the
+            // default rate and pin a specific pair higher. Every state past
+            // the first appears only at run time.
+            let rates = PairRates::new(1).with_rate(1u64, 1u64, 6);
+            let scheduler = InteractionScheduler::WeightedPairs(rates);
+            let init = Configuration::uniform(1u64, 32);
+            let mut sim =
+                InternedSimulation::try_new_scheduled(Merge { n: 32 }, &init, 5, &scheduler)
+                    .unwrap();
+            assert!(sim.run_until_silent(u64::MAX >> 8).is_silent());
+            assert_eq!(sim.to_configuration().iter().copied().max(), Some(32));
+            assert_eq!(sim.active_pairs(), sim.recount_active_pairs());
+        }
+
+        #[test]
+        fn rate_zero_pairs_make_silence_scheduler_relative() {
+            check_rate_zero_pairs_make_silence_scheduler_relative(AsInterned(frat(10)));
+        }
+
+        #[test]
+        fn batchcount_weighted_fallback_is_trajectory_equal_to_per_transition() {
+            check_batchcount_weighted_fallback(AsInterned(frat(50)));
+        }
+
+        #[test]
+        fn churn_keeps_weighted_row_weights_consistent() {
+            check_churn_keeps_weighted_row_weights_consistent(AsInterned(frat(20)), &[0, 0, 7, 9]);
+        }
+    }
 }
