@@ -113,13 +113,6 @@ pub fn sublinear_log_time_shape(n: usize) -> f64 {
     (n as f64).ln()
 }
 
-/// Expected parallel time shape for the binary-tree rank assignment process
-/// (Lemma 4.1): `O(n)` — the constant in the proof's level-by-level argument
-/// is modest, the sum over levels is `O(Σ 2^d) = O(n)`.
-pub fn binary_tree_assignment_time_shape(n: usize) -> f64 {
-    n as f64
-}
-
 /// The per-bit expected slowdown of the synthetic-coin construction
 /// (Section 6): an agent needing a random bit waits an expected 4 interactions
 /// for an `Alg`/`Flip` meeting, so harvesting `b` bits takes about `4·b` of

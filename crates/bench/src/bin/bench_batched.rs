@@ -16,34 +16,14 @@
 //! cargo run --release -p bench --bin bench_batched -- --quick # CI smoke
 //! ```
 
-use bench::Engine;
-use ppsim::{BatchedSimulation, Simulation};
+use bench::perf::{write_bench, Json};
+use bench::{measure, take_start, Engine, Measurement};
+use ppsim::{BatchedSimulation, Configuration, Counter, Simulation};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use ssle::SilentNStateSsr;
-use std::fmt::Write as _;
-use std::time::Instant;
+use ssle::{SilentNStateSsr, SilentRank};
 
-/// One engine's aggregate measurement at one population size.
-struct Measurement {
-    n: usize,
-    engine: Engine,
-    trials: usize,
-    mean_wall_s: f64,
-    mean_interactions: f64,
-    /// Non-null transitions actually applied (batched engine only).
-    mean_transitions: Option<f64>,
-    /// Whether the engine ran to silence (vs. a capped calibration run).
-    to_silence: bool,
-}
-
-impl Measurement {
-    fn ns_per_interaction(&self) -> f64 {
-        self.mean_wall_s * 1e9 / self.mean_interactions
-    }
-}
-
-fn random_config(n: usize, seed: u64) -> (SilentNStateSsr, ppsim::Configuration<ssle::SilentRank>) {
+fn random_config(n: usize, seed: u64) -> (SilentNStateSsr, Configuration<SilentRank>) {
     let protocol = SilentNStateSsr::new(n);
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xA5A5);
     (protocol, protocol.random_configuration(&mut rng))
@@ -51,74 +31,35 @@ fn random_config(n: usize, seed: u64) -> (SilentNStateSsr, ppsim::Configuration<
 
 /// Batched engine, to silence.
 fn measure_batched(n: usize, trials: usize) -> Measurement {
-    let mut wall = 0.0;
-    let mut interactions = 0.0;
-    let mut transitions = 0.0;
-    for trial in 0..trials {
-        let (protocol, config) = random_config(n, trial as u64);
-        let start = Instant::now();
-        let mut sim = BatchedSimulation::new(protocol, &config, trial as u64);
-        // Silence from a random configuration costs ~n³/2 interactions
-        // (5·10¹⁷ at n = 10⁶), so give the counter almost the full u64 range.
-        let outcome = sim.run_until_silent(u64::MAX >> 1);
-        assert!(outcome.is_silent());
-        wall += start.elapsed().as_secs_f64();
-        interactions += sim.interactions().count() as f64;
-        transitions += sim.transitions() as f64;
-    }
-    let t = trials as f64;
-    Measurement {
-        n,
-        engine: Engine::Batched,
+    measure(
         trials,
-        mean_wall_s: wall / t,
-        mean_interactions: interactions / t,
-        mean_transitions: Some(transitions / t),
-        to_silence: true,
-    }
+        |seed| random_config(n, seed),
+        |(protocol, config), seed| {
+            let mut sim = BatchedSimulation::new(*protocol, config, seed);
+            // Silence from a random configuration costs ~n³/2 interactions
+            // (5·10¹⁷ at n = 10⁶), so give the counter almost the full u64 range.
+            assert!(sim.run_until_silent(u64::MAX >> 1).is_silent());
+            sim
+        },
+    )
 }
 
-/// Exact engine, to silence (only feasible at moderate n).
-fn measure_exact_to_silence(n: usize, trials: usize) -> Measurement {
-    let mut wall = 0.0;
-    let mut interactions = 0.0;
-    for trial in 0..trials {
-        let (protocol, config) = random_config(n, trial as u64);
-        let start = Instant::now();
-        let mut sim = Simulation::new(protocol, config, trial as u64);
-        let outcome = sim.run_until_silent(u64::MAX >> 8);
-        assert!(outcome.is_silent());
-        wall += start.elapsed().as_secs_f64();
-        interactions += sim.interactions().count() as f64;
-    }
-    let t = trials as f64;
-    Measurement {
-        n,
-        engine: Engine::Exact,
+/// Exact engine: to silence over `trials` trials (only feasible at
+/// moderate n), or, with a `cap`, one capped calibration run measuring
+/// ns/interaction.
+fn measure_exact(n: usize, trials: usize, cap: Option<u64>) -> Measurement {
+    measure(
         trials,
-        mean_wall_s: wall / t,
-        mean_interactions: interactions / t,
-        mean_transitions: None,
-        to_silence: true,
-    }
-}
-
-/// Exact engine, capped calibration run measuring ns/interaction.
-fn measure_exact_capped(n: usize, budget: u64) -> Measurement {
-    let (protocol, config) = random_config(n, 0);
-    let start = Instant::now();
-    let mut sim = Simulation::new(protocol, config, 0);
-    sim.run_for(budget);
-    let wall = start.elapsed().as_secs_f64();
-    Measurement {
-        n,
-        engine: Engine::Exact,
-        trials: 1,
-        mean_wall_s: wall,
-        mean_interactions: budget as f64,
-        mean_transitions: None,
-        to_silence: false,
-    }
+        |seed| random_config(n, seed),
+        |(protocol, config), seed| {
+            let mut sim = Simulation::new(*protocol, take_start(config), seed);
+            match cap {
+                Some(budget) => sim.run_for(budget),
+                None => assert!(sim.run_until_silent(u64::MAX >> 8).is_silent()),
+            }
+            sim
+        },
+    )
 }
 
 fn main() {
@@ -135,76 +76,65 @@ fn main() {
         &[(1_000, 5, true), (10_000, 5, false), (100_000, 3, false), (1_000_000, 2, false)]
     };
 
-    let mut rows: Vec<(Measurement, Measurement)> = Vec::new();
-    for &(n, trials, exact_to_silence) in sweep {
+    let mut rows = Vec::new();
+    for &(n, trials, to_silence) in sweep {
         eprintln!("measuring n = {n} ...");
         let batched = measure_batched(n, trials);
-        let exact = if exact_to_silence {
-            measure_exact_to_silence(n, trials.min(2))
+        let exact = if to_silence {
+            measure_exact(n, trials.min(2), None)
         } else {
             // Calibrate the per-interaction rate on 20M interactions.
-            measure_exact_capped(n, 20_000_000)
+            measure_exact(n, 1, Some(20_000_000))
         };
-        rows.push((exact, batched));
-    }
-
-    let mut json = String::new();
-    json.push_str("{\n  \"schema\": \"bench_batched/v1\",\n");
-    json.push_str("  \"protocol\": \"SilentNStateSsr\",\n");
-    json.push_str("  \"workload\": \"uniformly random configuration, run to silence\",\n");
-    let _ = writeln!(json, "  \"quick\": {quick},");
-    json.push_str("  \"results\": [\n");
-    for (i, (exact, batched)) in rows.iter().enumerate() {
-        for m in [exact, batched] {
-            let _ = write!(
-                json,
-                "    {{\"n\": {}, \"engine\": \"{}\", \"trials\": {}, \
-                 \"mean_wall_s\": {:.6}, \"mean_interactions\": {:.1}, \
-                 \"ns_per_interaction\": {:.3}, \"to_silence\": {}",
-                m.n,
-                m.engine,
-                m.trials,
-                m.mean_wall_s,
-                m.mean_interactions,
-                m.ns_per_interaction(),
-                m.to_silence,
-            );
-            if let Some(tr) = m.mean_transitions {
-                let _ = write!(json, ", \"mean_transitions\": {tr:.1}");
-            }
-            json.push_str("},\n");
-        }
         // Speedup row: wall-clock to silence, exact vs batched. When the
         // exact engine only ran a capped calibration, extrapolate its
         // to-silence wall clock from its measured per-interaction rate and
         // the batched engine's (exactly distributed) interaction count.
-        let exact_to_silence_wall = if exact.to_silence {
+        let exact_to_silence_wall = if to_silence {
             exact.mean_wall_s
         } else {
             batched.mean_interactions * exact.ns_per_interaction() / 1e9
         };
         let speedup = exact_to_silence_wall / batched.mean_wall_s;
-        let _ = write!(
-            json,
-            "    {{\"n\": {}, \"engine\": \"speedup\", \"exact_wall_s\": {:.6}, \
-             \"batched_wall_s\": {:.6}, \"speedup\": {:.1}, \"exact_extrapolated\": {}}}",
-            exact.n, exact_to_silence_wall, batched.mean_wall_s, speedup, !exact.to_silence
-        );
-        json.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });
+        let transitions = batched.mean(Counter::Transitions);
+        for (m, engine) in [(&exact, Engine::Exact), (&batched, Engine::Batched)] {
+            let mut row = m.row(n, engine);
+            row.insert("ns_per_interaction", m.ns_per_interaction());
+            row.insert("to_silence", to_silence || engine == Engine::Batched);
+            if engine == Engine::Batched {
+                row.insert("mean_transitions", transitions);
+            }
+            rows.push(row);
+        }
+        rows.push(Json::object([
+            ("n", n.into()),
+            ("engine", "speedup".into()),
+            ("exact_wall_s", exact_to_silence_wall.into()),
+            ("batched_wall_s", batched.mean_wall_s.into()),
+            ("speedup", speedup.into()),
+            ("exact_extrapolated", (!to_silence).into()),
+        ]));
         println!(
             "n = {:>8}: exact {:>12.4} s{} | batched {:>9.4} s ({} transitions for {} \
              interactions) | speedup {:>8.1}x",
-            exact.n,
+            n,
             exact_to_silence_wall,
-            if exact.to_silence { "  " } else { " *" },
+            if to_silence { "  " } else { " *" },
             batched.mean_wall_s,
-            batched.mean_transitions.unwrap_or(0.0) as u64,
+            transitions as u64,
             batched.mean_interactions as u64,
             speedup
         );
     }
-    json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_batched.json", &json).expect("write BENCH_batched.json");
-    eprintln!("wrote BENCH_batched.json{}", if quick { " (quick mode)" } else { "" });
+    write_bench(
+        "BENCH_batched.json",
+        &[
+            ("schema", "bench_batched/v1".into()),
+            ("protocol", "SilentNStateSsr".into()),
+            ("workload", "uniformly random configuration, run to silence".into()),
+            ("quick", quick.into()),
+        ],
+        &rows,
+    );
     println!("(* = exact to-silence wall clock extrapolated from a capped calibration run)");
 }

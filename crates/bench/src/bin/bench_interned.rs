@@ -26,63 +26,19 @@
 //! cargo run --release -p bench --bin bench_interned -- --quick # CI smoke
 //! ```
 
-use bench::Engine;
-use ppsim::{InternedSimulation, Simulation};
+use bench::perf::{write_bench, Json};
+use bench::{measure, take_start, Engine, Measurement};
+use ppsim::{Configuration, Counter, InternedSimulation, Simulation};
 use processes::RollCall;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use ssle::params::SublinearParams;
 use ssle::{SublinearState, SublinearTimeSsr};
-use std::fmt::Write as _;
-use std::time::Instant;
-
-/// One engine's aggregate measurement at one population size.
-struct Measurement {
-    engine: Engine,
-    trials: usize,
-    mean_wall_s: f64,
-    mean_interactions: f64,
-    /// Non-null transitions actually applied (interned engine only).
-    mean_transitions: Option<f64>,
-}
-
-/// One workload row: the two engines head-to-head.
-struct Row {
-    workload: &'static str,
-    n: usize,
-    exact: Measurement,
-    interned: Measurement,
-}
-
-impl Row {
-    /// Direct wall-clock ratio of the two measurements. The engines draw
-    /// independent trajectories, so this conflates per-interaction cost with
-    /// draw luck (the detection wait is a bare geometric).
-    fn speedup(&self) -> f64 {
-        self.exact.mean_wall_s / self.interned.mean_wall_s
-    }
-
-    /// The exact engine's measured cost per interaction.
-    fn exact_ns_per_interaction(&self) -> f64 {
-        self.exact.mean_wall_s * 1e9 / self.exact.mean_interactions
-    }
-
-    /// Draw-luck-corrected speedup: what the exact engine would have paid
-    /// for the interned trials' own (exactly distributed) interaction
-    /// counts, at its measured per-interaction rate, over the interned
-    /// wall clock — the same normalization `bench_batched` uses for its
-    /// extrapolated rows.
-    fn normalized_speedup(&self) -> f64 {
-        let exact_wall_for_same_draws =
-            self.interned.mean_interactions * self.exact_ns_per_interaction() / 1e9;
-        exact_wall_for_same_draws / self.interned.mean_wall_s
-    }
-}
 
 fn merged_collision_setup(
     n: usize,
     seed: u64,
-) -> (SublinearTimeSsr, ppsim::Configuration<SublinearState>) {
+) -> (SublinearTimeSsr, Configuration<SublinearState>) {
     let protocol = SublinearTimeSsr::new(SublinearParams::recommended(n, 0));
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x11AD);
     let config = protocol.merged_collision_configuration(2, &mut rng);
@@ -92,92 +48,53 @@ fn merged_collision_setup(
 /// Detection latency (first reset trigger) of the merged-collision family at
 /// `H = 0`, on the exact engine.
 fn detection_exact(n: usize, trials: usize) -> Measurement {
-    let mut wall = 0.0;
-    let mut interactions = 0.0;
-    for trial in 0..trials {
-        let (protocol, config) = merged_collision_setup(n, trial as u64);
-        let start = Instant::now();
-        let mut sim = Simulation::new(protocol, config, trial as u64);
-        let outcome = sim.run_until(SublinearTimeSsr::any_resetting, u64::MAX >> 8);
-        assert!(outcome.condition_met());
-        wall += start.elapsed().as_secs_f64();
-        interactions += sim.interactions().count() as f64;
-    }
-    let t = trials as f64;
-    Measurement {
-        engine: Engine::Exact,
+    measure(
         trials,
-        mean_wall_s: wall / t,
-        mean_interactions: interactions / t,
-        mean_transitions: None,
-    }
+        |seed| merged_collision_setup(n, seed),
+        |(protocol, config), seed| {
+            let mut sim = Simulation::new(*protocol, take_start(config), seed);
+            let outcome = sim.run_until(SublinearTimeSsr::any_resetting, u64::MAX >> 8);
+            assert!(outcome.condition_met());
+            sim
+        },
+    )
 }
 
 /// Same detection workload on the interned engine, with a count-based
 /// predicate so the measurement is not dominated by materializing per-agent
 /// configurations the engine does not otherwise need.
 fn detection_interned(n: usize, trials: usize) -> Measurement {
-    let mut wall = 0.0;
-    let mut interactions = 0.0;
-    let mut transitions = 0.0;
-    for trial in 0..trials {
-        let (protocol, config) = merged_collision_setup(n, trial as u64);
-        let start = Instant::now();
-        let mut sim = InternedSimulation::new(protocol, &config, trial as u64);
-        let outcome = sim.run_until_counts(
-            |s| s.state_counts().any(|(state, _)| state.is_resetting()),
-            u64::MAX >> 8,
-        );
-        assert!(outcome.condition_met());
-        wall += start.elapsed().as_secs_f64();
-        interactions += sim.interactions().count() as f64;
-        transitions += sim.transitions() as f64;
-    }
-    let t = trials as f64;
-    Measurement {
-        engine: Engine::Batched,
+    measure(
         trials,
-        mean_wall_s: wall / t,
-        mean_interactions: interactions / t,
-        mean_transitions: Some(transitions / t),
-    }
+        |seed| merged_collision_setup(n, seed),
+        |(protocol, config), seed| {
+            let mut sim = InternedSimulation::new(*protocol, config, seed);
+            let outcome = sim.run_until_counts(
+                |s| s.state_counts().any(|(state, _)| state.is_resetting()),
+                u64::MAX >> 8,
+            );
+            assert!(outcome.condition_met());
+            sim
+        },
+    )
 }
 
-/// Roll-call completion (= silence) on either engine.
+/// Roll-call completion (= silence) on the exact or the interned engine.
 fn roll_call_measure(n: usize, trials: usize, engine: Engine) -> Measurement {
-    let mut wall = 0.0;
-    let mut interactions = 0.0;
-    let mut transitions = None;
-    for trial in 0..trials {
-        let protocol = RollCall::new(n);
-        let config = protocol.initial_configuration();
-        let start = Instant::now();
-        match engine {
-            Engine::Exact => {
-                let mut sim = Simulation::new(protocol, config, trial as u64);
-                let outcome = sim.run_until_silent(u64::MAX >> 8);
-                assert!(outcome.is_silent());
-                wall += start.elapsed().as_secs_f64();
-                interactions += outcome.interactions.count() as f64;
-            }
-            Engine::Batched | Engine::BatchedCounts => {
-                let mut sim = InternedSimulation::new(protocol, &config, trial as u64)
-                    .with_sampling_mode(engine.sampling_mode());
-                let outcome = sim.run_until_silent(u64::MAX >> 8);
-                assert!(outcome.is_silent());
-                wall += start.elapsed().as_secs_f64();
-                interactions += outcome.interactions.count() as f64;
-                *transitions.get_or_insert(0.0) += sim.transitions() as f64;
-            }
-        }
-    }
-    let t = trials as f64;
-    Measurement {
-        engine,
-        trials,
-        mean_wall_s: wall / t,
-        mean_interactions: interactions / t,
-        mean_transitions: transitions.map(|x| x / t),
+    let protocol = RollCall::new(n);
+    let start = |_| protocol.initial_configuration();
+    match engine {
+        Engine::Exact => measure(trials, start, |config, seed| {
+            let mut sim = Simulation::new(protocol, take_start(config), seed);
+            assert!(sim.run_until_silent(u64::MAX >> 8).is_silent());
+            sim
+        }),
+        Engine::Batched | Engine::BatchedCounts => measure(trials, start, |config, seed| {
+            let mut sim = InternedSimulation::new(protocol, config, seed)
+                .with_sampling_mode(engine.sampling_mode());
+            assert!(sim.run_until_silent(u64::MAX >> 8).is_silent());
+            sim
+        }),
     }
 }
 
@@ -188,7 +105,8 @@ fn main() {
     let roll_call_sweep: &[(usize, usize)] =
         if quick { &[(250, 3)] } else { &[(250, 5), (1_000, 3)] };
 
-    let mut rows: Vec<Row> = Vec::new();
+    // (workload, n, exact, interned): the two engines head-to-head.
+    let mut pairs: Vec<(&str, usize, Measurement, Measurement)> = Vec::new();
     for &(n, trials) in detection_sweep {
         eprintln!("measuring sublinear merged-collision detection, n = {n} ...");
         // The exact engine pays ~n clone work per skipped-by-nobody null
@@ -196,68 +114,68 @@ fn main() {
         // trial count; the detection wait is a bare geometric, so two trials
         // already pin the scale.
         let exact_trials = if n >= 1_000 { trials.min(2) } else { trials };
-        rows.push(Row {
-            workload: "sublinear-ssr merged-collision detection (H = 0)",
+        pairs.push((
+            "sublinear-ssr merged-collision detection (H = 0)",
             n,
-            exact: detection_exact(n, exact_trials),
-            interned: detection_interned(n, trials),
-        });
+            detection_exact(n, exact_trials),
+            detection_interned(n, trials),
+        ));
     }
     for &(n, trials) in roll_call_sweep {
         eprintln!("measuring roll call, n = {n} ...");
-        rows.push(Row {
-            workload: "roll-call completion (R_n)",
+        pairs.push((
+            "roll-call completion (R_n)",
             n,
-            exact: roll_call_measure(n, trials, Engine::Exact),
-            interned: roll_call_measure(n, trials, Engine::Batched),
-        });
+            roll_call_measure(n, trials, Engine::Exact),
+            roll_call_measure(n, trials, Engine::Batched),
+        ));
     }
 
-    let mut json = String::new();
-    json.push_str("{\n  \"schema\": \"bench_interned/v1\",\n");
-    let _ = writeln!(json, "  \"quick\": {quick},");
-    json.push_str("  \"results\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        for m in [&row.exact, &row.interned] {
-            let _ = write!(
-                json,
-                "    {{\"workload\": \"{}\", \"n\": {}, \"engine\": \"{}\", \"trials\": {}, \
-                 \"mean_wall_s\": {:.6}, \"mean_interactions\": {:.1}",
-                row.workload, row.n, m.engine, m.trials, m.mean_wall_s, m.mean_interactions,
-            );
-            if let Some(tr) = m.mean_transitions {
-                let _ = write!(json, ", \"mean_transitions\": {tr:.1}");
+    let mut rows = Vec::new();
+    for (workload, n, exact, interned) in &pairs {
+        let transitions = interned.mean(Counter::Transitions);
+        for (m, engine) in [(exact, Engine::Exact), (interned, Engine::Batched)] {
+            let mut row = m.row(*n, engine);
+            row.insert("workload", *workload);
+            if engine == Engine::Batched {
+                row.insert("mean_transitions", transitions);
             }
-            json.push_str("},\n");
+            rows.push(row);
         }
-        let _ = write!(
-            json,
-            "    {{\"workload\": \"{}\", \"n\": {}, \"engine\": \"speedup\", \
-             \"exact_wall_s\": {:.6}, \"interned_wall_s\": {:.6}, \"speedup\": {:.1}, \
-             \"exact_ns_per_interaction\": {:.1}, \"normalized_speedup\": {:.1}}}",
-            row.workload,
-            row.n,
-            row.exact.mean_wall_s,
-            row.interned.mean_wall_s,
-            row.speedup(),
-            row.exact_ns_per_interaction(),
-            row.normalized_speedup()
-        );
-        json.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });
+        // The direct wall-clock ratio conflates per-interaction cost with
+        // draw luck (the engines draw independent trajectories, and the
+        // detection wait is a bare geometric). The normalized speedup
+        // corrects for it: what the exact engine would have paid for the
+        // interned trials' own (exactly distributed) interaction counts, at
+        // its measured per-interaction rate, over the interned wall clock —
+        // the same normalization `bench_batched` uses for its extrapolated
+        // rows.
+        let speedup = exact.mean_wall_s / interned.mean_wall_s;
+        let normalized_speedup =
+            interned.mean_interactions * exact.ns_per_interaction() / 1e9 / interned.mean_wall_s;
+        rows.push(Json::object([
+            ("workload", (*workload).into()),
+            ("n", (*n).into()),
+            ("engine", "speedup".into()),
+            ("exact_wall_s", exact.mean_wall_s.into()),
+            ("interned_wall_s", interned.mean_wall_s.into()),
+            ("speedup", speedup.into()),
+            ("exact_ns_per_interaction", exact.ns_per_interaction().into()),
+            ("normalized_speedup", normalized_speedup.into()),
+        ]));
         println!(
             "{:<48} n = {:>6}: exact {:>10.4} s | interned {:>9.4} s ({} transitions for {} \
              interactions) | speedup {:>7.1}x ({:.1}x normalized)",
-            row.workload,
-            row.n,
-            row.exact.mean_wall_s,
-            row.interned.mean_wall_s,
-            row.interned.mean_transitions.unwrap_or(0.0) as u64,
-            row.interned.mean_interactions as u64,
-            row.speedup(),
-            row.normalized_speedup()
+            workload,
+            n,
+            exact.mean_wall_s,
+            interned.mean_wall_s,
+            transitions as u64,
+            interned.mean_interactions as u64,
+            speedup,
+            normalized_speedup
         );
     }
-    json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_interned.json", &json).expect("write BENCH_interned.json");
-    eprintln!("wrote BENCH_interned.json{}", if quick { " (quick mode)" } else { "" });
+    let fields = [("schema", Json::from("bench_interned/v1")), ("quick", quick.into())];
+    write_bench("BENCH_interned.json", &fields, &rows);
 }

@@ -33,11 +33,11 @@
 
 use analysis::table::format_value;
 use analysis::{fit_power_law, Summary, Table};
+use bench::perf::{write_bench, Json};
 use bench::Engine;
 use ppsim::prelude::*;
 use processes::RollCall;
 use ssle::{SilentNStateSsr, SilentRank};
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Which backend a sweep cell ran on (the interned backend is reached
@@ -64,18 +64,32 @@ impl Backend {
     }
 }
 
-/// One measured sweep cell, destined for the table and the JSON.
-struct Cell {
-    protocol: &'static str,
-    plan: String,
+/// One measured sweep cell's row: the mean bursts fired per trial (Poisson
+/// plans vary), the mean and standard error of the final-burst recovery
+/// times (parallel), and the mean wall clock per trial.
+fn cell_row<S>(
+    protocol: &str,
+    plan: &str,
     n: usize,
     backend: Backend,
-    trials: usize,
-    /// Mean bursts fired per trial (Poisson plans vary).
-    mean_bursts: f64,
-    /// Final-burst recovery times, parallel.
-    recoveries: Vec<f64>,
-    mean_wall_s: f64,
+    reports: &[TrialReport<S>],
+    recoveries: &[f64],
+    wall: f64,
+) -> Json {
+    let trials = reports.len() as f64;
+    let bursts: usize = reports.iter().map(|r| r.events.len()).sum();
+    let summary = Summary::from_samples(recoveries);
+    Json::object([
+        ("protocol", protocol.into()),
+        ("plan", plan.into()),
+        ("n", n.into()),
+        ("engine", backend.label().into()),
+        ("trials", reports.len().into()),
+        ("mean_bursts", (bursts as f64 / trials).into()),
+        ("mean_recovery_parallel", summary.mean.into()),
+        ("se_recovery", summary.standard_error().into()),
+        ("mean_wall_s", (wall / trials).into()),
+    ])
 }
 
 fn main() {
@@ -83,15 +97,30 @@ fn main() {
     if quick {
         println!("(quick mode: reduced n sweep and trial counts)\n");
     }
-    let mut cells = Vec::new();
-    silent_n_state(quick, &mut cells);
-    roll_call(quick, &mut cells);
-    let fit = fit_recovery_scaling(&cells);
-    write_json(quick, &cells, &fit);
+    let mut rows = Vec::new();
+    let fit_points = silent_n_state(quick, &mut rows);
+    roll_call(quick, &mut rows);
+    let fit = fit_recovery_scaling(fit_points);
+    rows.push(Json::object([
+        ("protocol", "SilentNStateSsr".into()),
+        ("plan", "one-shot-all-leader".into()),
+        ("engine", "fit-batched".into()),
+        ("exponent", fit.exponent.into()),
+        ("coefficient", fit.coefficient.into()),
+        ("r_squared", fit.r_squared.into()),
+    ]));
+    let fields = [
+        ("schema", Json::from("exp_faults/v1")),
+        ("recovery", "parallel silence time minus last-injection time".into()),
+        ("quick", quick.into()),
+    ];
+    write_bench("BENCH_faults.json", &fields, &rows);
     println!("all faulted trials re-stabilized after their final burst on every engine");
 }
 
-fn silent_n_state(quick: bool, cells: &mut Vec<Cell>) {
+/// Returns the batched engine's one-shot `(n, mean recovery)` points for
+/// the scaling fit.
+fn silent_n_state(quick: bool, rows: &mut Vec<Json>) -> Vec<(f64, f64)> {
     println!("== Silent-n-state-SSR: mid-run bursts from a random start, all four engines ==\n");
     let ns: &[usize] = if quick { &[16, 32] } else { &[16, 32, 64, 128] };
     let trials = if quick { 3 } else { 5 };
@@ -104,6 +133,15 @@ fn silent_n_state(quick: bool, cells: &mut Vec<Cell>) {
         p.0.random_configuration(rng)
     });
 
+    let mut fit_points = Vec::new();
+    let mut run_cell = |n, plan: &FaultPlan<SilentRank>, backend| {
+        let mean =
+            measure_silent_cell(n, plan, backend, trials, &scenario, &scenario_interned, rows);
+        if backend == Backend::Batched && plan.name() == "one-shot-all-leader" {
+            fit_points.push((n as f64, mean));
+        }
+        format_value(mean)
+    };
     let mut table = Table::new(vec![
         "plan",
         "n",
@@ -118,10 +156,7 @@ fn silent_n_state(quick: bool, cells: &mut Vec<Cell>) {
             for backend in
                 [Backend::Exact, Backend::Batched, Backend::Interned, Backend::BatchCount]
             {
-                let cell =
-                    measure_silent_cell(n, &plan, backend, trials, &scenario, &scenario_interned);
-                row.push(format_value(Summary::from_samples(&cell.recoveries).mean));
-                cells.push(cell);
+                row.push(run_cell(n, &plan, backend));
             }
             table.add_row(row);
         }
@@ -129,17 +164,9 @@ fn silent_n_state(quick: bool, cells: &mut Vec<Cell>) {
     // Batched-only extension of the one-shot sweep for the scaling fit.
     for &n in fit_ns {
         let plan = &SilentNStateSsr::new(n).adversarial_fault_plans()[0];
-        let cell =
-            measure_silent_cell(n, plan, Backend::Batched, trials, &scenario, &scenario_interned);
-        table.add_row(vec![
-            plan.name().to_owned(),
-            n.to_string(),
-            "-".to_owned(),
-            format_value(Summary::from_samples(&cell.recoveries).mean),
-            "-".to_owned(),
-            "-".to_owned(),
-        ]);
-        cells.push(cell);
+        let mean = run_cell(n, plan, Backend::Batched);
+        let dash = || "-".to_owned();
+        table.add_row(vec![plan.name().to_owned(), n.to_string(), dash(), mean, dash(), dash()]);
     }
     println!("{}", table.to_plain_text());
     println!(
@@ -147,8 +174,10 @@ fn silent_n_state(quick: bool, cells: &mut Vec<Cell>) {
          corrupt k agents drawn uniformly (∝ counts on the count engines) into\n\
          adversary-chosen or random ranks.\n"
     );
+    fit_points
 }
 
+/// Records one cell's row and returns its mean recovery time.
 fn measure_silent_cell(
     n: usize,
     plan: &FaultPlan<SilentRank>,
@@ -156,7 +185,8 @@ fn measure_silent_cell(
     trials: usize,
     scenario: &Scenario<SilentNStateSsr>,
     scenario_interned: &Scenario<AsInterned<SilentNStateSsr>>,
-) -> Cell {
+    rows: &mut Vec<Json>,
+) -> f64 {
     // ~60× the expected n³/2 interactions to silence: room for the initial
     // stabilization plus every burst's recovery, yet small enough that a
     // non-recovering regression exhausts it (and panics below).
@@ -192,7 +222,6 @@ fn measure_silent_cell(
     let wall = start.elapsed().as_secs_f64();
     let protocol = SilentNStateSsr::new(n);
     let mut recoveries = Vec::new();
-    let mut bursts = 0usize;
     for report in &reports {
         let ctx = format!("{} n={n} {}", plan.name(), backend.label());
         assert!(report.outcome.is_silent(), "{ctx}: did not re-silence within budget");
@@ -204,7 +233,6 @@ fn measure_silent_cell(
             protocol.has_unique_leader(&report.final_config),
             "{ctx}: ended without a unique leader"
         );
-        bursts += report.events.len();
         if !report.events.is_empty() {
             let recovery = report
                 .final_restabilization()
@@ -212,19 +240,11 @@ fn measure_silent_cell(
             recoveries.push(recovery.to_parallel_time(n).value());
         }
     }
-    Cell {
-        protocol: "SilentNStateSsr",
-        plan: plan.name().to_owned(),
-        n,
-        backend,
-        trials,
-        mean_bursts: bursts as f64 / trials as f64,
-        recoveries,
-        mean_wall_s: wall / trials as f64,
-    }
+    rows.push(cell_row("SilentNStateSsr", plan.name(), n, backend, &reports, &recoveries, wall));
+    Summary::from_samples(&recoveries).mean
 }
 
-fn roll_call(quick: bool, cells: &mut Vec<Cell>) {
+fn roll_call(quick: bool, rows: &mut Vec<Json>) {
     println!("== Roll call: post-completion roster wipes, exact and interned engines ==\n");
     let ns: &[usize] = if quick { &[32] } else { &[64, 128] };
     let trials = if quick { 3 } else { 5 };
@@ -261,7 +281,6 @@ fn roll_call(quick: bool, cells: &mut Vec<Cell>) {
                 .expect("a uniform-scheduled interned fault spec always builds");
             let wall = start.elapsed().as_secs_f64();
             let mut recoveries = Vec::new();
-            let mut bursts = 0usize;
             for report in &reports {
                 let ctx = format!("roll-call n={n} {}", backend.label());
                 assert!(report.outcome.is_silent(), "{ctx}: did not re-complete within budget");
@@ -269,23 +288,13 @@ fn roll_call(quick: bool, cells: &mut Vec<Cell>) {
                     RollCall::is_complete(&report.final_config),
                     "{ctx}: silenced without a complete roll call"
                 );
-                bursts += report.events.len();
                 let recovery = report
                     .final_restabilization()
                     .unwrap_or_else(|| panic!("{ctx}: final burst not recovered from"));
                 recoveries.push(recovery.to_parallel_time(n).value());
             }
             row.push(format_value(Summary::from_samples(&recoveries).mean));
-            cells.push(Cell {
-                protocol: "RollCall",
-                plan: plan.name().to_owned(),
-                n,
-                backend,
-                trials,
-                mean_bursts: bursts as f64 / trials as f64,
-                recoveries,
-                mean_wall_s: wall / trials as f64,
-            });
+            rows.push(cell_row("RollCall", plan.name(), n, backend, &reports, &recoveries, wall));
         }
         table.add_row(row);
     }
@@ -300,16 +309,7 @@ fn roll_call(quick: bool, cells: &mut Vec<Cell>) {
 /// Fits the batched engine's one-shot recovery times against n and asserts
 /// the Θ(n²) envelope: a transient corruption of n/4 agents costs what
 /// Theorem 2.4 says a fresh adversarial start costs.
-fn fit_recovery_scaling(cells: &[Cell]) -> analysis::PowerLawFit {
-    let points: Vec<(f64, f64)> = cells
-        .iter()
-        .filter(|c| {
-            c.protocol == "SilentNStateSsr"
-                && c.backend == Backend::Batched
-                && c.plan == "one-shot-all-leader"
-        })
-        .map(|c| (c.n as f64, Summary::from_samples(&c.recoveries).mean))
-        .collect();
+fn fit_recovery_scaling(points: Vec<(f64, f64)>) -> analysis::PowerLawFit {
     let (xs, ys): (Vec<f64>, Vec<f64>) = points.into_iter().unzip();
     let fit = fit_power_law(&xs, &ys);
     println!(
@@ -323,40 +323,4 @@ fn fit_recovery_scaling(cells: &[Cell]) -> analysis::PowerLawFit {
         fit.exponent
     );
     fit
-}
-
-fn write_json(quick: bool, cells: &[Cell], fit: &analysis::PowerLawFit) {
-    let mut json = String::new();
-    json.push_str("{\n  \"schema\": \"exp_faults/v1\",\n");
-    json.push_str("  \"recovery\": \"parallel silence time minus last-injection time\",\n");
-    let _ = writeln!(json, "  \"quick\": {quick},");
-    json.push_str("  \"results\": [\n");
-    for cell in cells {
-        let summary = Summary::from_samples(&cell.recoveries);
-        let _ = writeln!(
-            json,
-            "    {{\"protocol\": \"{}\", \"plan\": \"{}\", \"n\": {}, \"engine\": \"{}\", \
-             \"trials\": {}, \"mean_bursts\": {:.1}, \"mean_recovery_parallel\": {:.4}, \
-             \"se_recovery\": {:.4}, \"mean_wall_s\": {:.6}}},",
-            cell.protocol,
-            cell.plan,
-            cell.n,
-            cell.backend.label(),
-            cell.trials,
-            cell.mean_bursts,
-            summary.mean,
-            summary.standard_error(),
-            cell.mean_wall_s,
-        );
-    }
-    let _ = writeln!(
-        json,
-        "    {{\"protocol\": \"SilentNStateSsr\", \"plan\": \"one-shot-all-leader\", \
-         \"engine\": \"fit-batched\", \"exponent\": {:.4}, \"coefficient\": {:.6}, \
-         \"r_squared\": {:.4}}}",
-        fit.exponent, fit.coefficient, fit.r_squared
-    );
-    json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_faults.json", &json).expect("write BENCH_faults.json");
-    eprintln!("wrote BENCH_faults.json{}", if quick { " (quick mode)" } else { "" });
 }

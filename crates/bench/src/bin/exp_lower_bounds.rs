@@ -72,7 +72,13 @@ fn observation_2_6() {
         "direct-meeting expectation (n-1)/2",
     ]);
     for &n in &ns {
-        let baseline = silent_n_state_detection_times(n, trials, 5);
+        let protocol = SilentNStateSsr::new(n);
+        let baseline = parallel_times(
+            RunSpec::new(protocol)
+                .init(with_cloned_leader(&protocol, protocol.ranked_configuration()))
+                .trials(trials)
+                .seed(5),
+        );
         let protocol = OptimalSilentSsr::new(OptimalSilentParams::recommended(n));
         let optimal = parallel_times(
             RunSpec::new(protocol)
@@ -95,20 +101,6 @@ fn observation_2_6() {
          more because the duplicate must then also walk to the free rank). Sublinear-Time-SSR\n\
          is exempt precisely because it is not silent.\n"
     );
-}
-
-/// `Silent-n-state-SSR` from its ranked configuration with a cloned leader,
-/// run on the exact engine until silence is *detected*: each sample is the
-/// interaction count at the end of the silence-check chunk that saw silence,
-/// over n, not the exact silence point a `RunSpec` reports.
-fn silent_n_state_detection_times(n: usize, trials: usize, seed: u64) -> Vec<f64> {
-    run_trials(&TrialPlan::new(trials, seed), |_, trial_seed| {
-        let protocol = SilentNStateSsr::new(n);
-        let init = with_cloned_leader(&protocol, protocol.ranked_configuration());
-        let mut sim = Simulation::new(protocol, init, trial_seed);
-        assert!(sim.run_until_silent(u64::MAX >> 8).is_silent());
-        sim.parallel_time().value()
-    })
 }
 
 fn log_lower_bound() {

@@ -57,6 +57,7 @@ use analysis::theory::{
     silent_n_state_worst_case_interactions,
 };
 use analysis::{t_quantile_975, Summary, Table};
+use bench::perf::{write_bench, Json};
 use ppsim::mcheck::{
     check_convergence, check_fault_plan_closure, expected_silence_time_exact, lattice_size,
     ConvergenceReport, ConvergenceSource, MCheckOptions,
@@ -64,69 +65,7 @@ use ppsim::mcheck::{
 use ppsim::prelude::*;
 use processes::{Coupon, Epidemic, Fratricide, FratricideAsElection, LeaderState};
 use ssle::{OptimalSilentParams, OptimalSilentSsr, SilentNStateSsr};
-use std::fmt::Write as _;
 use std::time::Instant;
-
-/// One verification cell of the sweep, destined for the table and the JSON.
-struct VerifyCell {
-    protocol: &'static str,
-    n: usize,
-    states: usize,
-    configurations: u128,
-    silent: u64,
-    wall_s: f64,
-}
-
-/// One symmetry-quotient full-lattice proof cell: the verdict covers all
-/// `configurations`, but only `orbits` representatives were classified.
-struct QuotientCell {
-    protocol: &'static str,
-    n: usize,
-    states: usize,
-    configurations: u128,
-    orbits: u64,
-    group_order: u128,
-    silent: u64,
-    wall_s: f64,
-}
-
-/// One compressed-reachable-closure convergence cell (the layer past both
-/// lattice guards: proves the seeded statement for every configuration
-/// reachable from the adversarial starts).
-struct ClosureCell {
-    protocol: &'static str,
-    n: usize,
-    seeds: usize,
-    states: u64,
-    silent: u64,
-    wall_s: f64,
-}
-
-/// One exact-expected-time cell.
-struct TimeCell {
-    protocol: &'static str,
-    scenario: &'static str,
-    n: usize,
-    exact_parallel: f64,
-    /// Closed form the exact value was asserted against, if one exists.
-    closed_form_parallel: Option<f64>,
-    /// 200-trial exact-engine mean it was asserted against otherwise.
-    sim_mean_parallel: Option<f64>,
-    reachable: usize,
-    /// Whether the closure was built on the symmetry quotient.
-    quotient: bool,
-    /// Whether the successor store spilled and the solve streamed from disk.
-    spilled: bool,
-}
-
-/// One fault-closure cell.
-struct FaultCell {
-    protocol: &'static str,
-    plan: String,
-    n: usize,
-    reachable: usize,
-    perturbations: u64,
-}
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -138,31 +77,38 @@ fn main() {
     // classify every configuration, so the verify rows and the gate row
     // built from them time the unquotiented pass.
     let dense = MCheckOptions { use_symmetry: false, ..options.clone() };
-    let mut verify_cells = Vec::new();
-    let mut quotient_cells = Vec::new();
-    let mut closure_cells = Vec::new();
-    let mut time_cells = Vec::new();
-    let mut fault_cells = Vec::new();
+    let mut rows = Vec::new();
 
-    verify_sweep(quick, &dense, &mut verify_cells);
-    quotient_sweep(quick, &options, &mut quotient_cells);
-    closure_sweep(quick, &options, &mut closure_cells);
-    exact_time_sweep(quick, &options, &mut time_cells);
-    fault_closure_sweep(&dense, &mut fault_cells);
+    verify_sweep(quick, &dense, &mut rows);
+    quotient_sweep(quick, &options, &mut rows);
+    closure_sweep(quick, &options, &mut rows);
+    exact_time_sweep(quick, &options, &mut rows);
+    fault_closure_sweep(&dense, &mut rows);
     falsification_demo(&dense);
-    let cost_ratio = cost_ratio_cell(&verify_cells);
-    let quotient_ratio = quotient_ratio_cell(&quotient_cells);
-
-    write_json(
-        quick,
-        &verify_cells,
-        &quotient_cells,
-        &closure_cells,
-        &time_cells,
-        &fault_cells,
-        cost_ratio,
-        quotient_ratio,
-    );
+    let cost_ratio = cost_ratio_cell(&rows);
+    let quotient_ratio = quotient_ratio_cell(&rows);
+    for (workload, n, speedup) in [
+        ("mcheck-verify-OptimalSilentSsr", 5u32, cost_ratio),
+        ("mcheck-quotient-SilentNStateSsr", 12, quotient_ratio),
+    ] {
+        rows.push(Json::object([
+            ("workload", workload.into()),
+            ("n", n.into()),
+            ("engine", "speedup".into()),
+            ("speedup", speedup.into()),
+        ]));
+    }
+    let fields = [
+        ("schema", Json::from("exp_mcheck/v1")),
+        (
+            "verified",
+            "every configuration of the full lattice reaches a correct silent configuration, \
+             and silent <=> correct"
+                .into(),
+        ),
+        ("quick", quick.into()),
+    ];
+    write_bench("BENCH_mc.json", &fields, &rows);
     println!(
         "\nall verifications proved, all exact times matched their closed form or simulation, \
          all fault closures held, and the strict-oracle falsification produced its witness"
@@ -170,7 +116,7 @@ fn main() {
 }
 
 /// Proves self-stabilization over the full lattice, per protocol × n.
-fn verify_sweep(quick: bool, options: &MCheckOptions, cells: &mut Vec<VerifyCell>) {
+fn verify_sweep(quick: bool, options: &MCheckOptions, rows: &mut Vec<Json>) {
     println!("== exhaustive verification: every configuration reaches a correct silent one ==\n");
     let mut table =
         Table::new(vec!["protocol", "n", "|S|", "configurations", "silent", "verified", "wall"]);
@@ -178,18 +124,18 @@ fn verify_sweep(quick: bool, options: &MCheckOptions, cells: &mut Vec<VerifyCell
     let ssr_ns: &[usize] = if quick { &[2, 3, 4, 5, 6] } else { &[2, 3, 4, 5, 6, 7, 8] };
     for &n in ssr_ns {
         let protocol = SilentNStateSsr::new(n);
-        run_verify_cell("SilentNStateSsr", n, protocol, options, cells, &mut table);
+        run_verify_cell("SilentNStateSsr", n, protocol, options, rows, &mut table);
     }
     let opt_ns: &[usize] = if quick { &[2, 3, 4, 5] } else { &[2, 3, 4, 5, 6] };
     for &n in opt_ns {
         let protocol = OptimalSilentSsr::new(OptimalSilentParams::mcheck(n));
-        run_verify_cell("OptimalSilentSsr", n, protocol, options, cells, &mut table);
+        run_verify_cell("OptimalSilentSsr", n, protocol, options, rows, &mut table);
     }
     let process_ns: &[usize] = if quick { &[2, 3, 4, 5, 8] } else { &[2, 3, 4, 5, 8, 16, 32, 64] };
     for &n in process_ns {
-        run_verify_cell("Epidemic", n, Epidemic::new(n), options, cells, &mut table);
-        run_verify_cell("Coupon", n, Coupon::new(n), options, cells, &mut table);
-        run_verify_cell("Fratricide", n, Fratricide::new(n), options, cells, &mut table);
+        run_verify_cell("Epidemic", n, Epidemic::new(n), options, rows, &mut table);
+        run_verify_cell("Coupon", n, Coupon::new(n), options, rows, &mut table);
+        run_verify_cell("Fratricide", n, Fratricide::new(n), options, rows, &mut table);
     }
     println!("{}", table.to_plain_text());
 }
@@ -199,7 +145,7 @@ fn run_verify_cell<P: EnumerableProtocol + CorrectnessOracle>(
     n: usize,
     protocol: P,
     options: &MCheckOptions,
-    cells: &mut Vec<VerifyCell>,
+    rows: &mut Vec<Json>,
     table: &mut Table,
 ) {
     let states = protocol.num_states();
@@ -225,21 +171,23 @@ fn run_verify_cell<P: EnumerableProtocol + CorrectnessOracle>(
         "proved".to_owned(),
         format!("{wall_s:.2}s"),
     ]);
-    cells.push(VerifyCell {
-        protocol: name,
-        n,
-        states,
-        configurations: report.configurations,
-        silent: report.silent,
-        wall_s,
-    });
+    rows.push(Json::object([
+        ("protocol", name.into()),
+        ("n", n.into()),
+        ("engine", "mcheck".into()),
+        ("states", states.into()),
+        ("configurations", report.configurations.into()),
+        ("silent", report.silent.into()),
+        ("verified", true.into()),
+        ("wall_s", wall_s.into()),
+    ]));
 }
 
 /// Proves self-stabilization over the full lattice on the symmetry
 /// quotient, past the dense sweep's wall: the enumeration touches only
 /// canonical orbit representatives, so the verdict covers `lattice_size`
 /// configurations while classifying `orbits ≈ lattice / |G|` of them.
-fn quotient_sweep(quick: bool, options: &MCheckOptions, cells: &mut Vec<QuotientCell>) {
+fn quotient_sweep(quick: bool, options: &MCheckOptions, rows: &mut Vec<Json>) {
     println!("== symmetry-quotient verification: full-lattice proofs past the dense wall ==\n");
     let mut table =
         Table::new(vec!["protocol", "n", "configurations", "orbits", "|G|", "verified", "wall"]);
@@ -263,7 +211,7 @@ fn quotient_sweep(quick: bool, options: &MCheckOptions, cells: &mut Vec<Quotient
         assert_eq!(report.configurations, lattice_size(n, states).unwrap());
         assert_eq!(report.group_order, n as u128, "Z/n rotation");
         assert!(u128::from(report.states) < report.configurations);
-        push_quotient_cell(cells, &mut table, "SilentNStateSsr", n, states, &report, wall_s);
+        push_quotient_cell(rows, &mut table, "SilentNStateSsr", n, states, &report, wall_s);
     }
 
     // Commuting leaf-rank block swaps (|G| = 2^⌊n/2⌋ ranks with 2r > n,
@@ -282,13 +230,13 @@ fn quotient_sweep(quick: bool, options: &MCheckOptions, cells: &mut Vec<Quotient
         assert!(report.verified(), "OptimalSilentSsr n = {n} quotient");
         assert_eq!(report.configurations, lattice_size(n, states).unwrap());
         assert!(u128::from(report.states) < report.configurations);
-        push_quotient_cell(cells, &mut table, "OptimalSilentSsr", n, states, &report, wall_s);
+        push_quotient_cell(rows, &mut table, "OptimalSilentSsr", n, states, &report, wall_s);
     }
     println!("{}", table.to_plain_text());
 }
 
 fn push_quotient_cell<P: EnumerableProtocol>(
-    cells: &mut Vec<QuotientCell>,
+    rows: &mut Vec<Json>,
     table: &mut Table,
     name: &'static str,
     n: usize,
@@ -305,16 +253,18 @@ fn push_quotient_cell<P: EnumerableProtocol>(
         "proved".to_owned(),
         format!("{wall_s:.2}s"),
     ]);
-    cells.push(QuotientCell {
-        protocol: name,
-        n,
-        states,
-        configurations: report.configurations,
-        orbits: report.states,
-        group_order: report.group_order,
-        silent: report.silent,
-        wall_s,
-    });
+    rows.push(Json::object([
+        ("protocol", name.into()),
+        ("n", n.into()),
+        ("engine", "mcheck-quotient".into()),
+        ("states", states.into()),
+        ("configurations", report.configurations.into()),
+        ("orbits", report.states.into()),
+        ("group_order", report.group_order.into()),
+        ("silent_orbits", report.silent.into()),
+        ("verified", true.into()),
+        ("wall_s", wall_s.into()),
+    ]));
 }
 
 /// Convergence proofs on the compressed reachable closure — the layer past
@@ -322,7 +272,7 @@ fn push_quotient_cell<P: EnumerableProtocol>(
 /// ~1.65 × 10⁹ configurations (over even the quotient's time guard), but
 /// the closure of its adversarial starts is small enough to enumerate,
 /// canonicalize, and prove convergent.
-fn closure_sweep(quick: bool, options: &MCheckOptions, cells: &mut Vec<ClosureCell>) {
+fn closure_sweep(quick: bool, options: &MCheckOptions, rows: &mut Vec<Json>) {
     println!("== compressed-closure convergence: adversarial starts past both lattice guards ==\n");
     let mut table =
         Table::new(vec!["protocol", "n", "seeds", "closure states", "silent", "verified", "wall"]);
@@ -358,21 +308,23 @@ fn closure_sweep(quick: bool, options: &MCheckOptions, cells: &mut Vec<ClosureCe
             "proved".to_owned(),
             format!("{wall_s:.2}s"),
         ]);
-        cells.push(ClosureCell {
-            protocol: "OptimalSilentSsr",
-            n,
-            seeds: seeds.len(),
-            states: report.states,
-            silent: report.silent,
-            wall_s,
-        });
+        rows.push(Json::object([
+            ("protocol", "OptimalSilentSsr".into()),
+            ("n", n.into()),
+            ("engine", "mcheck-closure".into()),
+            ("seeds", seeds.len().into()),
+            ("closure_states", report.states.into()),
+            ("silent", report.silent.into()),
+            ("verified", true.into()),
+            ("wall_s", wall_s.into()),
+        ]));
     }
     println!("{}", table.to_plain_text());
 }
 
 /// Solves exact expected silence times and asserts them against closed
 /// forms (to 1e−9 relative) or 200-trial exact-engine means (1.5·t·SE).
-fn exact_time_sweep(quick: bool, options: &MCheckOptions, cells: &mut Vec<TimeCell>) {
+fn exact_time_sweep(quick: bool, options: &MCheckOptions, rows: &mut Vec<Json>) {
     println!("== exact expected silence times (absorbing-chain solve) ==\n");
     let mut table =
         Table::new(vec!["protocol", "scenario", "n", "exact E[time]", "reference", "agreement"]);
@@ -394,7 +346,7 @@ fn exact_time_sweep(quick: bool, options: &MCheckOptions, cells: &mut Vec<TimeCe
             exact.expected_interactions
         );
         push_time_cell(
-            cells,
+            rows,
             &mut table,
             "SilentNStateSsr",
             "worst-case",
@@ -427,7 +379,7 @@ fn exact_time_sweep(quick: bool, options: &MCheckOptions, cells: &mut Vec<TimeCe
             exact.expected_interactions
         );
         push_time_cell(
-            cells,
+            rows,
             &mut table,
             "Fratricide",
             "all-leaders-spilled",
@@ -452,7 +404,7 @@ fn exact_time_sweep(quick: bool, options: &MCheckOptions, cells: &mut Vec<TimeCe
             exact.expected_interactions
         );
         push_time_cell(
-            cells,
+            rows,
             &mut table,
             "Epidemic",
             "single-source",
@@ -474,7 +426,7 @@ fn exact_time_sweep(quick: bool, options: &MCheckOptions, cells: &mut Vec<TimeCe
             exact.expected_interactions
         );
         push_time_cell(
-            cells,
+            rows,
             &mut table,
             "Fratricide",
             "all-leaders",
@@ -495,7 +447,7 @@ fn exact_time_sweep(quick: bool, options: &MCheckOptions, cells: &mut Vec<TimeCe
             expected_silence_time_exact(protocol, &config, options).expect("coupon converges");
         let mean = assert_sim_agreement(protocol, &config, exact.expected_interactions, "coupon");
         push_time_cell(
-            cells,
+            rows,
             &mut table,
             "Coupon",
             "all-fresh",
@@ -517,7 +469,7 @@ fn exact_time_sweep(quick: bool, options: &MCheckOptions, cells: &mut Vec<TimeCe
             let mean =
                 assert_sim_agreement(protocol, &config, exact.expected_interactions, scenario);
             push_time_cell(
-                cells,
+                rows,
                 &mut table,
                 "OptimalSilentSsr",
                 scenario,
@@ -534,7 +486,7 @@ fn exact_time_sweep(quick: bool, options: &MCheckOptions, cells: &mut Vec<TimeCe
 
 #[allow(clippy::too_many_arguments)]
 fn push_time_cell(
-    cells: &mut Vec<TimeCell>,
+    rows: &mut Vec<Json>,
     table: &mut Table,
     protocol: &'static str,
     scenario: &'static str,
@@ -544,9 +496,9 @@ fn push_time_cell(
     sim_mean_parallel: Option<f64>,
     exact: &ppsim::mcheck::ExactSilenceTime,
 ) {
-    let (reference, agreement) = match (closed_form_parallel, sim_mean_parallel) {
-        (Some(c), _) => (format!("closed form {c:.4}"), "exact (≤1e−9)".to_owned()),
-        (_, Some(m)) => (format!("sim mean {m:.4}"), "within 1.5·t·SE".to_owned()),
+    let (reference, agreement, key, value) = match (closed_form_parallel, sim_mean_parallel) {
+        (Some(c), _) => (format!("closed form {c:.4}"), "exact (≤1e−9)", "closed_form_parallel", c),
+        (_, Some(m)) => (format!("sim mean {m:.4}"), "within 1.5·t·SE", "sim_mean_parallel", m),
         _ => unreachable!("every cell has a reference"),
     };
     table.add_row(vec![
@@ -555,19 +507,19 @@ fn push_time_cell(
         n.to_string(),
         format!("{exact_parallel:.4}"),
         reference,
-        agreement,
+        agreement.to_owned(),
     ]);
-    cells.push(TimeCell {
-        protocol,
-        scenario,
-        n,
-        exact_parallel,
-        closed_form_parallel,
-        sim_mean_parallel,
-        reachable: exact.states,
-        quotient: exact.quotient,
-        spilled: exact.spilled,
-    });
+    rows.push(Json::object([
+        ("protocol", protocol.into()),
+        ("scenario", scenario.into()),
+        ("n", n.into()),
+        ("engine", "mcheck-exact-time".into()),
+        ("exact_parallel", exact_parallel.into()),
+        (key, value.into()),
+        ("reachable", exact.states.into()),
+        ("quotient", exact.quotient.into()),
+        ("spilled", exact.spilled.into()),
+    ]));
 }
 
 /// 200 exact-engine trials from `config`; asserts the mean is within the
@@ -601,7 +553,7 @@ where
 }
 
 /// Exhaustive fault closure per protocol × plan.
-fn fault_closure_sweep(options: &MCheckOptions, cells: &mut Vec<FaultCell>) {
+fn fault_closure_sweep(options: &MCheckOptions, rows: &mut Vec<Json>) {
     println!("== exhaustive fault closure: every burst on every reachable configuration ==\n");
     let mut table =
         Table::new(vec!["protocol", "plan", "n", "reachable", "perturbations", "closure"]);
@@ -616,22 +568,7 @@ fn fault_closure_sweep(options: &MCheckOptions, cells: &mut Vec<FaultCell>) {
             options,
         )
         .expect("lattice within capacity");
-        assert!(report.verified(), "{}: {} violations", plan.name(), report.violations);
-        table.add_row(vec![
-            "SilentNStateSsr".to_owned(),
-            plan.name().to_owned(),
-            n.to_string(),
-            report.reachable.to_string(),
-            report.perturbations.to_string(),
-            "holds".to_owned(),
-        ]);
-        cells.push(FaultCell {
-            protocol: "SilentNStateSsr",
-            plan: plan.name().to_owned(),
-            n,
-            reachable: report.reachable,
-            perturbations: report.perturbations,
-        });
+        push_fault_cell(rows, &mut table, "SilentNStateSsr", plan.name(), n, &report);
     }
 
     let n = 3;
@@ -649,22 +586,7 @@ fn fault_closure_sweep(options: &MCheckOptions, cells: &mut Vec<FaultCell>) {
         options,
     )
     .expect("lattice within capacity");
-    assert!(report.verified(), "{}: {} violations", plan.name(), report.violations);
-    table.add_row(vec![
-        "OptimalSilentSsr".to_owned(),
-        plan.name().to_owned(),
-        n.to_string(),
-        report.reachable.to_string(),
-        report.perturbations.to_string(),
-        "holds".to_owned(),
-    ]);
-    cells.push(FaultCell {
-        protocol: "OptimalSilentSsr",
-        plan: plan.name().to_owned(),
-        n,
-        reachable: report.reachable,
-        perturbations: report.perturbations,
-    });
+    push_fault_cell(rows, &mut table, "OptimalSilentSsr", plan.name(), n, &report);
 
     let n = 8;
     let protocol = Fratricide::new(n);
@@ -673,23 +595,36 @@ fn fault_closure_sweep(options: &MCheckOptions, cells: &mut Vec<FaultCell>) {
     let report =
         check_fault_plan_closure(protocol, &plan, &[protocol.all_leaders_configuration()], options)
             .expect("lattice within capacity");
-    assert!(report.verified(), "{}: {} violations", plan.name(), report.violations);
+    push_fault_cell(rows, &mut table, "Fratricide", plan.name(), n, &report);
+    println!("{}", table.to_plain_text());
+}
+
+fn push_fault_cell<S>(
+    rows: &mut Vec<Json>,
+    table: &mut Table,
+    protocol: &str,
+    plan: &str,
+    n: usize,
+    report: &FaultClosureReport<S>,
+) {
+    assert!(report.verified(), "{plan}: {} violations", report.violations);
     table.add_row(vec![
-        "Fratricide".to_owned(),
-        plan.name().to_owned(),
+        protocol.to_owned(),
+        plan.to_owned(),
         n.to_string(),
         report.reachable.to_string(),
         report.perturbations.to_string(),
         "holds".to_owned(),
     ]);
-    cells.push(FaultCell {
-        protocol: "Fratricide",
-        plan: plan.name().to_owned(),
-        n,
-        reachable: report.reachable,
-        perturbations: report.perturbations,
-    });
-    println!("{}", table.to_plain_text());
+    rows.push(Json::object([
+        ("protocol", protocol.into()),
+        ("plan", plan.into()),
+        ("n", n.into()),
+        ("engine", "mcheck-fault-closure".into()),
+        ("reachable", report.reachable.into()),
+        ("perturbations", report.perturbations.into()),
+        ("violations", 0u32.into()),
+    ]));
 }
 
 /// Fratricide judged as a *leader election* protocol: the checker must
@@ -721,17 +656,14 @@ fn falsification_demo(options: &MCheckOptions) {
 /// it *drops* when the checker regresses, which is the direction
 /// `check_bench` fails on. The checker rate is reused from the verify
 /// sweep's n = 5 cell rather than re-proved.
-fn cost_ratio_cell(verify_cells: &[VerifyCell]) -> f64 {
+fn cost_ratio_cell(rows: &[Json]) -> f64 {
     let n = 5;
     let protocol = OptimalSilentSsr::new(OptimalSilentParams::mcheck(n));
 
     // Checker side: configurations verified per second, from the sweep's
     // wall-timed n = 5 cell (present in both quick and full mode).
-    let cell = verify_cells
-        .iter()
-        .find(|c| c.protocol == "OptimalSilentSsr" && c.n == n)
+    let configs_per_s = configs_per_s(rows, "mcheck", "OptimalSilentSsr", n)
         .expect("the verify sweep measures OptimalSilentSsr at n = 5 in every mode");
-    let configs_per_s = cell.configurations as f64 / cell.wall_s;
 
     // Simulator side: exact-engine interactions per second, measured over at
     // least a quarter second of simulated work from a mid-stabilization
@@ -760,13 +692,10 @@ fn cost_ratio_cell(verify_cells: &[VerifyCell]) -> f64 {
 /// cannot reach at all. Present in both quick and full mode (the sweep
 /// always runs n = 12), and it drops when the quotient enumeration or the
 /// canonicalization regresses.
-fn quotient_ratio_cell(quotient_cells: &[QuotientCell]) -> f64 {
+fn quotient_ratio_cell(rows: &[Json]) -> f64 {
     let n = 12;
-    let cell = quotient_cells
-        .iter()
-        .find(|c| c.protocol == "SilentNStateSsr" && c.n == n)
+    let configs_per_s = configs_per_s(rows, "mcheck-quotient", "SilentNStateSsr", n)
         .expect("the quotient sweep proves SilentNStateSsr at n = 12 in every mode");
-    let configs_per_s = cell.configurations as f64 / cell.wall_s;
 
     let protocol = SilentNStateSsr::new(n);
     let mut sim = Simulation::new(protocol, protocol.worst_case_configuration(), 0xC058);
@@ -786,85 +715,13 @@ fn quotient_ratio_cell(quotient_cells: &[QuotientCell]) -> f64 {
     ratio
 }
 
-#[allow(clippy::too_many_arguments)]
-fn write_json(
-    quick: bool,
-    verify_cells: &[VerifyCell],
-    quotient_cells: &[QuotientCell],
-    closure_cells: &[ClosureCell],
-    time_cells: &[TimeCell],
-    fault_cells: &[FaultCell],
-    cost_ratio: f64,
-    quotient_ratio: f64,
-) {
-    let mut json = String::new();
-    json.push_str("{\n  \"schema\": \"exp_mcheck/v1\",\n");
-    json.push_str(
-        "  \"verified\": \"every configuration of the full lattice reaches a correct silent \
-         configuration, and silent <=> correct\",\n",
-    );
-    let _ = writeln!(json, "  \"quick\": {quick},");
-    json.push_str("  \"results\": [\n");
-    for c in verify_cells {
-        let _ = writeln!(
-            json,
-            "    {{\"protocol\": \"{}\", \"n\": {}, \"engine\": \"mcheck\", \"states\": {}, \
-             \"configurations\": {}, \"silent\": {}, \"verified\": true, \"wall_s\": {:.4}}},",
-            c.protocol, c.n, c.states, c.configurations, c.silent, c.wall_s
-        );
-    }
-    for c in quotient_cells {
-        let _ =
-            writeln!(
-            json,
-            "    {{\"protocol\": \"{}\", \"n\": {}, \"engine\": \"mcheck-quotient\", \"states\": \
-             {}, \"configurations\": {}, \"orbits\": {}, \"group_order\": {}, \"silent_orbits\": \
-             {}, \"verified\": true, \"wall_s\": {:.4}}},",
-            c.protocol, c.n, c.states, c.configurations, c.orbits, c.group_order, c.silent, c.wall_s
-        );
-    }
-    for c in closure_cells {
-        let _ = writeln!(
-            json,
-            "    {{\"protocol\": \"{}\", \"n\": {}, \"engine\": \"mcheck-closure\", \"seeds\": {}, \
-             \"closure_states\": {}, \"silent\": {}, \"verified\": true, \"wall_s\": {:.4}}},",
-            c.protocol, c.n, c.seeds, c.states, c.silent, c.wall_s
-        );
-    }
-    for c in time_cells {
-        let reference = match (c.closed_form_parallel, c.sim_mean_parallel) {
-            (Some(v), _) => format!("\"closed_form_parallel\": {v:.6}"),
-            (_, Some(v)) => format!("\"sim_mean_parallel\": {v:.6}"),
-            _ => unreachable!(),
-        };
-        let _ = writeln!(
-            json,
-            "    {{\"protocol\": \"{}\", \"scenario\": \"{}\", \"n\": {}, \"engine\": \
-             \"mcheck-exact-time\", \"exact_parallel\": {:.6}, {reference}, \"reachable\": {}, \
-             \"quotient\": {}, \"spilled\": {}}},",
-            c.protocol, c.scenario, c.n, c.exact_parallel, c.reachable, c.quotient, c.spilled
-        );
-    }
-    for c in fault_cells {
-        let _ = writeln!(
-            json,
-            "    {{\"protocol\": \"{}\", \"plan\": \"{}\", \"n\": {}, \"engine\": \
-             \"mcheck-fault-closure\", \"reachable\": {}, \"perturbations\": {}, \
-             \"violations\": 0}},",
-            c.protocol, c.plan, c.n, c.reachable, c.perturbations
-        );
-    }
-    let _ = writeln!(
-        json,
-        "    {{\"workload\": \"mcheck-verify-OptimalSilentSsr\", \"n\": 5, \"engine\": \
-         \"speedup\", \"speedup\": {cost_ratio:.4}}},"
-    );
-    let _ = writeln!(
-        json,
-        "    {{\"workload\": \"mcheck-quotient-SilentNStateSsr\", \"n\": 12, \"engine\": \
-         \"speedup\", \"speedup\": {quotient_ratio:.4}}}"
-    );
-    json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_mc.json", &json).expect("write BENCH_mc.json");
-    eprintln!("wrote BENCH_mc.json{}", if quick { " (quick mode)" } else { "" });
+/// Configurations proved per second by the `engine` row of `protocol` at
+/// size `n`, if the sweeps recorded one.
+fn configs_per_s(rows: &[Json], engine: &str, protocol: &str, n: usize) -> Option<f64> {
+    let row = rows.iter().find(|row| {
+        row.get("engine") == Some(&engine.into())
+            && row.get("protocol") == Some(&protocol.into())
+            && row.get("n") == Some(&n.into())
+    })?;
+    Some(row.get("configurations")?.as_f64()? / row.get("wall_s")?.as_f64()?)
 }

@@ -27,7 +27,7 @@
 
 use analysis::table::format_value;
 use analysis::{fit_power_law, Summary, Table};
-use bench::perf::{chrome_trace, validate_chrome_trace, TraceSpan};
+use bench::perf::{chrome_trace, validate_chrome_trace, write_bench, Json, TraceSpan};
 use bench::Engine;
 use ppsim::mcheck::{expected_silence_time_probed, MCheckOptions};
 use ppsim::telemetry::{Recorder, TelemetrySink};
@@ -36,7 +36,6 @@ use processes::Epidemic;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use ssle::{SilentNStateSsr, SilentRank};
-use std::fmt::Write as _;
 use std::time::Instant;
 
 fn main() {
@@ -196,20 +195,16 @@ struct Overhead {
     trials: usize,
     noop_wall_s: f64,
     recorder_wall_s: f64,
-    median_ratio: f64,
+    /// The raw ratio: ~1.0 when the recorder is free, < 1 when it costs.
+    raw_ratio: f64,
 }
 
 impl Overhead {
-    /// The raw ratio: ~1.0 when the recorder is free, < 1 when it costs.
-    fn raw_ratio(&self) -> f64 {
-        self.median_ratio
-    }
-
     /// The gated cell, capped at 1.0: the CI gate enforces "recorder within
     /// 2% of noop", so an over-unity baseline (timing jitter favoring the
     /// recorder arm) must not ratchet the floor above the intended 0.98.
     fn speedup(&self) -> f64 {
-        self.raw_ratio().min(1.0)
+        self.raw_ratio.min(1.0)
     }
 }
 
@@ -253,7 +248,7 @@ where
         trials,
         noop_wall_s: median(&mut walls[0]),
         recorder_wall_s: median(&mut walls[1]),
-        median_ratio: median(&mut ratios),
+        raw_ratio: median(&mut ratios),
     }
 }
 
@@ -272,11 +267,11 @@ where
 {
     let mut best = measure_overhead(workload, n, trials, reps, &run);
     for _ in 1..3 {
-        if best.raw_ratio() >= 0.995 {
+        if best.raw_ratio >= 0.995 {
             break;
         }
         let again = measure_overhead(workload, n, trials, reps, &run);
-        if again.raw_ratio() > best.raw_ratio() {
+        if again.raw_ratio > best.raw_ratio {
             best = again;
         }
     }
@@ -333,7 +328,7 @@ fn overhead_gate(quick: bool) -> Vec<Overhead> {
             o.noop_wall_s,
             o.recorder_wall_s,
             o.trials,
-            o.raw_ratio(),
+            o.raw_ratio,
             o.speedup()
         );
     }
@@ -345,29 +340,26 @@ fn overhead_gate(quick: bool) -> Vec<Overhead> {
 /// workload (the cells `check_bench` gates) plus the fitted exponent for
 /// the record.
 fn write_bench_json(quick: bool, exponent: f64, overheads: &[Overhead]) {
-    let mut json = String::new();
-    json.push_str("{\n  \"schema\": \"exp_profile/v1\",\n");
-    json.push_str("  \"workload\": \"telemetry overhead, recorder vs noop, run to silence\",\n");
-    let _ = writeln!(json, "  \"quick\": {quick},");
-    let _ = writeln!(json, "  \"worst_case_exponent\": {exponent:.4},");
-    json.push_str("  \"results\": [\n");
-    for (i, o) in overheads.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"n\": {}, \"engine\": \"speedup\", \"workload\": \"{}\", \
-             \"trials\": {}, \"noop_wall_s\": {:.6}, \"recorder_wall_s\": {:.6}, \
-             \"raw_ratio\": {:.4}, \"speedup\": {:.4}}}",
-            o.n,
-            o.workload,
-            o.trials,
-            o.noop_wall_s,
-            o.recorder_wall_s,
-            o.raw_ratio(),
-            o.speedup()
-        );
-        json.push_str(if i + 1 == overheads.len() { "\n" } else { ",\n" });
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_obs.json", &json).expect("write BENCH_obs.json");
-    eprintln!("wrote BENCH_obs.json{}", if quick { " (quick mode)" } else { "" });
+    let rows: Vec<Json> = overheads
+        .iter()
+        .map(|o| {
+            Json::object([
+                ("n", o.n.into()),
+                ("engine", "speedup".into()),
+                ("workload", o.workload.into()),
+                ("trials", o.trials.into()),
+                ("noop_wall_s", o.noop_wall_s.into()),
+                ("recorder_wall_s", o.recorder_wall_s.into()),
+                ("raw_ratio", o.raw_ratio.into()),
+                ("speedup", o.speedup().into()),
+            ])
+        })
+        .collect();
+    let fields = [
+        ("schema", Json::from("exp_profile/v1")),
+        ("workload", "telemetry overhead, recorder vs noop, run to silence".into()),
+        ("quick", quick.into()),
+        ("worst_case_exponent", exponent.into()),
+    ];
+    write_bench("BENCH_obs.json", &fields, &rows);
 }

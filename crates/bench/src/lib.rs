@@ -9,6 +9,10 @@
 //! starts and stops them where the paper measures them; `--engine` picks the
 //! engine ([`engine_from_args`]).
 //!
+//! The engine head-to-heads (`bench_*`) time each engine with [`measure`]
+//! instead, and every bench binary writes its `BENCH_*.json` through
+//! [`perf::write_bench`].
+//!
 //! Together the binaries regenerate every table, theorem and lemma of the
 //! paper that makes a quantitative claim; `ARCHITECTURE.md` maps each paper
 //! object to the binary that measures it, and `README.md` lists the
@@ -20,8 +24,13 @@
 pub mod perf;
 
 use std::fmt::Debug;
+use std::time::Instant;
 
-use ppsim::{AgentId, Configuration, CountProtocol, LeaderElectionProtocol, RunSpec};
+use perf::Json;
+use ppsim::{
+    AgentId, Configuration, CountProtocol, Counter, CounterBlock, LeaderElectionProtocol,
+    PerturbationHost, RunSpec,
+};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use ssle::params::{OptimalSilentParams, SublinearParams};
@@ -58,6 +67,72 @@ where
             report.parallel_time().value()
         })
         .collect()
+}
+
+/// One engine's means over the trials of a head-to-head, from [`measure`].
+#[derive(Clone, Copy, Debug)]
+pub struct Measurement {
+    /// Trials run.
+    pub trials: usize,
+    /// Mean wall-clock seconds of building the engine and running it.
+    pub mean_wall_s: f64,
+    /// Mean interactions the engine executed.
+    pub mean_interactions: f64,
+    /// Every engine counter, summed over the trials.
+    totals: CounterBlock,
+}
+
+impl Measurement {
+    /// The mean of one engine counter per trial.
+    pub fn mean(&self, counter: Counter) -> f64 {
+        self.totals.get(counter) as f64 / self.trials as f64
+    }
+
+    /// Mean wall-clock nanoseconds per executed interaction.
+    pub fn ns_per_interaction(&self) -> f64 {
+        self.mean_wall_s * 1e9 / self.mean_interactions
+    }
+
+    /// The row every head-to-head records for one engine at size `n`:
+    /// `n`, `engine`, `trials`, `mean_wall_s` and `mean_interactions`.
+    pub fn row(&self, n: usize, engine: Engine) -> Json {
+        Json::object([
+            ("n", n.into()),
+            ("engine", engine.to_string().into()),
+            ("trials", self.trials.into()),
+            ("mean_wall_s", self.mean_wall_s.into()),
+            ("mean_interactions", self.mean_interactions.into()),
+        ])
+    }
+}
+
+/// Times `trials` runs of one engine. Trial `t` (seed `t`) builds its start
+/// with `start(t)` off the clock; `run(&mut start, t)` builds the engine,
+/// runs it and returns it, on the clock. The interactions and counters
+/// are the returned engine's own, and the engine and its start are dropped
+/// off the clock.
+pub fn measure<S, H: PerturbationHost>(
+    trials: usize,
+    start: impl Fn(u64) -> S,
+    run: impl Fn(&mut S, u64) -> H,
+) -> Measurement {
+    let (mut wall, mut interactions, mut totals) = (0.0, 0.0, CounterBlock::default());
+    for seed in 0..trials as u64 {
+        let mut state = start(seed);
+        let clock = Instant::now();
+        let engine = run(&mut state, seed);
+        wall += clock.elapsed().as_secs_f64();
+        interactions += engine.interactions_so_far().count() as f64;
+        totals.merge(&engine.counters());
+    }
+    let t = trials as f64;
+    Measurement { trials, mean_wall_s: wall / t, mean_interactions: interactions / t, totals }
+}
+
+/// Moves a [`measure`] start out for an engine that owns its configuration
+/// (the exact engine), leaving an empty one to drop off the clock.
+pub fn take_start<S>(start: &mut Configuration<S>) -> Configuration<S> {
+    std::mem::replace(start, Configuration::from_states(Vec::new()))
 }
 
 /// Picks the simulation engine from a `--engine exact|batched|batchcount`
@@ -225,6 +300,40 @@ mod tests {
         let times = parallel_times(spec.trials(trials));
         assert_eq!(times.len(), trials);
         assert!(times.iter().all(|&t| t > 0.0), "{times:?}");
+    }
+
+    #[test]
+    fn measure_seeds_trials_verbatim_and_counts_what_the_engine_ran() {
+        let protocol = SilentNStateSsr::new(20);
+        let start = |_| protocol.worst_case_configuration();
+        let capped = measure(3, start, |config, seed| {
+            let mut sim = Simulation::new(protocol, take_start(config), seed);
+            sim.run_for(1_000);
+            sim
+        });
+        assert_eq!((capped.trials, capped.mean_interactions), (3, 1_000.0));
+        let batched = measure(2, start, |config, seed| {
+            let mut sim = BatchedSimulation::new(protocol, config, seed);
+            assert!(sim.run_until_silent(u64::MAX >> 1).is_silent());
+            sim
+        });
+        let direct: Vec<(f64, f64)> = (0..2)
+            .map(|seed| {
+                let mut sim = BatchedSimulation::new(protocol, &start(seed), seed);
+                sim.run_until_silent(u64::MAX >> 1);
+                (sim.interactions().count() as f64, sim.transitions() as f64)
+            })
+            .collect();
+        assert_eq!(batched.mean_interactions, (direct[0].0 + direct[1].0) / 2.0);
+        assert_eq!(batched.mean(Counter::Transitions), (direct[0].1 + direct[1].1) / 2.0);
+        assert!(batched.mean_wall_s > 0.0);
+        let row = batched.row(20, Engine::Batched);
+        assert_eq!(row.get("engine").and_then(Json::as_str), Some("batched"));
+        assert_eq!(row.get("n").and_then(Json::as_f64), Some(20.0));
+        assert_eq!(
+            row.get("mean_interactions").and_then(Json::as_f64),
+            Some(batched.mean_interactions)
+        );
     }
 
     #[test]

@@ -1,16 +1,22 @@
-//! Perf-baseline parsing and regression gating.
+//! The bench-document format: its writer, its parser and the perf gate.
 //!
-//! The nightly CI job regenerates `BENCH_batched.json` / `BENCH_interned.json`
-//! / `BENCH_mc.json` and, instead of uploading them write-only, compares
-//! every recorded **speedup** against the committed baselines: a speedup
-//! that degrades beyond a tolerance fails the job, and so does a baseline
-//! *workload* that vanishes from the fresh document (a renamed benchmark
-//! must not silently drop out of the gate). Speedups are wall-clock
-//! *ratios* (exact vs batched on the same machine; for the model checker,
-//! configurations verified per simulated interaction), so the machine-speed
-//! factor of a shared runner cancels to first order, which is what makes a
-//! cross-machine gate meaningful at all; the tolerance absorbs the
-//! second-order noise.
+//! Every bench binary builds its measurements as [`Json`] rows and writes
+//! them with [`write_bench`]: a few top-level fields, then a `results`
+//! array with one row per line, so a fresh document diffs line by line
+//! against its committed baseline.
+//!
+//! The nightly CI job regenerates the documents and compares every
+//! **speedup** row of seven of them (`BENCH_batched`, `BENCH_batchcount`,
+//! `BENCH_interned`, `BENCH_mc`, `BENCH_topology`, `BENCH_service` and
+//! `BENCH_obs`; `BENCH_faults` is recorded only) against the committed
+//! baselines: a speedup that degrades beyond a tolerance fails the job, and
+//! so does a baseline *workload* that vanishes from the fresh document (a
+//! renamed benchmark must not silently drop out of the gate). Speedups are
+//! same-machine wall-clock *ratios* (one engine against another; for the
+//! model checker, configurations verified per simulated interaction), so
+//! the machine-speed factor of a shared runner cancels to first order,
+//! which is what makes a cross-machine gate meaningful at all; the
+//! tolerance absorbs the second-order noise.
 //!
 //! The container has no JSON dependency (and must not grow one), so this
 //! module carries a [minimal recursive-descent parser](parse) for the strict
@@ -19,8 +25,9 @@
 //! rejection — not a line scraper, so reordering or reformatting the bench
 //! output cannot silently disable the gate. The matching [serializer]
 //! (`to_string`) emits a **canonical** compact form (sorted keys, no
-//! whitespace), which is also what the `ppsimd` daemon's line protocol and
-//! content-addressed result cache are built on.
+//! whitespace), which is what each bench row is written in, and also what
+//! the `ppsimd` daemon's line protocol and content-addressed result cache
+//! are built on.
 //!
 //! [serializer]: to_string
 
@@ -93,6 +100,60 @@ impl Json {
             _ => None,
         }
     }
+
+    /// An object holding `members`.
+    ///
+    /// # Panics
+    ///
+    /// On a repeated key, which [`parse`] would reject.
+    pub fn object<'a>(members: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+        let mut object = Json::Obj(BTreeMap::new());
+        for (key, value) in members {
+            object.insert(key, value);
+        }
+        object
+    }
+
+    /// Adds the member `key` to an object.
+    ///
+    /// # Panics
+    ///
+    /// If this is not an object, or if it already holds `key`.
+    pub fn insert(&mut self, key: &str, value: impl Into<Json>) {
+        let Json::Obj(map) = self else { panic!("insert {key:?} into a non-object") };
+        let previous = map.insert(key.to_owned(), value.into());
+        assert!(previous.is_none(), "duplicate object key {key:?}");
+    }
+}
+
+/// Numbers convert through `f64`; integer counts exactly below 2⁵³.
+macro_rules! json_from_number {
+    ($($number:ty),*) => {$(
+        impl From<$number> for Json {
+            fn from(x: $number) -> Json {
+                Json::Num(x as f64)
+            }
+        }
+    )*};
+}
+json_from_number!(f64, u32, u64, u128, usize);
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_owned())
+    }
+}
+
+impl From<String> for Json {
+    fn from(s: String) -> Json {
+        Json::Str(s)
+    }
 }
 
 /// A parse failure, with the byte offset it occurred at.
@@ -123,6 +184,45 @@ impl fmt::Display for ParseError {
 pub fn to_string(value: &Json) -> String {
     let mut out = String::new();
     write_value(&mut out, value);
+    out
+}
+
+/// Writes a bench document to `path` and notes it on stderr: `fields` as
+/// its leading top-level members, in the given order, then `rows` as its
+/// `"results"` array, each row in the canonical compact form of
+/// [`to_string`] on a line of its own.
+///
+/// # Panics
+///
+/// If the file cannot be written, or if `fields` repeats a key or holds
+/// `"results"`.
+pub fn write_bench(path: &str, fields: &[(&str, Json)], rows: &[Json]) {
+    std::fs::write(path, bench_document(fields, rows))
+        .unwrap_or_else(|err| panic!("write {path}: {err}"));
+    eprintln!("wrote {path}");
+}
+
+/// The text [`write_bench`] writes.
+fn bench_document(fields: &[(&str, Json)], rows: &[Json]) -> String {
+    let mut out = String::from("{\n");
+    for (i, (key, value)) in fields.iter().enumerate() {
+        assert!(
+            *key != "results" && fields[..i].iter().all(|(k, _)| k != key),
+            "duplicate top-level key {key:?}"
+        );
+        out.push_str("  ");
+        write_string(&mut out, key);
+        out.push_str(": ");
+        write_value(&mut out, value);
+        out.push_str(",\n");
+    }
+    out.push_str("  \"results\": [\n");
+    for (i, row) in rows.iter().enumerate() {
+        out.push_str("    ");
+        write_value(&mut out, row);
+        out.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });
+    }
+    out.push_str("  ]\n}\n");
     out
 }
 
@@ -513,7 +613,7 @@ pub fn validate_chrome_trace(doc: &Json) -> Result<usize, String> {
 #[derive(Clone, PartialEq, Debug)]
 pub struct SpeedupRecord {
     /// `"<workload> @ n=<n>"` (the workload falls back to the document's
-    /// top-level `protocol`/`workload` fields for `bench_batched`'s schema).
+    /// top-level `workload`/`protocol` fields for `bench_batched`'s schema).
     pub key: String,
     /// The recorded wall-clock speedup.
     pub speedup: f64,
@@ -521,10 +621,11 @@ pub struct SpeedupRecord {
 
 /// Extracts every `"engine": "speedup"` row of a bench document.
 ///
-/// Both emitted schemas (`bench_batched/v1`, `bench_interned/v1`) share the
-/// row shape `{"n": ..., "engine": "speedup", "speedup": ...}`, with the
-/// workload either per-row (`bench_interned`) or document-level
-/// (`bench_batched`).
+/// Every gated document shares the row shape
+/// `{"n": ..., "engine": "speedup", "speedup": ...}`. The workload is the
+/// row's own `workload` member where it has one, as in all gated documents
+/// but `BENCH_batched.json`; otherwise it is the document-level `workload`,
+/// falling back to `protocol`.
 pub fn speedup_records(doc: &Json) -> Vec<SpeedupRecord> {
     let doc_workload = doc
         .get("workload")
@@ -706,18 +807,67 @@ mod tests {
 
     #[test]
     fn parses_the_committed_baselines() {
-        for path in [
-            "../../BENCH_batched.json",
-            "../../BENCH_interned.json",
-            "../../BENCH_mc.json",
-            "../../BENCH_obs.json",
-        ] {
-            let text = std::fs::read_to_string(path).expect("committed baseline exists");
-            let doc = parse(&text).expect("baseline parses");
+        const GATED: [&str; 7] = [
+            "BENCH_batched.json",
+            "BENCH_batchcount.json",
+            "BENCH_interned.json",
+            "BENCH_mc.json",
+            "BENCH_obs.json",
+            "BENCH_service.json",
+            "BENCH_topology.json",
+        ];
+        let mut seen = Vec::new();
+        for entry in std::fs::read_dir("../..").expect("workspace root") {
+            let name = entry.unwrap().file_name().into_string().unwrap();
+            if !(name.starts_with("BENCH_") && name.ends_with(".json")) {
+                continue;
+            }
+            let text = std::fs::read_to_string(format!("../../{name}")).unwrap();
+            let doc = parse(&text).unwrap_or_else(|err| panic!("{name}: {err}"));
+            assert!(doc.get("schema").and_then(Json::as_str).is_some(), "{name} has a schema");
             let records = speedup_records(&doc);
-            assert!(!records.is_empty(), "{path} has speedup rows");
-            assert!(records.iter().all(|r| r.speedup > 0.0));
+            if GATED.contains(&name.as_str()) {
+                assert!(!records.is_empty(), "{name} has speedup rows");
+            }
+            assert!(records.iter().all(|r| r.speedup > 0.0), "{name}");
+            seen.push(name);
         }
+        for name in GATED {
+            assert!(seen.iter().any(|s| s == name), "{name} is committed");
+        }
+    }
+
+    #[test]
+    fn bench_documents_round_trip_one_row_per_line() {
+        let rows = vec![
+            Json::object([("n", 1000usize.into()), ("engine", "exact".into())]),
+            Json::object([
+                ("workload", "a \"quoted\" name".into()),
+                ("n", 12u64.into()),
+                ("engine", "speedup".into()),
+                ("speedup", 3.25.into()),
+                ("exact_extrapolated", false.into()),
+            ]),
+        ];
+        let fields = [("schema", Json::from("test/v1")), ("quick", true.into())];
+        let text = bench_document(&fields, &rows);
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), fields.len() + rows.len() + 4);
+        assert_eq!(lines[1], "  \"schema\": \"test/v1\",");
+        for (line, row) in lines[4..].iter().zip(&rows) {
+            assert_eq!(parse(line.trim().trim_end_matches(',')).unwrap(), *row);
+        }
+        let doc = parse(&text).unwrap();
+        let mut expected = Json::object(fields.iter().cloned());
+        expected.insert("results", Json::Arr(rows));
+        assert_eq!(doc, expected);
+        assert_eq!(speedup_records(&doc)[0].key, "a \"quoted\" name @ n=12");
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate object key \"n\"")]
+    fn objects_reject_repeated_keys() {
+        Json::object([("n", 1u32.into()), ("n", 2u32.into())]);
     }
 
     fn bench_doc(speedups: &[(u64, f64)]) -> Json {

@@ -423,12 +423,6 @@ impl Scheduler {
         OrderedPair { initiator: AgentId::new(a), responder: AgentId::new(b) }
     }
 
-    /// Mutable access to the underlying random number generator, for protocol
-    /// transition randomness.
-    pub fn rng_mut(&mut self) -> &mut dyn RngCore {
-        &mut self.rng
-    }
-
     /// Draws both the pair and returns a mutable borrow of the generator in a
     /// single call, so transition randomness and scheduling randomness share
     /// one stream.

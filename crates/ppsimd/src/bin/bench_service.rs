@@ -20,6 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
 use std::time::Instant;
 
+use bench::perf::{write_bench, Json};
 use ppsimd::{serve, ServerConfig};
 
 struct Options {
@@ -227,11 +228,31 @@ fn main() {
         "warm cache must be >= 10x cold throughput on the mcheck workload, got {ratio:.1}x"
     );
 
-    let doc = render_doc(
-        &opts, &grid, cold_rps, &cold_lat, warm_rps, &warm, mixed_rps, &mixed, burst_rps, ratio,
-    );
-    std::fs::write(&opts.out, doc).expect("write BENCH_service.json");
-    println!("  wrote {}", opts.out);
+    let n = opts.clients;
+    let rows = [
+        phase_row("expect-cold", n, cold_rps, &cold_lat),
+        phase_row("expect-warm", n, warm_rps, &warm),
+        phase_row("mixed", n, mixed_rps, &mixed),
+        Json::object([
+            ("workload", "warm-burst".into()),
+            ("n", n.into()),
+            ("engine", "measure".into()),
+            ("rps", burst_rps.into()),
+        ]),
+        Json::object([
+            ("workload", "service-warm-vs-cold".into()),
+            ("n", n.into()),
+            ("engine", "speedup".into()),
+            ("speedup", ratio.into()),
+        ]),
+    ];
+    let fields = [
+        ("schema", Json::from("bench_service/v1")),
+        ("quick", opts.quick.into()),
+        ("clients", n.into()),
+        ("grid", grid.len().into()),
+    ];
+    write_bench(&opts.out, &fields, &rows);
     drop(server);
 }
 
@@ -327,49 +348,16 @@ fn report_phase(name: &str, rps: f64, latencies: &[f64]) {
     println!("  {name:6} {rps:9.0} req/s   p50 {p50:8.3} ms   p95 {p95:8.3} ms   p99 {p99:8.3} ms");
 }
 
-#[allow(clippy::too_many_arguments)]
-fn render_doc(
-    opts: &Options,
-    grid: &[String],
-    cold_rps: f64,
-    cold: &[f64],
-    warm_rps: f64,
-    warm: &[f64],
-    mixed_rps: f64,
-    mixed: &[f64],
-    burst_rps: f64,
-    ratio: f64,
-) -> String {
-    let row = |workload: &str, rps: f64, lat: &[f64]| {
-        let (p50, p95, p99) = percentiles(lat);
-        format!(
-            "    {{\"workload\": \"{workload}\", \"n\": {}, \"engine\": \"measure\", \
-             \"rps\": {rps:.1}, \"p50_ms\": {p50:.3}, \"p95_ms\": {p95:.3}, \
-             \"p99_ms\": {p99:.3}}}",
-            opts.clients
-        )
-    };
-    let mut rows = vec![
-        row("expect-cold", cold_rps, cold),
-        row("expect-warm", warm_rps, warm),
-        row("mixed", mixed_rps, mixed),
-        format!(
-            "    {{\"workload\": \"warm-burst\", \"n\": {}, \"engine\": \"measure\", \
-             \"rps\": {burst_rps:.1}}}",
-            opts.clients
-        ),
-    ];
-    rows.push(format!(
-        "    {{\"workload\": \"service-warm-vs-cold\", \"n\": {}, \"engine\": \"speedup\", \
-         \"speedup\": {ratio:.1}}}",
-        opts.clients
-    ));
-    format!(
-        "{{\n  \"schema\": \"bench_service/v1\",\n  \"quick\": {},\n  \"clients\": {},\n  \
-         \"grid\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
-        opts.quick,
-        opts.clients,
-        grid.len(),
-        rows.join(",\n")
-    )
+/// One closed-loop phase's row: throughput and latency percentiles.
+fn phase_row(workload: &str, clients: usize, rps: f64, latencies: &[f64]) -> Json {
+    let (p50, p95, p99) = percentiles(latencies);
+    Json::object([
+        ("workload", workload.into()),
+        ("n", clients.into()),
+        ("engine", "measure".into()),
+        ("rps", rps.into()),
+        ("p50_ms", p50.into()),
+        ("p95_ms", p95.into()),
+        ("p99_ms", p99.into()),
+    ])
 }

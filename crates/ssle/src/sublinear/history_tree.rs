@@ -103,11 +103,6 @@ impl PathView {
     pub fn is_empty(&self) -> bool {
         self.syncs.is_empty()
     }
-
-    /// The name of the last node of the path.
-    pub fn last_name(&self) -> &Name {
-        self.nodes.last().expect("a path always contains at least the root")
-    }
 }
 
 /// The bounded-depth history tree of one agent.

@@ -22,13 +22,18 @@ fn main() {
         Table::new(vec!["protocol", "n", "mean parallel time", "bits / agent", "silent"]);
 
     for &n in &sizes {
-        // Baseline Θ(n²) protocol.
-        let baseline_times: Vec<f64> = run_trials(&TrialPlan::new(trials, 1), |_, seed| {
-            let p = SilentNStateSsr::new(n);
-            let mut sim = Simulation::new(p, p.worst_case_configuration(), seed);
-            sim.run_until_silent(u64::MAX >> 16);
-            sim.parallel_time().value()
-        });
+        // Baseline Θ(n²) protocol, timed at its exact silence point.
+        let p = SilentNStateSsr::new(n);
+        let spec = RunSpec::new(p).init(p.worst_case_configuration()).trials(trials).seed(1);
+        let baseline_times: Vec<f64> = spec
+            .run()
+            .expect("a uniform exact-engine spec builds")
+            .iter()
+            .map(|report| {
+                assert!(report.outcome.is_silent());
+                report.parallel_time().value()
+            })
+            .collect();
         table.add_row(vec![
             "Silent-n-state-SSR".into(),
             n.to_string(),

@@ -10,15 +10,19 @@ use rand_chacha::ChaCha8Rng;
 use ssle_pp::prelude::*;
 
 /// Mean stabilization time (parallel) of `Silent-n-state-SSR` from its
-/// worst-case configuration.
+/// worst-case configuration, at the exact silence point.
 fn silent_n_state_time(n: usize, trials: usize, seed: u64) -> f64 {
-    let samples: Vec<f64> = run_trials(&TrialPlan::new(trials, seed), |_, s| {
-        let p = SilentNStateSsr::new(n);
-        let mut sim = Simulation::new(p, p.worst_case_configuration(), s);
-        let outcome = sim.run_until_silent(u64::MAX >> 16);
-        assert!(outcome.is_silent());
-        sim.parallel_time().value()
-    });
+    let p = SilentNStateSsr::new(n);
+    let spec = RunSpec::new(p).init(p.worst_case_configuration()).trials(trials).seed(seed);
+    let samples: Vec<f64> = spec
+        .run()
+        .expect("a uniform exact-engine spec builds")
+        .iter()
+        .map(|report| {
+            assert!(report.outcome.is_silent());
+            report.parallel_time().value()
+        })
+        .collect();
     Summary::from_samples(&samples).mean
 }
 
