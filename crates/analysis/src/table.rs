@@ -45,16 +45,6 @@ impl Table {
         self
     }
 
-    /// Number of data rows.
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Number of columns.
-    pub fn column_count(&self) -> usize {
-        self.headers.len()
-    }
-
     /// Renders the table as aligned plain text.
     pub fn to_plain_text(&self) -> String {
         let widths = self.column_widths();
@@ -140,8 +130,6 @@ mod tests {
         assert_eq!(lines.len(), 4);
         assert!(lines[0].starts_with("n"));
         assert!(lines[1].chars().all(|c| c == '-'));
-        assert_eq!(t.row_count(), 2);
-        assert_eq!(t.column_count(), 2);
     }
 
     #[test]

@@ -61,20 +61,6 @@ pub fn epidemic_three_n_ln_n_tail(n: usize) -> f64 {
     1.0 / (n as f64 * n as f64)
 }
 
-/// The roll-call bound of Lemma 2.9: `P[R_n > 3·n·ln n] < 1/n`.
-pub fn roll_call_three_n_ln_n_tail(n: usize) -> f64 {
-    assert!(n >= 2, "population must have at least two agents");
-    1.0 / n as f64
-}
-
-/// Observation 2.6's lower bound: any silent SSLE protocol requires at least
-/// `alpha·n·ln n` convergence time with probability at least `n^(−3·alpha)/2`.
-pub fn silent_lower_bound_probability(n: usize, alpha: f64) -> f64 {
-    assert!(n >= 2, "population must have at least two agents");
-    assert!(alpha > 0.0, "alpha must be positive");
-    0.5 * (n as f64).powf(-3.0 * alpha)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,13 +113,5 @@ mod tests {
     #[test]
     fn corollary_bounds_match_formulas() {
         assert_eq!(epidemic_three_n_ln_n_tail(10), 0.01);
-        assert_eq!(roll_call_three_n_ln_n_tail(10), 0.1);
-    }
-
-    #[test]
-    fn silent_lower_bound_probability_example_from_paper() {
-        // The paper notes that with alpha = 1/3 the probability is >= 1/(2n).
-        let p = silent_lower_bound_probability(100, 1.0 / 3.0);
-        assert!((p - 1.0 / 200.0).abs() < 1e-12);
     }
 }

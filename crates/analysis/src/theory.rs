@@ -75,22 +75,6 @@ pub fn coupon_collector_all_agents_time(n: usize) -> f64 {
     0.5 * (n as f64).ln()
 }
 
-/// Number of states of `Silent-n-state-SSR`: exactly `n` (Table 1).
-pub fn silent_n_state_states(n: usize) -> f64 {
-    n as f64
-}
-
-/// Base-2 logarithm of the number of states of `Silent-n-state-SSR`.
-pub fn silent_n_state_log2_states(n: usize) -> f64 {
-    (n as f64).log2()
-}
-
-/// Θ(n) state count shape for `Optimal-Silent-SSR` (Table 1): the sum of the
-/// per-role state counts `O(n) + O(n) + O(Rmax + Dmax) = O(n)`.
-pub fn optimal_silent_states_shape(n: usize) -> f64 {
-    n as f64
-}
-
 /// Bits of memory per agent for `Sublinear-Time-SSR` (Theorem 5.7):
 /// `O(n^H · log n)` bits, i.e. `exp(O(n^H)·log n)` states. Returned in bits
 /// (log₂ of the state count shape).
@@ -106,27 +90,12 @@ pub fn sublinear_expected_time_shape(n: usize, h: usize) -> f64 {
     (h.max(1)) as f64 * (n as f64).powf(1.0 / (h as f64 + 1.0))
 }
 
-/// The Table 1 expected-time shape for `Sublinear-Time-SSR` with
-/// `H = Θ(log n)`: `Θ(log n)`.
-pub fn sublinear_log_time_shape(n: usize) -> f64 {
-    assert!(n >= 2, "population must have at least two agents");
-    (n as f64).ln()
-}
-
 /// The per-bit expected slowdown of the synthetic-coin construction
 /// (Section 6): an agent needing a random bit waits an expected 4 interactions
 /// for an `Alg`/`Flip` meeting, so harvesting `b` bits takes about `4·b` of
 /// that agent's interactions.
 pub fn synthetic_coin_expected_interactions_per_bit() -> f64 {
     4.0
-}
-
-/// The name length used by `Sublinear-Time-SSR`: `3·log₂ n` bits, which makes
-/// the probability of any collision among `n` uniformly random names
-/// `O(1/n)` (Lemma 5.1).
-pub fn sublinear_name_bits(n: usize) -> usize {
-    assert!(n >= 2, "population must have at least two agents");
-    (3.0 * (n as f64).log2()).ceil() as usize
 }
 
 /// Union-bound probability that `n` uniform names of `bits` bits contain a
@@ -189,9 +158,6 @@ mod tests {
 
     #[test]
     fn state_counts_match_table_one() {
-        assert_eq!(silent_n_state_states(64), 64.0);
-        assert_eq!(silent_n_state_log2_states(64), 6.0);
-        assert_eq!(optimal_silent_states_shape(64), 64.0);
         // H = 1: n·log₂ n bits.
         assert_eq!(sublinear_log2_states_shape(64, 1), 64.0 * 6.0);
         // H = 2: n²·log₂ n bits.
@@ -205,12 +171,10 @@ mod tests {
         assert!((sublinear_expected_time_shape(n, 1) - 64.0).abs() < 1e-9);
         // H = 0 corresponds to direct collision detection, shape n.
         assert!((sublinear_expected_time_shape(n, 0) - 4096.0).abs() < 1e-9);
-        assert!(sublinear_log_time_shape(n) < sublinear_expected_time_shape(n, 3));
     }
 
     #[test]
     fn name_lengths_and_collision_probabilities() {
-        assert_eq!(sublinear_name_bits(64), 18);
         let p = name_collision_probability(64, 18);
         // C(64,2)/2^18 = 2016/262144 ≈ 0.0077 < 1/64·1 (O(1/n) with a small constant).
         assert!(p < 0.01);

@@ -1728,45 +1728,7 @@ impl Engine {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::protocol::Protocol;
-
-    /// (L, L) -> (L, F) with dense indices {L: 0, F: 1}.
-    #[derive(Clone, Copy, Debug)]
-    struct Frat {
-        n: usize,
-    }
-
-    impl Protocol for Frat {
-        type State = u8;
-        fn population_size(&self) -> usize {
-            self.n
-        }
-        fn transition(&self, a: &u8, b: &u8, _rng: &mut dyn RngCore) -> (u8, u8) {
-            if *a == 0 && *b == 0 {
-                (0, 1)
-            } else {
-                (*a, *b)
-            }
-        }
-        fn is_null(&self, a: &u8, b: &u8) -> bool {
-            !(*a == 0 && *b == 0)
-        }
-    }
-
-    impl EnumerableProtocol for Frat {
-        fn num_states(&self) -> usize {
-            2
-        }
-        fn state_index(&self, s: &u8) -> usize {
-            *s as usize
-        }
-        fn state_from_index(&self, i: usize) -> u8 {
-            i as u8
-        }
-        fn interaction_partners(&self, i: usize) -> Option<Vec<usize>> {
-            Some(if i == 0 { vec![0] } else { vec![] })
-        }
-    }
+    use crate::fixtures::{leaders, Frat};
 
     #[test]
     fn all_null_configuration_is_immediately_silent() {
@@ -2119,10 +2081,6 @@ pub(crate) mod tests {
 
         const BUDGET: u64 = u64::MAX >> 8;
 
-        fn leaders(c: &Configuration<u8>) -> usize {
-            c.iter().filter(|&&s| s == 0).count()
-        }
-
         fn new_scheduled<P: CountProtocol<State = u8>>(
             protocol: P,
             init: &Configuration<u8>,
@@ -2130,12 +2088,6 @@ pub(crate) mod tests {
             scheduler: &InteractionScheduler<u8>,
         ) -> Result<CountSimulation<P, P::Index>, SimError> {
             CountSimulation::try_new_scheduled(protocol, init, seed, scheduler)
-        }
-
-        /// Fratricide over the enumerated index, for the interned-index tests
-        /// to wrap in [`crate::AsInterned`].
-        pub(crate) fn frat(n: usize) -> impl CountProtocol<State = u8> + Clone + Sync {
-            Frat { n }
         }
 
         pub(crate) fn check_graph_schedulers_are_rejected<P>(protocol: P, engine: &str)

@@ -235,60 +235,18 @@ pub(crate) const DEPARTURE_SALT: u64 = 0xDE9A_2217;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batched::{Engine, EnumerableProtocol};
+    use crate::batched::Engine;
     use crate::config::Configuration;
     use crate::error::SimError;
     use crate::execution::StopReason;
     use crate::faults::FaultPlan;
+    use crate::fixtures::{leaders, Frat};
     use crate::interned::AsInterned;
-    use crate::protocol::Protocol;
     use crate::runspec::RunSpec;
     use crate::scheduler::{InteractionScheduler, PairRates, Topology};
-    use rand::{Rng, RngCore};
-
-    /// (L, L) -> (L, F) with L = 0, F = 1.
-    #[derive(Clone, Copy, Debug)]
-    struct Frat {
-        n: usize,
-    }
-
-    impl Protocol for Frat {
-        type State = u8;
-        fn population_size(&self) -> usize {
-            self.n
-        }
-        fn transition(&self, a: &u8, b: &u8, _rng: &mut dyn RngCore) -> (u8, u8) {
-            if *a == 0 && *b == 0 {
-                (0, 1)
-            } else {
-                (*a, *b)
-            }
-        }
-        fn is_null(&self, a: &u8, b: &u8) -> bool {
-            !(*a == 0 && *b == 0)
-        }
-    }
-
-    impl EnumerableProtocol for Frat {
-        fn num_states(&self) -> usize {
-            2
-        }
-        fn state_index(&self, s: &u8) -> usize {
-            *s as usize
-        }
-        fn state_from_index(&self, i: usize) -> u8 {
-            i as u8
-        }
-        fn interaction_partners(&self, i: usize) -> Option<Vec<usize>> {
-            Some(if i == 0 { vec![0] } else { vec![] })
-        }
-    }
+    use rand::Rng;
 
     const BUDGET: u64 = u64::MAX >> 8;
-
-    fn leaders(c: &Configuration<u8>) -> usize {
-        c.iter().filter(|&&s| s == 0).count()
-    }
 
     fn resize(joins: Vec<u8>, leaves: usize) -> PerturbationKind<u8> {
         PerturbationKind::Resize { joins, leaves }

@@ -76,11 +76,6 @@ impl<S> Configuration<S> {
         self.states.iter()
     }
 
-    /// Iterates over `(AgentId, &state)` pairs.
-    pub fn iter_with_ids(&self) -> impl Iterator<Item = (AgentId, &S)> {
-        self.states.iter().enumerate().map(|(i, s)| (AgentId::new(i), s))
-    }
-
     /// A view of the underlying state slice.
     pub fn as_slice(&self) -> &[S] {
         &self.states
@@ -222,8 +217,6 @@ mod tests {
         assert_eq!(c.len(), 5);
         let doubled: Vec<u32> = c.iter().map(|x| x * 2).collect();
         assert_eq!(doubled, vec![0, 2, 4, 6, 8]);
-        let ids: Vec<usize> = c.iter_with_ids().map(|(id, _)| id.index()).collect();
-        assert_eq!(ids, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]

@@ -680,31 +680,33 @@ mod tests {
     }
 
     /// The scheduler-layer tests over the interned index: each runs the
-    /// shared body from `batched::tests::scheduled` on Fratricide through
+    /// shared body from `batched::tests::scheduled` on the crate's shared
+    /// `u8` fratricide fixture (not this module's `u32` one) through
     /// [`AsInterned`], so the follower state is interned first-seen.
     mod scheduled {
         use super::*;
         use crate::batched::tests::scheduled::*;
+        use crate::fixtures::Frat;
         use crate::scheduler::{InteractionScheduler, PairRates};
 
         #[test]
         fn graph_schedulers_are_rejected_with_a_typed_error() {
-            check_graph_schedulers_are_rejected(AsInterned(frat(8)), "interned");
+            check_graph_schedulers_are_rejected(AsInterned(Frat { n: 8 }), "interned");
         }
 
         #[test]
         fn zero_rate_schedulers_are_rejected() {
-            check_zero_rate_schedulers_are_rejected(AsInterned(frat(8)));
+            check_zero_rate_schedulers_are_rejected(AsInterned(Frat { n: 8 }));
         }
 
         #[test]
         fn scheduled_uniform_is_trajectory_identical_to_plain() {
-            check_scheduled_uniform_is_trajectory_identical(AsInterned(frat(30)));
+            check_scheduled_uniform_is_trajectory_identical(AsInterned(Frat { n: 30 }));
         }
 
         #[test]
         fn weighted_runs_silence_on_open_state_spaces() {
-            check_weighted_runs_silence(AsInterned(frat(40)));
+            check_weighted_runs_silence(AsInterned(Frat { n: 40 }));
             // Merge's non-null pairs are (w, w): boost them all via the
             // default rate and pin a specific pair higher. Every state past
             // the first appears only at run time.
@@ -721,17 +723,20 @@ mod tests {
 
         #[test]
         fn rate_zero_pairs_make_silence_scheduler_relative() {
-            check_rate_zero_pairs_make_silence_scheduler_relative(AsInterned(frat(10)));
+            check_rate_zero_pairs_make_silence_scheduler_relative(AsInterned(Frat { n: 10 }));
         }
 
         #[test]
         fn batchcount_weighted_fallback_is_trajectory_equal_to_per_transition() {
-            check_batchcount_weighted_fallback(AsInterned(frat(50)));
+            check_batchcount_weighted_fallback(AsInterned(Frat { n: 50 }));
         }
 
         #[test]
         fn churn_keeps_weighted_row_weights_consistent() {
-            check_churn_keeps_weighted_row_weights_consistent(AsInterned(frat(20)), &[0, 0, 7, 9]);
+            check_churn_keeps_weighted_row_weights_consistent(
+                AsInterned(Frat { n: 20 }),
+                &[0, 0, 7, 9],
+            );
         }
     }
 }

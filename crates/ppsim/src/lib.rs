@@ -99,6 +99,8 @@ pub mod config;
 pub mod error;
 pub mod execution;
 pub mod faults;
+#[cfg(test)]
+mod fixtures;
 pub mod interned;
 pub mod mcheck;
 pub mod protocol;
@@ -135,7 +137,7 @@ pub use mcheck::{
     MCheckError, MCheckOptions, ModelChecker, ReachableSpace,
 };
 pub use protocol::{LeaderElectionProtocol, Protocol, Rank, RankingProtocol};
-pub use runner::{fold_counters, run_trials, run_trials_sequential, TrialPlan};
+pub use runner::{run_trials, run_trials_sequential, TrialPlan};
 pub use runspec::{ReadyRun, RunSpec, TrialReport};
 pub use sampling::{sample_distinct_indices, sample_victims_by_counts};
 pub use scenario::{Scenario, ScenarioRng};
@@ -172,7 +174,7 @@ pub mod prelude {
         FaultClosureReport, MCheckError, MCheckOptions, ModelChecker,
     };
     pub use crate::protocol::{LeaderElectionProtocol, Protocol, Rank, RankingProtocol};
-    pub use crate::runner::{fold_counters, run_trials, run_trials_sequential, TrialPlan};
+    pub use crate::runner::{run_trials, run_trials_sequential, TrialPlan};
     pub use crate::runspec::{ReadyRun, RunSpec, TrialReport};
     pub use crate::sampling::{sample_distinct_indices, sample_victims_by_counts};
     pub use crate::scenario::{Scenario, ScenarioRng};

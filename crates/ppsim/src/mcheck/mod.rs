@@ -1674,49 +1674,9 @@ fn for_each_multiset(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::Frat;
     use crate::scheduler::PairRates;
     use rand::RngCore;
-
-    /// (L, L) → (L, F) with L = 0, F = 1.
-    #[derive(Clone, Copy, Debug)]
-    struct Frat {
-        n: usize,
-    }
-
-    impl Protocol for Frat {
-        type State = u8;
-        fn population_size(&self) -> usize {
-            self.n
-        }
-        fn transition(&self, a: &u8, b: &u8, _rng: &mut dyn RngCore) -> (u8, u8) {
-            if *a == 0 && *b == 0 {
-                (0, 1)
-            } else {
-                (*a, *b)
-            }
-        }
-        fn is_null(&self, a: &u8, b: &u8) -> bool {
-            !(*a == 0 && *b == 0)
-        }
-    }
-
-    impl EnumerableProtocol for Frat {
-        fn num_states(&self) -> usize {
-            2
-        }
-        fn state_index(&self, s: &u8) -> usize {
-            *s as usize
-        }
-        fn state_from_index(&self, i: usize) -> u8 {
-            i as u8
-        }
-    }
-
-    impl CorrectnessOracle for Frat {
-        fn is_correct(&self, config: &Configuration<u8>) -> bool {
-            config.iter().filter(|&&s| s == 0).count() <= 1
-        }
-    }
 
     /// Fratricide judged by the *strict* unique-leader oracle — provably not
     /// self-stabilizing (it cannot create leaders, Observation 2.6); used to

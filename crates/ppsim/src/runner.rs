@@ -100,21 +100,6 @@ where
     results.into_iter().map(|r| r.expect("every trial slot is filled")).collect()
 }
 
-/// Sums per-trial counter registries into one aggregate block.
-///
-/// Convenience for experiment binaries and the daemon, which report
-/// engine-counter totals per request rather than per trial: pass the
-/// `counters` field of each [`TrialReport`](crate::runspec::TrialReport).
-pub fn fold_counters<'a>(
-    blocks: impl IntoIterator<Item = &'a crate::telemetry::CounterBlock>,
-) -> crate::telemetry::CounterBlock {
-    let mut total = crate::telemetry::CounterBlock::default();
-    for block in blocks {
-        total.merge(block);
-    }
-    total
-}
-
 /// Runs trials sequentially on the current thread; useful for closures that
 /// are not `Sync` or for deterministic debugging.
 pub fn run_trials_sequential<T>(

@@ -543,46 +543,10 @@ impl<S> TrialReport<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batched::EnumerableProtocol;
     use crate::churn::ChurnAction;
     use crate::faults::CorruptionTarget;
+    use crate::fixtures::{leaders, Frat};
     use crate::scheduler::{PairRates, Topology};
-    use rand::RngCore;
-
-    /// (L, L) -> (L, F) with L = 0, F = 1.
-    #[derive(Clone, Copy, Debug)]
-    struct Frat {
-        n: usize,
-    }
-
-    impl Protocol for Frat {
-        type State = u8;
-        fn population_size(&self) -> usize {
-            self.n
-        }
-        fn transition(&self, a: &u8, b: &u8, _rng: &mut dyn RngCore) -> (u8, u8) {
-            if *a == 0 && *b == 0 {
-                (0, 1)
-            } else {
-                (*a, *b)
-            }
-        }
-        fn is_null(&self, a: &u8, b: &u8) -> bool {
-            !(*a == 0 && *b == 0)
-        }
-    }
-
-    impl EnumerableProtocol for Frat {
-        fn num_states(&self) -> usize {
-            2
-        }
-        fn state_index(&self, s: &u8) -> usize {
-            *s as usize
-        }
-        fn state_from_index(&self, i: usize) -> u8 {
-            i as u8
-        }
-    }
 
     fn all_leaders(n: usize) -> Configuration<u8> {
         Configuration::uniform(0u8, n)
@@ -739,10 +703,6 @@ mod tests {
         assert_eq!(report.events[0].joined, 3);
         assert_eq!(report.events[1].corrupted, 2);
         assert_eq!(report.final_population(), 23);
-    }
-
-    fn leaders(c: &Configuration<u8>) -> usize {
-        c.count_matching(|&s| s == 0)
     }
 
     #[test]

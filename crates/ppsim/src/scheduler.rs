@@ -123,11 +123,6 @@ impl<S: Clone + Eq + Hash> PairRates<S> {
             .unwrap_or(self.default)
     }
 
-    /// The default rate of non-overridden pairs.
-    pub fn default_rate(&self) -> u64 {
-        self.default
-    }
-
     /// The overridden ordered pairs and their rates.
     pub fn overrides(&self) -> &[((S, S), u64)] {
         &self.overrides
@@ -596,7 +591,6 @@ mod tests {
         assert_eq!(r.rate(&'b', &'c'), 0);
         assert_eq!(r.rate(&'c', &'b'), 0);
         assert_eq!(r.rate(&'x', &'y'), 2);
-        assert_eq!(r.default_rate(), 2);
         assert_eq!(r.max_rate(), 5);
         assert_eq!(r.overrides().len(), 3);
     }

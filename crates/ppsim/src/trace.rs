@@ -87,11 +87,6 @@ impl<S> Trace<S> {
         &self.snapshots
     }
 
-    /// Events whose label matches `label`.
-    pub fn events_labelled<'a>(&'a self, label: &'a str) -> impl Iterator<Item = &'a TraceEvent> {
-        self.events.iter().filter(move |e| e.label == label)
-    }
-
     /// The last snapshot, if any.
     pub fn last_snapshot(&self) -> Option<&(Interactions, Configuration<S>)> {
         self.snapshots.last()
@@ -117,7 +112,6 @@ mod tests {
         trace.snapshot(Interactions::new(2), Configuration::uniform(0u8, 2));
         assert!(!trace.is_empty());
         assert_eq!(trace.events().len(), 3);
-        assert_eq!(trace.events_labelled("a").count(), 2);
         assert_eq!(trace.last_snapshot().unwrap().0, Interactions::new(2));
     }
 

@@ -1,5 +1,8 @@
 //! Property-based tests for the simulation substrate.
 
+mod common;
+
+use common::Spread;
 use ppsim::prelude::*;
 use proptest::prelude::*;
 use rand::{Rng, RngCore, SeedableRng};
@@ -304,46 +307,6 @@ proptest! {
                 .all(|e| matches!(&e.kind, PerturbationKind::Corrupt(states) if states.len() == k)));
         }
         prop_assert_eq!(plans[1].resolve(seed).len(), bursts as usize);
-    }
-}
-
-/// A protocol that spreads the largest state value: non-null on unequal
-/// pairs, so corrupting states materially changes the active-pair structure
-/// — a good stress for the incremental row repair.
-#[derive(Clone, Copy, Debug)]
-struct Spread {
-    n: usize,
-}
-
-impl Protocol for Spread {
-    type State = u8;
-    fn population_size(&self) -> usize {
-        self.n
-    }
-    fn transition(&self, a: &u8, b: &u8, _rng: &mut dyn RngCore) -> (u8, u8) {
-        let m = (*a).max(*b);
-        (m, m)
-    }
-    fn is_null(&self, a: &u8, b: &u8) -> bool {
-        a == b
-    }
-    fn deterministic_transitions(&self) -> bool {
-        true // the transition ignores its RNG: batch-count applies m-fold bundles
-    }
-}
-
-impl EnumerableProtocol for Spread {
-    fn num_states(&self) -> usize {
-        5
-    }
-    fn state_index(&self, s: &u8) -> usize {
-        *s as usize
-    }
-    fn state_from_index(&self, i: usize) -> u8 {
-        i as u8
-    }
-    fn interaction_partners(&self, i: usize) -> Option<Vec<usize>> {
-        Some((0..5).filter(|&j| j != i).collect())
     }
 }
 

@@ -11,49 +11,12 @@
 //!   seed-for-seed (counters are RNG-free and probes piggyback on state the
 //!   engine already maintains).
 
+mod common;
+
+use common::Spread;
 use ppsim::prelude::*;
 use ppsim::telemetry::Counter;
 use proptest::prelude::*;
-use rand::RngCore;
-
-/// The epidemic-style max-spreading protocol used across the engine tests:
-/// non-null on unequal pairs, silent exactly when every agent agrees.
-#[derive(Clone, Copy, Debug)]
-struct Spread {
-    n: usize,
-}
-
-impl Protocol for Spread {
-    type State = u8;
-    fn population_size(&self) -> usize {
-        self.n
-    }
-    fn transition(&self, a: &u8, b: &u8, _rng: &mut dyn RngCore) -> (u8, u8) {
-        let m = (*a).max(*b);
-        (m, m)
-    }
-    fn is_null(&self, a: &u8, b: &u8) -> bool {
-        a == b
-    }
-    fn deterministic_transitions(&self) -> bool {
-        true
-    }
-}
-
-impl EnumerableProtocol for Spread {
-    fn num_states(&self) -> usize {
-        5
-    }
-    fn state_index(&self, s: &u8) -> usize {
-        *s as usize
-    }
-    fn state_from_index(&self, i: usize) -> u8 {
-        i as u8
-    }
-    fn interaction_partners(&self, i: usize) -> Option<Vec<usize>> {
-        Some((0..5).filter(|&j| j != i).collect())
-    }
-}
 
 fn spec(n: usize, engine: Engine, seed: u64, probe: bool) -> RunSpec<Spread> {
     RunSpec::new(Spread { n })

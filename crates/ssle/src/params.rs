@@ -38,16 +38,6 @@ impl ResetParams {
         ResetParams { r_max, d_max: 2 * r_max + (8.0 * ln_n).ceil() as u32 + 8 }
     }
 
-    /// The paper's literal constant `Rmax = 60·ln n` (with the same
-    /// `Dmax` rule as [`ResetParams::logarithmic`]); exposed for experiments
-    /// that want to reproduce the constants as stated rather than the shape.
-    pub fn paper_constants(n: usize) -> Self {
-        assert!(n >= 2, "population must have at least two agents");
-        let ln_n = (n as f64).ln();
-        let r_max = (60.0 * ln_n).ceil() as u32;
-        ResetParams { r_max, d_max: 2 * r_max + 8 }
-    }
-
     /// Parameters for a linear-length dormancy, as used by
     /// `Optimal-Silent-SSR` (`Dmax = Θ(n)`), with the given multiplier.
     ///
@@ -220,12 +210,6 @@ mod tests {
         assert!(large.r_max > small.r_max);
         assert!(large.r_max < 100, "Rmax should stay logarithmic, got {}", large.r_max);
         assert!(small.d_max >= 2 * small.r_max);
-    }
-
-    #[test]
-    fn paper_constants_use_sixty_ln_n() {
-        let p = ResetParams::paper_constants(100);
-        assert_eq!(p.r_max, (60.0f64 * 100f64.ln()).ceil() as u32);
     }
 
     #[test]

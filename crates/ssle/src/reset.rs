@@ -43,11 +43,6 @@ impl ResetTimers {
         ResetTimers { resetcount: params.r_max, delaytimer: params.d_max }
     }
 
-    /// Whether the agent is propagating the reset signal.
-    pub fn is_propagating(&self) -> bool {
-        self.resetcount > 0
-    }
-
     /// Whether the agent is dormant (waiting to awaken).
     pub fn is_dormant(&self) -> bool {
         self.resetcount == 0
@@ -263,7 +258,6 @@ mod tests {
         let p = params();
         let t = ResetTimers::triggered(&p);
         assert_eq!(t.resetcount, 10);
-        assert!(t.is_propagating());
         assert!(!t.is_dormant());
     }
 }

@@ -165,6 +165,28 @@ mod tests {
     }
 
     #[test]
+    fn random_meetings_never_raise_false_alarms() {
+        // Lemma 5.4 on trees that have absorbed real history: 8·n uniformly
+        // random meetings among n = 32 distinctly named agents.
+        let n = 32;
+        let names: Vec<Name> = (0..n as u64).map(name).collect();
+        for seed in [7u64, 11] {
+            let mut pick = ChaCha8Rng::seed_from_u64(seed ^ 0xBEEF);
+            let meetings: Vec<(usize, usize)> = (0..8 * n)
+                .map(|_| {
+                    let a = pick.gen_range(0..n);
+                    let b = pick.gen_range(0..n - 1);
+                    (a, if b >= a { b + 1 } else { b })
+                })
+                .collect();
+            for h in [1u32, 2, 3] {
+                let (_, collision) = run_script(&names, &meetings, &params(h), seed);
+                assert!(!collision, "false collision at depth H = {h}, seed {seed}");
+            }
+        }
+    }
+
+    #[test]
     fn impostor_is_caught_through_an_intermediary() {
         // Agents: a (0), intermediary b (1), impostor a' (2) sharing a's name.
         // a meets b, then b meets the impostor: with overwhelming probability
