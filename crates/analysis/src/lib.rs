@@ -7,14 +7,11 @@
 //!   functions that appear throughout the paper's time bounds.
 //! * [`theory`] — closed-form predictions for every process and protocol the
 //!   paper analyses (epidemic, roll call, bounded epidemic, fratricide,
-//!   binary-tree ranking, and the Table 1 rows), used as the "paper" column
-//!   in the experiment outputs.
+//!   binary-tree ranking, and the Table 1 rows), and the epidemic tail bound
+//!   of Corollary 2.8, used as the "paper" column in the experiment outputs.
 //! * [`stats`] — descriptive statistics over trial results.
 //! * [`fit`] — least-squares fits (linear, power-law, `c·n·ln n` models) used
 //!   to verify growth exponents empirically.
-//! * [`tail_bounds`] — the large-deviation bounds for sums of geometric random
-//!   variables (Janson) and for the epidemic process (Lemma 2.7) used in the
-//!   paper's proofs.
 //! * [`table`] — plain-text / markdown table rendering for experiment output.
 
 #![forbid(unsafe_code)]
@@ -24,7 +21,6 @@ pub mod fit;
 pub mod harmonic;
 pub mod stats;
 pub mod table;
-pub mod tail_bounds;
 pub mod theory;
 
 pub use fit::{

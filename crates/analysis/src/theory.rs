@@ -18,6 +18,12 @@ pub fn epidemic_expected_time(n: usize) -> f64 {
     epidemic_expected_interactions(n) / n as f64
 }
 
+/// The epidemic tail bound of Corollary 2.8: `P[T_n > 3·n·ln n] < 1/n²`.
+pub fn epidemic_three_n_ln_n_tail(n: usize) -> f64 {
+    assert!(n >= 2, "population must have at least two agents");
+    1.0 / (n as f64 * n as f64)
+}
+
 /// Asymptotic expected parallel time of the roll-call process (Lemma 2.9):
 /// `E[R_n]/n ~ 1.5·ln n`.
 pub fn roll_call_expected_time(n: usize) -> f64 {
@@ -75,14 +81,6 @@ pub fn coupon_collector_all_agents_time(n: usize) -> f64 {
     0.5 * (n as f64).ln()
 }
 
-/// Bits of memory per agent for `Sublinear-Time-SSR` (Theorem 5.7):
-/// `O(n^H · log n)` bits, i.e. `exp(O(n^H)·log n)` states. Returned in bits
-/// (log₂ of the state count shape).
-pub fn sublinear_log2_states_shape(n: usize, h: usize) -> f64 {
-    assert!(n >= 2, "population must have at least two agents");
-    (n as f64).powi(h as i32) * (n as f64).log2()
-}
-
 /// The Table 1 expected-time shape for `Sublinear-Time-SSR` with constant `H`:
 /// `Θ(H·n^{1/(H+1)})`.
 pub fn sublinear_expected_time_shape(n: usize, h: usize) -> f64 {
@@ -96,13 +94,6 @@ pub fn sublinear_expected_time_shape(n: usize, h: usize) -> f64 {
 /// that agent's interactions.
 pub fn synthetic_coin_expected_interactions_per_bit() -> f64 {
     4.0
-}
-
-/// Union-bound probability that `n` uniform names of `bits` bits contain a
-/// collision: `≤ C(n,2)·2^{−bits}`.
-pub fn name_collision_probability(n: usize, bits: usize) -> f64 {
-    let pairs = n as f64 * (n as f64 - 1.0) / 2.0;
-    (pairs * (0.5f64).powi(bits as i32)).min(1.0)
 }
 
 #[cfg(test)]
@@ -157,14 +148,6 @@ mod tests {
     }
 
     #[test]
-    fn state_counts_match_table_one() {
-        // H = 1: n·log₂ n bits.
-        assert_eq!(sublinear_log2_states_shape(64, 1), 64.0 * 6.0);
-        // H = 2: n²·log₂ n bits.
-        assert_eq!(sublinear_log2_states_shape(64, 2), 64.0 * 64.0 * 6.0);
-    }
-
-    #[test]
     fn sublinear_time_shapes() {
         let n = 4096;
         // H = 1: 1·n^{1/2} = 64.
@@ -174,11 +157,8 @@ mod tests {
     }
 
     #[test]
-    fn name_lengths_and_collision_probabilities() {
-        let p = name_collision_probability(64, 18);
-        // C(64,2)/2^18 = 2016/262144 ≈ 0.0077 < 1/64·1 (O(1/n) with a small constant).
-        assert!(p < 0.01);
-        assert_eq!(name_collision_probability(1_000_000, 1), 1.0);
+    fn corollary_bounds_match_formulas() {
+        assert_eq!(epidemic_three_n_ln_n_tail(10), 0.01);
     }
 
     #[test]

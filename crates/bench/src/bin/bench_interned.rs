@@ -5,7 +5,7 @@
 //! the merged-collision family at history depth `H = 0`: rosters are already
 //! fully exchanged, so every scheduled pair is null except the two agents
 //! sharing a name, and the run idles for the `Θ(n²)`-interaction direct-
-//! detection wait. The exact engine steps (and clones full rosters) through
+//! detection wait. The exact engine steps (and compares full rosters) through
 //! every one of those null interactions; the interned engine skips the whole
 //! wait in a single geometric draw. The same sweep also measures the
 //! roll-call process (`R_n`, Lemma 2.9) on both engines — a workload where

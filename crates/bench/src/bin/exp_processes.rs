@@ -55,10 +55,7 @@ fn epidemic_and_roll_call() {
             n.to_string(),
             format_value(epidemic_summary.mean),
             format_value(theory::epidemic_expected_time(n)),
-            format!(
-                "{exceed:.4} (bound {:.4})",
-                analysis::tail_bounds::epidemic_three_n_ln_n_tail(n)
-            ),
+            format!("{exceed:.4} (bound {:.4})", theory::epidemic_three_n_ln_n_tail(n)),
             format_value(roll_call_summary.mean),
             format!("{:.3}", roll_call_summary.mean / epidemic_summary.mean),
         ]);

@@ -395,7 +395,8 @@ impl<P: Protocol> Simulation<P> {
     }
 
     /// Executes one interaction: draws an ordered pair from the scheduling
-    /// strategy and applies the transition function, returning the scheduled
+    /// strategy and applies the transition function to the two agents in
+    /// place ([`Protocol::transition_in_place`]), returning the scheduled
     /// pair.
     pub fn step(&mut self) -> OrderedPair {
         let Simulation { protocol, config, scheduler, strategy, .. } = self;
@@ -405,12 +406,8 @@ impl<P: Protocol> Simulation<P> {
                 .next_weighted_pair(*max, |a, b| rates.rate(config.state(a), config.state(b))),
             ExactStrategy::Graph { graph, .. } => scheduler.next_pair_from_edges(graph.edges()),
         };
-        let a = config.state(pair.initiator).clone();
-        let b = config.state(pair.responder).clone();
-        let (a2, b2) = protocol.transition(&a, &b, rng);
-        let changed = a2 != a || b2 != b;
-        config.set(pair.initiator, a2);
-        config.set(pair.responder, b2);
+        let (a, b) = config.pair_mut(pair.initiator, pair.responder);
+        let changed = protocol.transition_in_place(a, b, rng);
         self.interactions += Interactions::new(1);
         if changed {
             self.last_change = self.interactions;

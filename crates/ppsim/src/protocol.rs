@@ -82,6 +82,29 @@ pub trait Protocol {
         rng: &mut dyn RngCore,
     ) -> (Self::State, Self::State);
 
+    /// Applies the transition function to the two agents' states in place and
+    /// returns whether either state changed.
+    ///
+    /// This is the exact engine's step: it borrows both agents' states
+    /// rather than cloning them. The default runs [`Protocol::transition`] on
+    /// the borrowed states, compares, and assigns; it draws the same random
+    /// numbers, so both methods produce the same trajectory. Protocols whose
+    /// states own heap data override it to mutate in place. An override must
+    /// leave the states equal to what [`Protocol::transition`] returns and
+    /// report `true` exactly when either state differs from its input.
+    fn transition_in_place(
+        &self,
+        initiator: &mut Self::State,
+        responder: &mut Self::State,
+        rng: &mut dyn RngCore,
+    ) -> bool {
+        let (a, b) = self.transition(initiator, responder, rng);
+        let changed = a != *initiator || b != *responder;
+        *initiator = a;
+        *responder = b;
+        changed
+    }
+
     /// Returns `true` if the transition on this ordered pair is guaranteed to
     /// leave both states unchanged (a *null* transition).
     ///

@@ -109,16 +109,20 @@ impl Name {
 
 impl Ord for Name {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Lexicographic order on bitstrings.
-        let common = self.len().min(other.len());
-        for i in 0..common {
-            match (self.bit(i), other.bit(i)) {
-                (false, true) => return Ordering::Less,
-                (true, false) => return Ordering::Greater,
-                _ => {}
-            }
+        // Lexicographic order on bitstrings: the first differing bit among the
+        // common prefix decides (bit 0 is the first bit, so that is the lowest
+        // set bit of the XOR); with no difference, the shorter name is a
+        // prefix of the longer and sorts first.
+        let common = u32::from(self.len.min(other.len));
+        let mask = 1u64.checked_shl(common).unwrap_or(0).wrapping_sub(1);
+        let diff = (self.bits ^ other.bits) & mask;
+        if diff == 0 {
+            self.len.cmp(&other.len)
+        } else if (self.bits >> diff.trailing_zeros()) & 1 == 0 {
+            Ordering::Less
+        } else {
+            Ordering::Greater
         }
-        self.len().cmp(&other.len())
     }
 }
 
@@ -206,6 +210,52 @@ mod tests {
             let n = Name::random(5, &mut rng);
             assert_eq!(n.len(), 5);
             assert!(n.bits < 32);
+        }
+    }
+
+    /// The bit-by-bit lexicographic comparison `Name::cmp` must agree with.
+    fn cmp_bit_by_bit(a: &Name, b: &Name) -> Ordering {
+        let common = a.len().min(b.len());
+        for i in 0..common {
+            match (a.bit(i), b.bit(i)) {
+                (false, true) => return Ordering::Less,
+                (true, false) => return Ordering::Greater,
+                _ => {}
+            }
+        }
+        a.len().cmp(&b.len())
+    }
+
+    #[test]
+    fn order_matches_the_bit_by_bit_reference() {
+        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        // Random names of every length 0..=64, and the all-zero and all-one
+        // names of every length.
+        let mut names = Vec::new();
+        for len in 0..=64 {
+            names.extend((0..4).map(|_| Name::random(len as u32, &mut rng)));
+            names.push(Name::from_bits(&vec![false; len]));
+            names.push(Name::from_bits(&vec![true; len]));
+        }
+        // Every strict prefix of a few length-64 names, and one length-64
+        // name with each single bit flipped (a first difference at every
+        // position).
+        for _ in 0..4 {
+            let bits: Vec<bool> = (0..64).map(|_| rng.gen_bool(0.5)).collect();
+            names.extend((0..64).map(|k| Name::from_bits(&bits[..k])));
+            names.push(Name::from_bits(&bits));
+        }
+        let bits: Vec<bool> = (0..64).map(|_| rng.gen_bool(0.5)).collect();
+        names.extend((0..64).map(|i| {
+            let mut flipped = bits.clone();
+            flipped[i] = !flipped[i];
+            Name::from_bits(&flipped)
+        }));
+        for a in &names {
+            for b in &names {
+                assert_eq!(a.cmp(b), cmp_bit_by_bit(a, b), "{a} vs {b}");
+                assert_eq!(a.cmp(b) == Ordering::Equal, a == b, "{a} vs {b}");
+            }
         }
     }
 

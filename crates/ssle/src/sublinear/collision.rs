@@ -13,7 +13,8 @@
 //!
 //! If no collision is found, the two agents exchange knowledge: each absorbs
 //! the other's tree (truncated to depth `H − 1`) under a freshly generated
-//! shared sync value, and all edge timers age by one interaction.
+//! shared sync value, and all edge timers age by one interaction. Both trees
+//! are updated in place; the outcome says whether either one changed.
 
 use rand::{Rng, RngCore};
 
@@ -30,7 +31,10 @@ pub enum CollisionCheck {
     CollisionDetected,
     /// No collision detected; both trees have been updated with the new shared
     /// sync value and aged by one interaction.
-    Consistent,
+    Consistent {
+        /// Whether either tree differs from what it was before the call.
+        changed: bool,
+    },
 }
 
 impl CollisionCheck {
@@ -70,18 +74,36 @@ pub fn detect_name_collision(
     // Line 5: generate the shared sync value for this interaction.
     let sync = rng.gen_range(1..=params.s_max);
 
-    // Lines 6–12: exchange knowledge, working from snapshots so both updates
-    // see the partner's pre-interaction tree.
-    let a_snapshot = a_tree.clone();
-    let b_snapshot = b_tree.clone();
-    a_tree.absorb(&b_snapshot, sync, params.t_h, params.h);
-    b_tree.absorb(&a_snapshot, sync, params.t_h, params.h);
+    if params.h == 0 {
+        // Lines 6–12 store nothing at depth 0; lines 13–14 age every
+        // remembered edge by one interaction.
+        let a_changed = a_tree.decrement_timers();
+        let b_changed = b_tree.decrement_timers();
+        return CollisionCheck::Consistent { changed: a_changed || b_changed };
+    }
 
-    // Lines 13–14: age every remembered edge by one interaction.
-    a_tree.decrement_timers();
-    b_tree.decrement_timers();
+    // Lines 6–12: exchange knowledge. Both partners' trees are truncated
+    // before either is mutated, so each update sees the other's
+    // pre-interaction tree.
+    let a_view = a_tree.truncated(params.h - 1);
+    let b_view = b_tree.truncated(params.h - 1);
+    let a_changed = exchange(a_tree, b_view, sync, params.t_h);
+    let b_changed = exchange(b_tree, a_view, sync, params.t_h);
+    CollisionCheck::Consistent { changed: a_changed || b_changed }
+}
 
-    CollisionCheck::Consistent
+/// Hangs the truncated `partner` view under a new `sync` edge of `tree`,
+/// then ages every edge (lines 7–14); returns whether `tree` changed.
+///
+/// The tree's newest root edge afterwards leads to the partner under `sync`,
+/// so the tree can only come out unchanged if that edge was already its
+/// newest. Only then, about once in `Smax` interactions, is the tree copied
+/// to compare.
+fn exchange(tree: &mut HistoryTree, partner: HistoryTree, sync: u32, timer: u32) -> bool {
+    let before = tree.last_edge_is(partner.root_name(), sync).then(|| tree.clone());
+    tree.hang(partner, sync, timer);
+    tree.decrement_timers();
+    before.is_none_or(|before| before != *tree)
 }
 
 #[cfg(test)]

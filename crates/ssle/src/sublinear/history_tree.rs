@@ -74,11 +74,15 @@ impl Node {
         }
     }
 
-    fn decrement_timers(&mut self) {
+    /// Ages every edge below this node; returns whether any timer changed.
+    fn decrement_timers(&mut self) -> bool {
+        let mut changed = false;
         for e in &mut self.edges {
+            changed |= e.timer > 0;
             e.timer = e.timer.saturating_sub(1);
-            e.child.decrement_timers();
+            changed |= e.child.decrement_timers();
         }
+        changed
     }
 }
 
@@ -215,19 +219,42 @@ impl HistoryTree {
         if max_depth == 0 {
             return;
         }
-        let partner_name = *partner.root_name();
+        self.hang(partner.truncated(max_depth - 1), sync, timer);
+    }
+
+    /// A copy of the tree truncated to `depth` (0 keeps only the root): what
+    /// a partner absorbing this tree at depth `depth + 1` hangs under its new
+    /// edge.
+    pub(crate) fn truncated(&self, depth: u32) -> HistoryTree {
+        HistoryTree { root: self.root.truncated(depth) }
+    }
+
+    /// [`HistoryTree::absorb`] with the partner's tree already truncated:
+    /// replace any depth-1 subtree labelled with the partner's name by
+    /// `partner` under a new edge, then prune deeper occurrences of the own
+    /// name.
+    pub(crate) fn hang(&mut self, partner: HistoryTree, sync: u32, timer: u32) {
+        let partner_name = partner.root.name;
         self.root.edges.retain(|e| e.child.name != partner_name);
-        let child = partner.root.truncated(max_depth - 1);
-        self.root.edges.push(Edge { sync, timer, child });
+        self.root.edges.push(Edge { sync, timer, child: partner.root });
         let own = self.root.name;
         for e in &mut self.root.edges {
             e.child.remove_subtrees_named(&own);
         }
     }
 
-    /// Lines 13–14 of Protocol 7: age every edge by one interaction.
-    pub fn decrement_timers(&mut self) {
-        self.root.decrement_timers();
+    /// Whether the newest root edge leads to `name` under `sync`. Hanging a
+    /// tree rooted at `name` under `sync` always ends the root's edge list
+    /// with such an edge, so when this is `false` before a
+    /// [`HistoryTree::hang`], the hang changes the tree.
+    pub(crate) fn last_edge_is(&self, name: &Name, sync: u32) -> bool {
+        self.root.edges.last().is_some_and(|e| e.sync == sync && &e.child.name == name)
+    }
+
+    /// Lines 13–14 of Protocol 7: age every edge by one interaction. Returns
+    /// whether any timer changed (some edge was still live).
+    pub fn decrement_timers(&mut self) -> bool {
+        self.root.decrement_timers()
     }
 
     /// Whether any edge of the tree still has a positive timer.

@@ -36,7 +36,7 @@ use rand::{Rng, RngCore};
 use crate::name::Name;
 use crate::params::SublinearParams;
 use crate::reset::{propagate_reset_step, AfterReset, ResetStatus, ResetTimers};
-use collision::detect_name_collision;
+use collision::{detect_name_collision, CollisionCheck};
 use history_tree::HistoryTree;
 
 /// The state of one agent of `Sublinear-Time-SSR`.
@@ -331,11 +331,21 @@ impl Protocol for SublinearTimeSsr {
         responder: &SublinearState,
         rng: &mut dyn RngCore,
     ) -> (SublinearState, SublinearState) {
-        let both_collecting = !initiator.is_resetting() && !responder.is_resetting();
-        if both_collecting {
-            self.collecting_interaction(initiator.clone(), responder.clone(), rng)
+        let (mut a, mut b) = (initiator.clone(), responder.clone());
+        self.transition_in_place(&mut a, &mut b, rng);
+        (a, b)
+    }
+
+    fn transition_in_place(
+        &self,
+        initiator: &mut SublinearState,
+        responder: &mut SublinearState,
+        rng: &mut dyn RngCore,
+    ) -> bool {
+        if initiator.is_resetting() || responder.is_resetting() {
+            self.resetting_interaction(initiator, responder, rng)
         } else {
-            self.resetting_interaction(initiator.clone(), responder.clone(), rng)
+            self.collecting_interaction(initiator, responder, rng)
         }
     }
 
@@ -421,63 +431,71 @@ impl CountProtocol for SublinearTimeSsr {
 impl SublinearTimeSsr {
     /// Lines 1–8 of Protocol 5: cross-examine histories, merge rosters, and
     /// trigger a reset on a detected collision or an oversized roster.
+    /// Returns whether either state changed.
     fn collecting_interaction(
         &self,
-        a: SublinearState,
-        b: SublinearState,
+        a: &mut SublinearState,
+        b: &mut SublinearState,
         rng: &mut dyn RngCore,
-    ) -> (SublinearState, SublinearState) {
-        let (a_name, a_roster, mut a_tree, b_name, b_roster, mut b_tree) = match (a, b) {
-            (
-                SublinearState::Collecting { name: an, roster: ar, tree: at },
-                SublinearState::Collecting { name: bn, roster: br, tree: bt },
-            ) => (an, ar, at, bn, br, bt),
-            _ => unreachable!("collecting_interaction requires two collecting agents"),
+    ) -> bool {
+        let (
+            SublinearState::Collecting { name: a_name, roster: a_roster, tree: a_tree },
+            SublinearState::Collecting { name: b_name, roster: b_roster, tree: b_tree },
+        ) = (&mut *a, &mut *b)
+        else {
+            unreachable!("collecting_interaction requires two collecting agents")
         };
 
-        let collision =
-            detect_name_collision(&a_name, &mut a_tree, &b_name, &mut b_tree, &self.params, rng)
-                .is_collision();
-        let mut union: BTreeSet<Name> = a_roster;
-        union.extend(b_roster);
-
-        if collision || union.len() > self.params.n {
-            let timers = ResetTimers::triggered(&self.params.reset);
-            return (
-                SublinearState::Resetting { name: a_name, timers },
-                SublinearState::Resetting { name: b_name, timers },
-            );
+        let check = detect_name_collision(a_name, a_tree, b_name, b_tree, &self.params, rng);
+        // The union is built in a's roster. It contains both rosters, so a
+        // roster is unchanged exactly when its size is.
+        let (a_len, b_len) = (a_roster.len(), b_roster.len());
+        if a_roster != b_roster {
+            a_roster.extend(b_roster.iter().copied());
         }
+        let union_len = a_roster.len();
 
-        (
-            SublinearState::Collecting { name: a_name, roster: union.clone(), tree: a_tree },
-            SublinearState::Collecting { name: b_name, roster: union, tree: b_tree },
-        )
+        match check {
+            CollisionCheck::Consistent { changed } if union_len <= self.params.n => {
+                if union_len != b_len {
+                    b_roster.clone_from(a_roster);
+                }
+                changed || union_len != a_len || union_len != b_len
+            }
+            _ => {
+                let timers = ResetTimers::triggered(&self.params.reset);
+                let (a_name, b_name) = (*a_name, *b_name);
+                *a = SublinearState::Resetting { name: a_name, timers };
+                *b = SublinearState::Resetting { name: b_name, timers };
+                true
+            }
+        }
     }
 
     /// Lines 9–14 of Protocol 5: run `Propagate-Reset`, clear names while the
     /// reset is propagating, and draw fresh random name bits while dormant.
+    /// Returns whether either state changed.
     fn resetting_interaction(
         &self,
-        a: SublinearState,
-        b: SublinearState,
+        a: &mut SublinearState,
+        b: &mut SublinearState,
         rng: &mut dyn RngCore,
-    ) -> (SublinearState, SublinearState) {
+    ) -> bool {
         let (after_a, after_b) =
             propagate_reset_step(a.reset_status(), b.reset_status(), &self.params.reset);
-        let a = self.apply_reset_outcome(a, after_a, rng);
-        let b = self.apply_reset_outcome(b, after_b, rng);
-        (a, b)
+        let a_changed = self.apply_reset_outcome(a, after_a, rng);
+        let b_changed = self.apply_reset_outcome(b, after_b, rng);
+        a_changed || b_changed
     }
 
     fn apply_reset_outcome(
         &self,
-        state: SublinearState,
+        state: &mut SublinearState,
         outcome: AfterReset,
         rng: &mut dyn RngCore,
-    ) -> SublinearState {
-        match outcome {
-            AfterReset::Computing => state,
+    ) -> bool {
+        let next = match outcome {
+            AfterReset::Computing => return false,
             AfterReset::Awaken => self.reset_state(*state.name()),
             AfterReset::Resetting(timers) => {
                 let mut name = *state.name();
@@ -492,7 +510,10 @@ impl SublinearTimeSsr {
                 }
                 SublinearState::Resetting { name, timers }
             }
-        }
+        };
+        let changed = *state != next;
+        *state = next;
+        changed
     }
 }
 
@@ -516,7 +537,7 @@ impl LeaderElectionProtocol for SublinearTimeSsr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppsim::Simulation;
+    use ppsim::{AgentId, Simulation};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -830,6 +851,76 @@ mod tests {
                 assert_eq!(tree.node_count(), 1);
             }
             other => panic!("expected the agent to awaken, got {other:?}"),
+        }
+    }
+
+    /// Steps `config` through `steps` uniformly drawn interactions with
+    /// [`Protocol::transition_in_place`], checking each against
+    /// [`Protocol::transition`] plus `!=` on the same pair and random stream:
+    /// equal states, an exact `changed` flag and the same random draws.
+    /// Returns how many interactions between two collecting agents left both
+    /// unchanged.
+    fn assert_in_place_agrees(
+        p: &SublinearTimeSsr,
+        mut config: Configuration<SublinearState>,
+        steps: usize,
+        seed: u64,
+    ) -> usize {
+        let n = config.len();
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut unchanged_collecting = 0;
+        for step in 0..steps {
+            let i = rng.gen_range(0..n);
+            let j = (i + 1 + rng.gen_range(0..n - 1)) % n;
+            let (a, b) = (config.as_slice()[i].clone(), config.as_slice()[j].clone());
+            let mut by_value_rng = rng.clone();
+            let (a2, b2) = p.transition(&a, &b, &mut by_value_rng);
+            let (x, y) = config.pair_mut(AgentId::new(i), AgentId::new(j));
+            let changed = p.transition_in_place(x, y, &mut rng);
+            assert_eq!((&*x, &*y), (&a2, &b2), "step {step}: states differ");
+            assert_eq!(changed, a2 != a || b2 != b, "step {step}: wrong changed flag");
+            assert_eq!(rng, by_value_rng, "step {step}: different random draws");
+            if !changed && !a.is_resetting() && !b.is_resetting() {
+                unchanged_collecting += 1;
+            }
+        }
+        unchanged_collecting
+    }
+
+    #[test]
+    fn in_place_transition_agrees_with_transition_on_real_trajectories() {
+        let n = 8;
+        let log_h = (n as f64).log2().ceil() as u32;
+        for h in [0, 1, 2, log_h] {
+            let p = protocol(n, h);
+            let mut rng = ChaCha8Rng::seed_from_u64(u64::from(h));
+            assert_in_place_agrees(&p, p.fresh_configuration(&mut rng), 3_000, 100 + u64::from(h));
+            for (k, scenario) in SublinearTimeSsr::adversarial_scenarios().iter().enumerate() {
+                let config = scenario.configuration(&p, 7 + k as u64);
+                assert_in_place_agrees(&p, config, 3_000, 200 + 10 * u64::from(h) + k as u64);
+            }
+        }
+    }
+
+    #[test]
+    fn in_place_transition_reports_unchanged_trees_when_sync_values_repeat() {
+        // With a single sync value, two agents meeting again redraw the edge
+        // they already hold: once every other timer has expired (T_H = 1, or
+        // no other partner at n = 2), a consistent H ≥ 1 interaction can leave
+        // both states unchanged, and the flag must say so.
+        for (n, t_h) in [(2, None), (8, Some(1))] {
+            for h in [1, 2] {
+                let mut params = SublinearParams::recommended(n, h);
+                params.s_max = 1;
+                if let Some(t_h) = t_h {
+                    params = params.with_t_h(t_h);
+                }
+                let p = SublinearTimeSsr::new(params);
+                let mut rng = ChaCha8Rng::seed_from_u64(u64::from(h));
+                let unchanged =
+                    assert_in_place_agrees(&p, p.fresh_configuration(&mut rng), 2_000, 300);
+                assert!(unchanged > 0, "n = {n}, H = {h}: no unchanged interaction seen");
+            }
         }
     }
 
