@@ -949,8 +949,8 @@ impl<P: Protocol, X: StateIndex<P>> CountSimulation<P, X> {
         self.counters.add(counter, by);
     }
 
-    /// Attaches a probe/span [`Recorder`]; until detached, the run loops
-    /// record log-spaced convergence checkpoints and epoch draw/apply spans.
+    /// Attaches a probe/span [`Recorder`]; until detached, the stop loop
+    /// records log-spaced convergence checkpoints and epoch draw/apply spans.
     pub fn attach_telemetry(&mut self, recorder: Recorder) {
         self.telemetry.attach(recorder);
     }
@@ -1086,25 +1086,7 @@ impl<P: Protocol, X: StateIndex<P>> CountSimulation<P, X> {
     /// Runs until the configuration is silent or `budget` additional
     /// interactions (counting skipped nulls) have elapsed.
     pub fn run_until_silent(&mut self, budget: u64) -> RunOutcome {
-        let mut remaining = budget;
-        loop {
-            let active = self.active_pairs();
-            if active == 0 {
-                if self.telemetry.is_recording() {
-                    self.record_probe_now();
-                }
-                return RunOutcome { reason: StopReason::Silent, interactions: self.interactions };
-            }
-            if self.telemetry.probe_due(self.interactions.count()) {
-                self.record_probe_now();
-            }
-            if !self.advance(active, &mut remaining, None) {
-                return RunOutcome {
-                    reason: StopReason::BudgetExhausted,
-                    interactions: self.interactions,
-                };
-            }
-        }
+        self.run_to_stop(None::<fn(&Self) -> bool>, budget)
     }
 
     /// Runs until `condition` holds, checking after every applied (non-null)
@@ -1132,35 +1114,47 @@ impl<P: Protocol, X: StateIndex<P>> CountSimulation<P, X> {
     /// silent or the budget runs out.
     pub fn run_until_counts(
         &mut self,
-        mut condition: impl FnMut(&Self) -> bool,
+        condition: impl FnMut(&Self) -> bool,
         budget: u64,
     ) -> RunOutcome {
-        if condition(self) {
-            return RunOutcome {
-                reason: StopReason::ConditionMet,
-                interactions: self.interactions,
-            };
-        }
+        self.run_to_stop(Some(condition), budget)
+    }
+
+    /// The one stop loop behind every run: stops when `rule` (when given)
+    /// holds, checked before the first advance and after each one, when no
+    /// active pair is left, or when `budget` further interactions have
+    /// elapsed. Only a rule caps batch-count epochs (at `n/8` expected
+    /// interactions), so runs to silence keep their full epochs. Probes are
+    /// recorded at their log-spaced checkpoints and at a rule or silent stop.
+    pub(crate) fn run_to_stop(
+        &mut self,
+        mut rule: Option<impl FnMut(&Self) -> bool>,
+        budget: u64,
+    ) -> RunOutcome {
+        let check_cap = rule.is_some().then(|| ((self.n as u64) / 8).max(1));
         let mut remaining = budget;
-        let check_cap = ((self.n as u64) / 8).max(1);
-        loop {
+        let reason = loop {
+            if rule.as_mut().is_some_and(|rule| rule(self)) {
+                break StopReason::ConditionMet;
+            }
             let active = self.active_pairs();
             if active == 0 {
-                return RunOutcome { reason: StopReason::Silent, interactions: self.interactions };
+                break StopReason::Silent;
             }
-            if !self.advance(active, &mut remaining, Some(check_cap)) {
+            if self.telemetry.probe_due(self.interactions.count()) {
+                self.record_probe_now();
+            }
+            if !self.advance(active, &mut remaining, check_cap) {
                 return RunOutcome {
                     reason: StopReason::BudgetExhausted,
                     interactions: self.interactions,
                 };
             }
-            if condition(self) {
-                return RunOutcome {
-                    reason: StopReason::ConditionMet,
-                    interactions: self.interactions,
-                };
-            }
+        };
+        if self.telemetry.is_recording() {
+            self.record_probe_now();
         }
+        RunOutcome { reason, interactions: self.interactions }
     }
 
     /// Executes exactly `budget` interactions (in batches).

@@ -1,6 +1,9 @@
 //! Single-execution simulation: the step loop, stop conditions, and
 //! convergence / silence detection.
 
+use std::collections::HashMap;
+
+use crate::agent::AgentId;
 use crate::config::Configuration;
 use crate::error::SimError;
 use crate::protocol::Protocol;
@@ -239,7 +242,7 @@ impl<P: Protocol> Simulation<P> {
         assert!(k <= n, "cannot corrupt more agents than the population holds");
         let victims = sample_distinct_indices(n, k, rng);
         for (v, s) in victims.into_iter().zip(states) {
-            self.config.set(crate::agent::AgentId::new(v), s.clone());
+            self.config.set(AgentId::new(v), s.clone());
         }
         self.last_change = self.interactions;
     }
@@ -277,7 +280,7 @@ impl<P: Protocol> Simulation<P> {
         // still-pending victim.
         victims.sort_unstable_by(|a, b| b.cmp(a));
         for v in victims {
-            self.config.swap_remove(crate::agent::AgentId::new(v));
+            self.config.swap_remove(AgentId::new(v));
         }
         self.resize_scheduler();
         self.last_change = self.interactions;
@@ -329,8 +332,8 @@ impl<P: Protocol> Simulation<P> {
         self.counters.add(counter, by);
     }
 
-    /// Attaches a probe/span [`Recorder`]; until detached, the run loops
-    /// record log-spaced convergence checkpoints and silence-check spans.
+    /// Attaches a probe/span [`Recorder`]; until detached, the stop loop
+    /// records log-spaced convergence checkpoints and silence-check spans.
     pub fn attach_telemetry(&mut self, recorder: Recorder) {
         self.telemetry.attach(recorder);
     }
@@ -347,47 +350,102 @@ impl<P: Protocol> Simulation<P> {
     /// exactly when the configuration is silent — the quantity convergence
     /// probes track as it drains.
     pub fn active_pair_mass(&self) -> u64 {
-        if let ExactStrategy::Graph { graph, .. } = &self.strategy {
-            let mut mass = 0u64;
-            for &(u, v) in graph.edges() {
-                let su = self.config.state(crate::agent::AgentId::new(u as usize));
-                let sv = self.config.state(crate::agent::AgentId::new(v as usize));
-                if !self.protocol.is_null(su, sv) {
-                    mass += 1;
-                }
-                if !self.protocol.is_null(sv, su) {
-                    mass += 1;
-                }
+        self.scan(true).mass
+    }
+
+    /// Whether the current configuration is silent **relative to the
+    /// scheduling strategy**: every ordered pair the scheduler can draw
+    /// admits only null transitions, per the protocol's
+    /// [`Protocol::is_null`]. Under the uniform scheduler that is the
+    /// paper's silence; a weighted scheduler excludes rate-`0` pairs, and a
+    /// graph-restricted scheduler checks only adjacent pairs.
+    ///
+    /// The uniform and weighted checks run over distinct states rather than
+    /// agents, so they are cheap when few distinct states are present; the
+    /// graph check runs over the edges.
+    pub fn is_silent(&self) -> bool {
+        self.scan(false).mass == 0
+    }
+
+    /// The one pass over the pairs the strategy can draw, behind silence
+    /// checks and probes alike. A `full` pass sums the whole active-pair
+    /// mass and counts the distinct states; otherwise the pass stops at the
+    /// first active pair, so `mass > 0` exactly when the configuration is
+    /// not silent.
+    ///
+    /// Under the exchangeable strategies the pass runs over the distinct
+    /// states, borrowed in first-seen agent order (so its cost, and with it
+    /// the silence-check schedule, is a function of the configuration
+    /// alone): first each state held twice or more against itself, then
+    /// both orders of each pair of distinct states together. Same-state
+    /// pairs go first because they cost one query per state, which keeps a
+    /// failed check cheap when a lone duplicate is all that is active.
+    fn scan(&self, full: bool) -> PairScan {
+        let config = &self.config;
+        let null = |s: &P::State, t: &P::State| self.protocol.is_null(s, t);
+        let mut scan = PairScan::default();
+        let distinct_states = || {
+            let mut slot: HashMap<&P::State, usize> = HashMap::with_capacity(config.len());
+            let mut present: Vec<(&P::State, u64)> = Vec::new();
+            for s in config.iter() {
+                let i = *slot.entry(s).or_insert_with(|| {
+                    present.push((s, 0));
+                    present.len() - 1
+                });
+                present[i].1 += 1;
             }
-            return mass;
-        }
+            present
+        };
         let rates = match &self.strategy {
+            ExactStrategy::Graph { graph, .. } => {
+                for &(u, v) in graph.edges() {
+                    let su = config.state(AgentId::new(u as usize));
+                    let sv = config.state(AgentId::new(v as usize));
+                    scan.cost += 1;
+                    scan.mass += u64::from(!null(su, sv)) + u64::from(!null(sv, su));
+                    if !full && scan.mass > 0 {
+                        return scan;
+                    }
+                }
+                if full {
+                    scan.distinct = distinct_states().len() as u64;
+                }
+                return scan;
+            }
             ExactStrategy::Weighted { rates, .. } => Some(rates),
-            _ => None,
+            ExactStrategy::Uniform => None,
         };
         let active = |s: &P::State, t: &P::State| -> bool {
-            !self.protocol.is_null(s, t) && rates.is_none_or(|r| r.rate(s, t) > 0)
+            !null(s, t) && rates.is_none_or(|r| r.rate(s, t) > 0)
         };
-        let counts = self.config.state_counts();
-        let mut mass = 0u64;
-        for (s, &cs) in counts.iter() {
-            for (t, &ct) in counts.iter() {
-                if !active(s, t) {
-                    continue;
-                }
-                let pairs =
-                    if s == t { cs as u64 * (cs as u64 - 1) } else { cs as u64 * ct as u64 };
-                mass += pairs;
+        let present = distinct_states();
+        scan.distinct = present.len() as u64;
+        scan.cost = config.len() as u64;
+        for &(s, c) in present.iter().filter(|&&(_, c)| c >= 2) {
+            scan.cost += 1;
+            scan.mass += c * (c - 1) * u64::from(active(s, s));
+            if !full && scan.mass > 0 {
+                return scan;
             }
         }
-        mass
+        for (i, &(s, cs)) in present.iter().enumerate() {
+            for &(t, ct) in &present[i + 1..] {
+                scan.cost += 2;
+                scan.mass += cs * ct * (u64::from(active(s, t)) + u64::from(active(t, s)));
+                if !full && scan.mass > 0 {
+                    return scan;
+                }
+            }
+        }
+        scan
     }
 
     fn record_probe_now(&mut self) {
+        let scan = self.scan(true);
         let probe = Probe {
             interactions: self.interactions.count(),
-            active_pairs: self.active_pair_mass(),
-            distinct_states: self.config.state_counts().len() as u64,
+            active_pairs: scan.mass,
+            distinct_states: scan.distinct,
             transitions: self.counters.get(Counter::Transitions),
             population: self.config.len() as u64,
         };
@@ -423,119 +481,18 @@ impl<P: Protocol> Simulation<P> {
         }
     }
 
-    /// Whether the current configuration is silent **relative to the
-    /// scheduling strategy**: every ordered pair the scheduler can draw
-    /// admits only null transitions, per the protocol's
-    /// [`Protocol::is_null`]. Under the uniform scheduler that is the
-    /// paper's silence; a weighted scheduler excludes rate-`0` pairs, and a
-    /// graph-restricted scheduler checks only adjacent pairs.
-    ///
-    /// The uniform and weighted checks run over distinct states rather than
-    /// agents, so they are cheap when few distinct states are present; the
-    /// graph check runs over the edges.
-    pub fn is_silent(&self) -> bool {
-        self.is_silent_with_cost().0
-    }
-
-    /// Silence check that also reports its own cost in pair queries, so
-    /// callers can amortize the check against stepping work.
-    ///
-    /// For the exchangeable strategies, both orders of each unordered
-    /// distinct-state pair are queried together, so only pairs with `j ≥ i`
-    /// are visited — half the iterations of the naive ordered scan, on the
-    /// exact engine's hot path.
-    fn is_silent_with_cost(&self) -> (bool, u64) {
-        if let ExactStrategy::Graph { graph, .. } = &self.strategy {
-            let cost = graph.edges().len() as u64;
-            for &(u, v) in graph.edges() {
-                let su = self.config.state(crate::agent::AgentId::new(u as usize));
-                let sv = self.config.state(crate::agent::AgentId::new(v as usize));
-                if !self.protocol.is_null(su, sv) || !self.protocol.is_null(sv, su) {
-                    return (false, cost);
-                }
-            }
-            return (true, cost);
-        }
-        let rates = match &self.strategy {
-            ExactStrategy::Weighted { rates, .. } => Some(rates),
-            _ => None,
-        };
-        let active = |s: &P::State, t: &P::State| -> bool {
-            !self.protocol.is_null(s, t) && rates.is_none_or(|r| r.rate(s, t) > 0)
-        };
-        let counts = self.config.state_counts();
-        let states: Vec<&P::State> = counts.keys().collect();
-        let cost = (states.len() * states.len()) as u64;
-        for (i, &s) in states.iter().enumerate() {
-            for (offset, &t) in states[i..].iter().enumerate() {
-                if offset == 0 && counts[s] < 2 {
-                    continue;
-                }
-                if active(s, t) || active(t, s) {
-                    return (false, cost);
-                }
-            }
-        }
-        (true, cost)
-    }
-
-    /// Runs until `condition` holds for the current configuration, checking
-    /// every `n/8` interactions, until the configuration is silent (it can
-    /// then never change, so the condition can never start to hold), or
-    /// until `budget` additional interactions have been executed.
-    ///
-    /// Silence is checked only after a chunk that changed nothing, so chunks
-    /// that change the configuration pay nothing for it; while checks keep
-    /// failing, the unchanged interactions required before the next one
-    /// double, so a long quiet but active stretch pays for a logarithmic
-    /// number of checks. As in [`Simulation::run_until_silent`], a silent
-    /// stop is reported at the exact silence point.
+    /// Runs until `condition` holds for the current configuration (checked
+    /// before the first interaction and then every `n/8`), until the
+    /// configuration is silent (it can then never change, so the condition
+    /// can never start to hold), or until `budget` additional interactions
+    /// have been executed. Silence is checked as in
+    /// [`Simulation::run_until_silent`].
     pub fn run_until(
         &mut self,
-        mut condition: impl FnMut(&Configuration<P::State>) -> bool,
+        condition: impl FnMut(&Configuration<P::State>) -> bool,
         budget: u64,
     ) -> RunOutcome {
-        let check_interval = self.default_check_interval();
-        if condition(&self.config) {
-            return RunOutcome {
-                reason: StopReason::ConditionMet,
-                interactions: self.interactions,
-            };
-        }
-        let mut executed = 0u64;
-        // Unchanged interactions since the last silence check, and how many
-        // must pass before the next one.
-        let (mut quiet, mut wait) = (0u64, 0u64);
-        while executed < budget {
-            let chunk = check_interval.min(budget - executed);
-            let before = self.last_change;
-            for _ in 0..chunk {
-                self.step();
-            }
-            executed += chunk;
-            if condition(&self.config) {
-                return RunOutcome {
-                    reason: StopReason::ConditionMet,
-                    interactions: self.interactions,
-                };
-            }
-            if self.last_change != before {
-                continue;
-            }
-            quiet += chunk;
-            if quiet >= wait {
-                self.counters.incr(Counter::SilenceChecks);
-                let (silent, cost) = self.is_silent_with_cost();
-                if silent {
-                    return RunOutcome {
-                        reason: StopReason::Silent,
-                        interactions: self.last_change,
-                    };
-                }
-                (quiet, wait) = (0, (2 * wait).max(cost));
-            }
-        }
-        RunOutcome { reason: StopReason::BudgetExhausted, interactions: self.interactions }
+        self.run_to_stop(Some(condition), budget)
     }
 
     /// Runs until the configuration is silent or the budget is exhausted.
@@ -544,52 +501,90 @@ impl<P: Protocol> Simulation<P> {
     /// reaching silence witnesses stabilization (convergence time ≤
     /// stabilization time ≤ silence time).
     ///
-    /// The silence check costs O(distinct²) null-transition queries, so the
-    /// check interval is scaled with the number of distinct states present,
-    /// keeping the check overhead proportional to the stepping work itself.
-    /// The reported silence time is nevertheless **exact**: silence is only
-    /// *detected* up to one check interval late, but it is *reported* at the
-    /// last interaction that changed the configuration — the configuration
-    /// has been silent ever since, and trailing null interactions cannot have
-    /// changed it.
+    /// Silence is checked once before the first interaction, and afterwards
+    /// only after `n/8`-interaction chunks that changed nothing: after a
+    /// failed check costing `c` (agents scanned plus pair queries made), the
+    /// next one waits for `4c` unchanged interactions, so the checks'
+    /// agents and queries stay under a quarter of the interactions stepped
+    /// (after the first check). The reported silence time is
+    /// nevertheless **exact**: silence is *detected* at most `4c + n/4`
+    /// interactions late, but it is *reported* at the last interaction that
+    /// changed the configuration — the configuration has been silent ever
+    /// since, and trailing null interactions cannot have changed it. A
+    /// configuration that is already silent executes nothing.
     pub fn run_until_silent(&mut self, budget: u64) -> RunOutcome {
-        self.counters.incr(Counter::SilenceChecks);
-        let (silent, mut cost) = self.is_silent_with_cost();
-        if silent {
-            if self.telemetry.is_recording() {
+        self.run_to_stop(None::<fn(&Configuration<P::State>) -> bool>, budget)
+    }
+
+    /// The one stop loop behind every run: steps in chunks of `n/8`
+    /// interactions and stops when `rule` (when given) holds between
+    /// chunks, when a silence check passes, or when `budget` further
+    /// interactions have been executed. Probes are recorded at their
+    /// log-spaced checkpoints between chunks and at a rule or silent stop.
+    pub(crate) fn run_to_stop(
+        &mut self,
+        mut rule: Option<impl FnMut(&Configuration<P::State>) -> bool>,
+        budget: u64,
+    ) -> RunOutcome {
+        let chunk_len = (self.config.len() as u64 / 8).max(1);
+        let mut executed = 0u64;
+        // Unchanged interactions since the last silence check, and how many
+        // must pass before the next one (none before the first).
+        let (mut quiet, mut wait) = (0u64, 0u64);
+        let (reason, interactions) = loop {
+            if rule.as_mut().is_some_and(|rule| rule(&self.config)) {
+                break (StopReason::ConditionMet, self.interactions);
+            }
+            if quiet >= wait {
+                self.counters.incr(Counter::SilenceChecks);
+                self.telemetry.span_begin("silence.check");
+                let scan = self.scan(false);
+                self.telemetry.span_end("silence.check");
+                if scan.mass == 0 {
+                    break (StopReason::Silent, self.last_change);
+                }
+                (quiet, wait) = (0, QUIET_PER_CHECK_COST * scan.cost);
+            }
+            if executed >= budget {
+                return RunOutcome {
+                    reason: StopReason::BudgetExhausted,
+                    interactions: self.interactions,
+                };
+            }
+            if self.telemetry.probe_due(self.interactions.count()) {
                 self.record_probe_now();
             }
-            return RunOutcome { reason: StopReason::Silent, interactions: self.last_change };
-        }
-        let mut executed = 0u64;
-        while executed < budget {
-            let check_interval = self.default_check_interval().max(cost / 16);
-            let chunk = check_interval.min(budget - executed);
+            let chunk = chunk_len.min(budget - executed);
+            let before = self.last_change;
             for _ in 0..chunk {
                 self.step();
             }
             executed += chunk;
-            if self.telemetry.probe_due(self.interactions.count()) {
-                self.record_probe_now();
+            if self.last_change == before {
+                quiet += chunk;
             }
-            self.counters.incr(Counter::SilenceChecks);
-            self.telemetry.span_begin("silence.check");
-            let (silent, now_cost) = self.is_silent_with_cost();
-            self.telemetry.span_end("silence.check");
-            if silent {
-                if self.telemetry.is_recording() {
-                    self.record_probe_now();
-                }
-                return RunOutcome { reason: StopReason::Silent, interactions: self.last_change };
-            }
-            cost = now_cost;
+        };
+        if self.telemetry.is_recording() {
+            self.record_probe_now();
         }
-        RunOutcome { reason: StopReason::BudgetExhausted, interactions: self.interactions }
+        RunOutcome { reason, interactions }
     }
+}
 
-    fn default_check_interval(&self) -> u64 {
-        (self.config.len() as u64 / 8).max(1)
-    }
+/// Unchanged interactions a run executes per unit of a failed silence
+/// check's cost before it checks again.
+const QUIET_PER_CHECK_COST: u64 = 4;
+
+/// What one [`Simulation::scan`] found.
+#[derive(Default)]
+struct PairScan {
+    /// Active ordered agent pairs: all of them on a full pass, and nonzero
+    /// exactly when one exists on a stop-at-first pass.
+    mass: u64,
+    /// Distinct states present (counted on full passes).
+    distinct: u64,
+    /// Agents scanned plus pair queries made.
+    cost: u64,
 }
 
 #[cfg(test)]
@@ -676,8 +671,8 @@ mod tests {
     #[test]
     fn run_until_stops_at_silence_when_the_condition_cannot_hold() {
         // All followers: silent from the start, and a leader can never
-        // appear. The run stops after its first unchanged chunk, reporting
-        // the exact silence point.
+        // appear. The run stops at its first silence check, reporting the
+        // exact silence point.
         let mut sim = Simulation::new(Fratricide { n: 10 }, Configuration::uniform(S::F, 10), 5);
         let outcome = sim.run_until(|c| leaders(c) == 1, u64::MAX >> 8);
         assert!(outcome.is_silent());
@@ -707,7 +702,7 @@ mod tests {
     fn silence_is_reported_at_the_last_state_changing_interaction() {
         // Replay the same seeded trajectory step by step to find the true
         // last state-changing interaction, then check that run_until_silent
-        // reports exactly that point (not the end of its check chunk).
+        // reports exactly that point (not the point where a check saw it).
         for seed in [3u64, 7, 11, 42] {
             let n = 40;
             let mut manual =
@@ -725,9 +720,49 @@ mod tests {
             assert!(outcome.is_silent());
             assert_eq!(outcome.interactions, last_change, "seed {seed}");
             assert_eq!(sim.last_change(), last_change);
-            // The simulation itself keeps stepping to the end of the check
-            // chunk; only the *reported* silence point is exact.
+            // The simulation itself steps on until a silence check runs
+            // (see `silence_is_detected_within_the_check_schedule`); only
+            // the *reported* silence point is exact.
             assert!(sim.interactions() >= outcome.interactions);
+        }
+    }
+
+    /// Max spreading over `u32`: both agents take the larger value, so a
+    /// configuration is silent exactly when every agent agrees.
+    #[derive(Debug)]
+    struct Max {
+        n: usize,
+    }
+
+    impl Protocol for Max {
+        type State = u32;
+        fn population_size(&self) -> usize {
+            self.n
+        }
+        fn transition(&self, a: &u32, b: &u32, _rng: &mut dyn RngCore) -> (u32, u32) {
+            ((*a).max(*b), (*a).max(*b))
+        }
+        fn is_null(&self, a: &u32, b: &u32) -> bool {
+            a == b
+        }
+    }
+
+    #[test]
+    fn silence_is_detected_within_the_check_schedule() {
+        // From n distinct values. A failed check scans the n agents,
+        // queries each state held twice or more against itself (at most
+        // n/2 of them) and stops at its first pair of distinct states (two
+        // queries); the next waits for QUIET_PER_CHECK_COST times that cost
+        // in unchanged interactions, counted in whole chunks of n/8. So a
+        // run executes fewer than that wait plus two chunks past the
+        // silence point, however many states it started with.
+        for (n, seed) in [(40, 3u64), (250, 7), (1000, 11)] {
+            let mut sim = Simulation::new(Max { n }, Configuration::from_fn(n, |i| i as u32), seed);
+            let outcome = sim.run_until_silent(u64::MAX >> 8);
+            assert!(outcome.is_silent());
+            let bound = QUIET_PER_CHECK_COST * (n as u64 * 3 / 2 + 2) + 2 * (n as u64 / 8);
+            let past = sim.interactions().count() - outcome.interactions.count();
+            assert!(past < bound, "n = {n}: {past} interactions past silence, bound {bound}");
         }
     }
 
@@ -741,6 +776,18 @@ mod tests {
         sim.run_for(5_000);
         let again = sim.run_until_silent(10_000_000);
         assert_eq!(again.interactions, first.interactions);
+    }
+
+    #[test]
+    fn a_run_stopping_where_the_last_one_did_keeps_probe_times_increasing() {
+        let mut sim = Simulation::new(Fratricide { n: 20 }, Configuration::uniform(S::L, 20), 9);
+        sim.attach_telemetry(Recorder::new());
+        assert!(sim.run_until_silent(u64::MAX >> 8).is_silent());
+        // Already silent: the second run records its stop probe at the
+        // first run's stop.
+        assert!(sim.run_until_silent(u64::MAX >> 8).is_silent());
+        let probes = sim.take_telemetry().expect("attached").probes;
+        assert!(probes.windows(2).all(|w| w[1].interactions > w[0].interactions));
     }
 
     #[test]

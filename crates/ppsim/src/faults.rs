@@ -456,10 +456,7 @@ impl<P: Protocol> PerturbationHost for Simulation<P> {
     }
 
     fn run_to_silence(&mut self, budget: u64, stop: StopRule<'_, Self::State>) -> RunOutcome {
-        match stop {
-            Some(stop) => self.run_until(stop, budget),
-            None => self.run_until_silent(budget),
-        }
+        self.run_to_stop(stop, budget)
     }
 
     fn advance(&mut self, budget: u64) {
@@ -507,10 +504,7 @@ impl<P: Protocol, X: StateIndex<P>> PerturbationHost for CountSimulation<P, X> {
     }
 
     fn run_to_silence(&mut self, budget: u64, stop: StopRule<'_, Self::State>) -> RunOutcome {
-        match stop {
-            Some(stop) => self.run_until(stop, budget),
-            None => self.run_until_silent(budget),
-        }
+        self.run_to_stop(stop.map(|stop| move |sim: &Self| stop(&sim.to_configuration())), budget)
     }
 
     fn advance(&mut self, budget: u64) {
@@ -631,9 +625,9 @@ pub fn run_until_silent_perturbed<H: PerturbationHost>(
         debug_assert!(now <= event.at, "events must be in increasing time order");
         let out = host.run_to_silence(event.at - now, stop);
         note_silence(&out, &mut initial_silence, &mut log);
-        // The host may have stopped short of the index (silence detected,
-        // the stop rule met, or an exact-engine check chunk ended early):
-        // run on to the index so the event lands exactly there.
+        // The host may have stopped short of the index (silence detected or
+        // the stop rule met): run on to the index so the event lands exactly
+        // there.
         let now = host.interactions_so_far().count();
         host.advance(event.at - now);
         let (corrupted, joined, departed) = match &event.kind {

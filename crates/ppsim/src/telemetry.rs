@@ -302,13 +302,18 @@ impl Recorder {
         interactions >= self.next_probe_at
     }
 
-    /// Records one convergence checkpoint.
+    /// Records one convergence checkpoint. A checkpoint at the simulated
+    /// time of the last one (a run that stops where the previous run
+    /// stopped) replaces it, so a stream's times strictly increase.
     pub fn record_probe(&mut self, probe: Probe) {
         // Log-spaced: the next checkpoint waits for 25% more simulated
         // time, with a +1 floor so early probes still advance.
         self.next_probe_at = (probe.interactions / PROBE_GROWTH_DEN)
             .saturating_mul(PROBE_GROWTH_NUM)
             .max(probe.interactions + 1);
+        if self.probes.last().is_some_and(|last| last.interactions == probe.interactions) {
+            self.probes.pop();
+        }
         self.probes.push(probe);
     }
 

@@ -89,25 +89,30 @@ fn count_engines_report_epochs_and_transitions() {
 #[test]
 fn probe_streams_are_monotone_on_every_engine() {
     for engine in ENGINES {
-        let report = spec(256, engine, 11, true).run_one().unwrap();
-        let recorder = report.telemetry.as_ref().expect("probe(true) yields a recorder");
-        assert!(!recorder.probes.is_empty(), "{engine}: at least one checkpoint fires");
-        for pair in recorder.probes.windows(2) {
-            assert!(
-                pair[1].interactions > pair[0].interactions,
-                "{engine}: probes advance strictly in simulated time"
-            );
-            assert!(
-                pair[1].transitions >= pair[0].transitions,
-                "{engine}: applied transitions never decrease"
-            );
+        // A run to silence, and a run that a rule stops first (state 0
+        // dies out long before every agent agrees).
+        let until = spec(256, engine, 11, true).until(|_, c| c.count_matching(|&s| s == 0) == 0);
+        for run in [spec(256, engine, 11, true), until] {
+            let report = run.run_one().unwrap();
+            let recorder = report.telemetry.as_ref().expect("probe(true) yields a recorder");
+            assert!(!recorder.probes.is_empty(), "{engine}: at least one checkpoint fires");
+            for pair in recorder.probes.windows(2) {
+                assert!(
+                    pair[1].interactions > pair[0].interactions,
+                    "{engine}: probes advance strictly in simulated time"
+                );
+                assert!(
+                    pair[1].transitions >= pair[0].transitions,
+                    "{engine}: applied transitions never decrease"
+                );
+            }
+            for probe in &recorder.probes {
+                assert!(probe.population as usize == 256, "{engine}: population is stable");
+                assert!(probe.distinct_states as usize <= 5, "{engine}: at most 5 states");
+            }
+            // The frozen registry matches the report's own.
+            assert_eq!(recorder.counters, report.counters);
         }
-        for probe in &recorder.probes {
-            assert!(probe.population as usize == 256, "{engine}: population is stable");
-            assert!(probe.distinct_states as usize <= 5, "{engine}: at most 5 states");
-        }
-        // The frozen registry matches the report's own.
-        assert_eq!(recorder.counters, report.counters);
     }
 }
 
